@@ -1,7 +1,7 @@
 /// Google-benchmark microbenchmarks of the substrates: kd-tree queries,
 /// cone-tree pruning, LP solves, skyline maintenance, dynamic set-cover
-/// operations, the serving layer's update queues (mutex reference vs
-/// lock-free ring), and the SoA scoring kernel vs the scalar Dot loop.
+/// operations, the serving layer's lock-free update queue, and the SoA
+/// scoring kernel vs the scalar Dot loop.
 /// These are the per-operation costs the complexity analysis of Section
 /// III-B — and the serving layer's throughput model — reason about.
 
@@ -19,7 +19,6 @@
 #include "index/conetree.h"
 #include "index/kdtree.h"
 #include "lp/simplex.h"
-#include "serve/bounded_queue.h"
 #include "serve/mpsc_ring_queue.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
@@ -134,16 +133,14 @@ void BM_TopKMaintainerUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKMaintainerUpdate)->Arg(256)->Arg(1024);
 
-/// One producers→consumer churn through a queue: `producers` threads each
-/// blocking-Push their share of `total_ops` ints while the consumer drains
-/// PopBatch(64) until close. Returns the wall seconds of the whole churn
-/// (thread spawn included — identical overhead for both queue types, and
-/// amortized by the op count). This is the serving layer's exact access
-/// pattern, so the mutex-vs-ring delta here is the ingestion headroom the
-/// ring buys.
-template <typename Queue>
+/// One producers→consumer churn through the update queue: `producers`
+/// threads each blocking-Push their share of `total_ops` ints while the
+/// consumer drains PopBatch(64) until close. Returns the wall seconds of
+/// the whole churn (thread spawn included, amortized by the op count). This
+/// is the serving layer's exact access pattern, so it bounds the ingestion
+/// rate the queue allows.
 double QueueChurnSeconds(int producers, int total_ops) {
-  Queue queue(4096);
+  MpscRingQueue<int> queue(4096);
   std::atomic<uint64_t> consumed{0};
   Stopwatch wall;
   std::thread consumer([&] {
@@ -171,21 +168,11 @@ double QueueChurnSeconds(int producers, int total_ops) {
 
 constexpr int kQueueChurnOps = 1 << 17;
 
-void BM_QueueMutexReference(benchmark::State& state) {
-  const int producers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.SetIterationTime(
-        QueueChurnSeconds<BoundedQueue<int>>(producers, kQueueChurnOps));
-  }
-  state.SetItemsProcessed(state.iterations() * kQueueChurnOps);
-}
-BENCHMARK(BM_QueueMutexReference)->Arg(1)->Arg(2)->Arg(4)->UseManualTime();
-
 void BM_QueueLockFreeRing(benchmark::State& state) {
   const int producers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.SetIterationTime(
-        QueueChurnSeconds<MpscRingQueue<int>>(producers, kQueueChurnOps));
+        QueueChurnSeconds(producers, kQueueChurnOps));
   }
   state.SetItemsProcessed(state.iterations() * kQueueChurnOps);
 }

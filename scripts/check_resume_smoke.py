@@ -7,7 +7,7 @@ Usage:
 
 Run the kill-and-resume pair first:
 
-    FDRMS_CRASH_POINT=shard.cutover.committed \\
+    FDRMS_FAULT=shard.cutover.committed=crash \\
         service_driver --persist store --migrate ...   # dies with exit 137
     service_driver --persist store --resume ... > resume.log
 

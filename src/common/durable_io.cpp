@@ -13,7 +13,7 @@
 #include <unistd.h>
 #endif
 
-#include "common/crash_point.h"
+#include "common/fault_point.h"
 
 namespace fdrms {
 
@@ -93,7 +93,7 @@ Status WriteDurablePosix(const std::string& path, const std::string& contents,
     std::remove(tmp.c_str());
     return IoError("close(tmp)", tmp, err);
   }
-  if (CrashPoints::Hit(crash_prefix, "tmp_written")) {
+  if (FaultPoints::Hit(crash_prefix, "tmp_written").crash()) {
     return Status::Internal("crash injected after tmp write");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -101,11 +101,11 @@ Status WriteDurablePosix(const std::string& path, const std::string& contents,
     std::remove(tmp.c_str());
     return IoError("rename", path, err);
   }
-  if (CrashPoints::Hit(crash_prefix, "renamed")) {
+  if (FaultPoints::Hit(crash_prefix, "renamed").crash()) {
     return Status::Internal("crash injected after rename");
   }
   FDRMS_RETURN_NOT_OK(SyncDirOf(path));
-  if (CrashPoints::Hit(crash_prefix, "dir_synced")) {
+  if (FaultPoints::Hit(crash_prefix, "dir_synced").crash()) {
     return Status::Internal("crash injected after dir sync");
   }
   return Status::OK();
@@ -130,7 +130,7 @@ Status WriteDurablePosix(const std::string& path, const std::string& contents,
       return IoError("write(tmp)", tmp, 0);
     }
   }
-  if (CrashPoints::Hit(crash_prefix, "tmp_written")) {
+  if (FaultPoints::Hit(crash_prefix, "tmp_written").crash()) {
     return Status::Internal("crash injected after tmp write");
   }
   std::remove(path.c_str());
@@ -139,10 +139,10 @@ Status WriteDurablePosix(const std::string& path, const std::string& contents,
     std::remove(tmp.c_str());
     return IoError("rename", path, err);
   }
-  if (CrashPoints::Hit(crash_prefix, "renamed")) {
+  if (FaultPoints::Hit(crash_prefix, "renamed").crash()) {
     return Status::Internal("crash injected after rename");
   }
-  if (CrashPoints::Hit(crash_prefix, "dir_synced")) {
+  if (FaultPoints::Hit(crash_prefix, "dir_synced").crash()) {
     return Status::Internal("crash injected after dir sync");
   }
   return Status::OK();
@@ -156,7 +156,7 @@ Status WriteFileDurable(const std::string& path, const std::string& contents,
                         const char* crash_prefix) {
   // A soft-crashed process never touches disk again: callers above us see a
   // persist failure and must not run their post-commit actions.
-  if (CrashPoints::crashed()) {
+  if (FaultPoints::crashed()) {
     return Status::Internal("crash injected: process is dead");
   }
   return WriteDurablePosix(path, contents, crash_prefix);

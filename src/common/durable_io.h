@@ -9,9 +9,10 @@
 /// → fsync(parent dir). After it returns OK the bytes are on disk under
 /// `path` even across power loss; if the process dies at any interior step
 /// the previous contents of `path` are intact (the tmp file may linger and
-/// is ignored/garbage-collected at resume). Each step names a CrashPoint
-/// (`<crash_prefix>.tmp_written` / `.renamed` / `.dir_synced`) so the crash
-/// matrix can kill the protocol between any two steps.
+/// is ignored/garbage-collected at resume). Each step names a fault site
+/// (`<crash_prefix>.tmp_written` / `.renamed` / `.dir_synced`) so a `crash`
+/// armed there (common/fault_point.h) kills the protocol between any two
+/// steps.
 ///
 /// `Fnv1a64` is the manifest/snapshot checksum: not cryptographic, just a
 /// cheap, dependency-free detector for torn or bit-rotted files.
@@ -33,12 +34,13 @@ std::uint64_t Fnv1a64(const void* data, std::size_t size,
 std::string ChecksumHex(std::uint64_t digest);
 
 /// Atomically + durably replaces `path` with `contents` via the
-/// tmp/fsync/rename/dir-fsync protocol. `crash_prefix` names the CrashPoint
-/// family compiled into the steps (e.g. "shard.manifest"); pass a distinct
+/// tmp/fsync/rename/dir-fsync protocol. `crash_prefix` names the fault
+/// sites compiled into the steps (e.g. "shard.manifest"); pass a distinct
 /// prefix per call site so the crash matrix can target them independently.
 /// Returns Internal with the failing step + errno text on any error —
 /// including a failed fsync, which the caller must count as a persist
-/// failure, not a success.
+/// failure, not a success — and without touching disk once
+/// FaultPoints::crashed() is set.
 Status WriteFileDurable(const std::string& path, const std::string& contents,
                         const char* crash_prefix);
 

@@ -11,6 +11,7 @@ namespace fdrms {
 
 std::atomic<FaultPoints::State> FaultPoints::state_{
     FaultPoints::State::kUninit};
+std::atomic<bool> FaultPoints::crashed_{false};
 
 namespace {
 
@@ -22,7 +23,8 @@ std::mutex& Mu() {
 // Guarded by Mu().
 struct ArmedSite {
   FaultSpec spec;
-  bool consumed = false;  // one-shot kinds (kError, kDie) fire once
+  bool consumed = false;  // one-shot kinds (kError, kDie, kCrash) fire once
+  bool from_env = false;  // an env-armed kCrash exits the process
 };
 
 std::unordered_map<std::string, ArmedSite>& Sites() {
@@ -64,10 +66,12 @@ void ParseDirective(const std::string& directive) {
     spec.kind = FaultKind::kStickyError;
   } else if (action == "die") {
     spec.kind = FaultKind::kDie;
+  } else if (action == "crash") {
+    spec.kind = FaultKind::kCrash;
   } else {
     return;
   }
-  Sites()[site] = ArmedSite{spec, false};
+  Sites()[site] = ArmedSite{spec, false, /*from_env=*/true};
 }
 
 // Guarded by Mu(). Probes FDRMS_FAULT (comma-separated directives).
@@ -99,6 +103,7 @@ void FaultPoints::Reset() {
   std::lock_guard<std::mutex> lock(Mu());
   Sites().clear();
   InjectedCount().store(0, std::memory_order_relaxed);
+  crashed_.store(false, std::memory_order_release);
   // Back to kUninit, not kIdle: the env var is re-probed on the next Hit so
   // a Reset inside a test cannot mask an env arming for the process.
   state_.store(State::kUninit, std::memory_order_release);
@@ -133,10 +138,17 @@ FaultAction FaultPoints::HitSlow(const char* prefix, const char* step) {
     act.kind = armed.spec.kind;
     act.site = std::move(name);
     delay_us = armed.spec.delay_us;
-    if (act.kind == FaultKind::kError || act.kind == FaultKind::kDie) {
+    if (act.kind == FaultKind::kError || act.kind == FaultKind::kDie ||
+        act.kind == FaultKind::kCrash) {
       armed.consumed = true;
     }
     InjectedCount().fetch_add(1, std::memory_order_relaxed);
+    if (act.crash()) {
+      // SIGKILL semantics: no atexit handlers, no stream flushes, no stack
+      // unwinding — the file system sees exactly what was durable.
+      if (armed.from_env) std::_Exit(137);
+      crashed_.store(true, std::memory_order_release);
+    }
   }
   // Sleep outside the registry lock so a delayed site cannot stall every
   // other thread's fast path.

@@ -2,8 +2,8 @@
 #define FDRMS_COMMON_FAULT_POINT_H_
 
 /// \file fault_point.h
-/// Named fault-injection sites compiled into the hot paths — the
-/// generalization of crash_point.h from "die here" to "misbehave here".
+/// Named fault-injection sites compiled into the hot paths and the
+/// persistence paths: the one framework for "misbehave here" and "die here".
 ///
 /// Every fault-prone step names itself before proceeding:
 ///
@@ -20,6 +20,7 @@
 ///      FDRMS_FAULT=serve.persist.pre=error         # one-shot kInternal
 ///      FDRMS_FAULT=shard.replay.pre=sticky_error@2 # skip 2 hits, then fail
 ///                                                  # that hit and all later
+///      FDRMS_FAULT=shard.cutover.committed=crash   # _Exit(137) right there
 ///    Multiple directives are comma-separated. Probed once, on first Hit.
 ///  * **API mode** (in-process fault matrix, used by tests/fault_test):
 ///    `FaultPoints::Arm("writer.apply.pre", {FaultKind::kError})`. Replaces
@@ -35,12 +36,20 @@
 ///                writer had crashed: the service's writer loop exits
 ///                through its death epilogue (queue closed, rendezvous
 ///                failed, health = kDead). One-shot, like kError.
+///  * `kCrash`  — the whole *process* dies at the site, for the durability
+///                story. Env-armed, Hit() calls `_Exit(137)`: no
+///                destructors, no flushes, exactly like a SIGKILL at that
+///                instant (the CI kill-and-resume smoke). API-armed (the
+///                in-process crash matrix, tests/manifest_test), Hit()
+///                latches the sticky `crashed()` flag and returns kCrash;
+///                the durable-write helpers and the manifest commit consult
+///                `crashed()` and refuse to touch disk once it is set, so
+///                nothing after the "crash" lands and a second instance can
+///                resume against what made it to disk. One-shot; Reset()
+///                clears the flag.
 ///
 /// `skip` hits are skipped before the action applies, so a site that fires
-/// once per batch can be faulted on batch k specifically. FaultPoints and
-/// CrashPoints coexist: crash points model whole-process death for the
-/// durability story; fault points model partial failure inside a live
-/// process.
+/// once per batch (or once per shard) can be faulted on hit k specifically.
 
 #include <atomic>
 #include <cstdint>
@@ -56,6 +65,7 @@ enum class FaultKind : int {
   kError = 2,        ///< fail once with kInternal
   kStickyError = 3,  ///< fail this hit and every later hit
   kDie = 4,          ///< the hitting thread must die (writer-death epilogue)
+  kCrash = 5,        ///< the process dies here (see crashed())
 };
 
 /// What an armed site told the caller to do. `kind == kNone` on the fast
@@ -71,6 +81,7 @@ struct FaultAction {
     return kind == FaultKind::kError || kind == FaultKind::kStickyError;
   }
   bool die() const { return kind == FaultKind::kDie; }
+  bool crash() const { return kind == FaultKind::kCrash; }
 
   /// Canonical Status for an injected error at this site.
   Status ToStatus() const {
@@ -98,12 +109,17 @@ class FaultPoints {
   /// arming of that site; other sites stay armed.
   static void Arm(const std::string& name, const FaultSpec& spec);
 
-  /// Disarms every site (API- and env-armed). The env var is re-probed on
-  /// the next Hit, matching CrashPoints::Reset semantics.
+  /// Disarms every site (API- and env-armed) and clears crashed(). The env
+  /// var is re-probed on the next Hit.
   static void Reset();
 
-  /// Total actions injected (delays, errors, deaths) since the last Reset.
-  /// Smoke runs assert this is nonzero when a fault was supposed to fire.
+  /// True once an API-armed kCrash site has been reached. Persistence paths
+  /// treat this as "the process is dead": they stop writing.
+  static bool crashed() { return crashed_.load(std::memory_order_acquire); }
+
+  /// Total actions injected (delays, errors, deaths, crashes) since the
+  /// last Reset. Smoke runs assert this is nonzero when a fault was
+  /// supposed to fire.
   static uint64_t injected();
 
  private:
@@ -116,6 +132,7 @@ class FaultPoints {
   static FaultAction HitSlow(const char* prefix, const char* step);
 
   static std::atomic<State> state_;
+  static std::atomic<bool> crashed_;
 };
 
 }  // namespace fdrms

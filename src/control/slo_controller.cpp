@@ -266,37 +266,12 @@ SloDecision SloController::Tick(const obs::RegistrySnapshot& snap,
 }
 
 void SloController::Start() {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    stop_requested_ = false;
-  }
-  thread_ = std::thread(&SloController::Loop, this);
-}
-
-void SloController::Stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_release);
-}
-
-void SloController::Loop() {
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  for (;;) {
-    stop_cv_.wait_for(lock, std::chrono::milliseconds(options_.tick_ms),
-                      [&] { return stop_requested_; });
-    if (stop_requested_) return;
-    lock.unlock();
+  task_.Start(std::chrono::milliseconds(options_.tick_ms), [this] {
     Tick(registry_->Snapshot(), registry_->NowMicros());
-    lock.lock();
-  }
+  });
 }
+
+void SloController::Stop() { task_.Stop(); }
 
 std::string SloController::DebugString() const {
   SloDecision d;

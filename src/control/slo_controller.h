@@ -27,14 +27,12 @@
 /// fabricated snapshots and a fake clock, no sleeps; Start()/Stop() wrap it
 /// in the production polling thread.
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
+#include "common/periodic_task.h"
 #include "common/status.h"
 #include "obs/registry.h"
 #include "obs/snapshot_delta.h"
@@ -191,7 +189,7 @@ class SloController {
   /// destructor stops if still running.
   void Start();
   void Stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return task_.running(); }
 
   /// SLO status page: objective, last window's signals, decision counters,
   /// cooldown state.
@@ -201,7 +199,6 @@ class SloController {
 
  private:
   void RegisterMetrics();
-  void Loop();
 
   /// Windowed signals shared by both actuators, derived from one delta.
   struct Signals;
@@ -240,11 +237,7 @@ class SloController {
   mutable std::mutex last_mutex_;
   SloDecision last_;
 
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
+  PeriodicTask task_;
 };
 
 }  // namespace control

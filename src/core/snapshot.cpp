@@ -56,8 +56,10 @@ Result<std::unique_ptr<FdRms>> LoadSnapshot(std::istream* is) {
   if (!is->good() || count < 0) {
     return Status::Invalid("bad snapshot tuple count");
   }
+  // The count is untrusted: grow as tuples parse instead of reserving it, so
+  // a tiny file claiming INT_MAX tuples fails as truncated, not in the
+  // allocator.
   std::vector<std::pair<int, Point>> tuples;
-  tuples.reserve(count);
   for (int i = 0; i < count; ++i) {
     int id = 0;
     Point p(dim);

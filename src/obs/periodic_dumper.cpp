@@ -19,41 +19,12 @@ PeriodicDumper::PeriodicDumper(std::shared_ptr<MetricRegistry> registry,
 PeriodicDumper::~PeriodicDumper() { Stop(); }
 
 void PeriodicDumper::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) return;
-  running_ = true;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { Loop(); });
+  task_.Start(std::chrono::milliseconds(options_.interval_ms),
+              [this] { DumpOnce(); });
 }
 
 void PeriodicDumper::Stop() {
-  // Take ownership of the thread handle under the lock: exactly one caller
-  // sees running_ flip and performs the join + final dump, so concurrent
-  // Stop() calls can never double-join.
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_) return;
-    running_ = false;
-    stop_requested_ = true;
-    to_join = std::move(thread_);
-  }
-  cv_.notify_all();
-  to_join.join();
-  DumpOnce();  // end-of-run totals always land on disk
-}
-
-void PeriodicDumper::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_requested_) {
-    if (cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
-                     [this] { return stop_requested_; })) {
-      break;
-    }
-    lock.unlock();
-    DumpOnce();
-    lock.lock();
-  }
+  if (task_.Stop()) DumpOnce();  // end-of-run totals always land on disk
 }
 
 void PeriodicDumper::DumpOnce() {

@@ -2,20 +2,19 @@
 #define FDRMS_OBS_PERIODIC_DUMPER_H_
 
 /// \file periodic_dumper.h
-/// Background thread that scrapes a MetricRegistry on a fixed cadence and
-/// writes the Prometheus exposition (and optionally a JSON sidecar) to
-/// disk with atomic tmp+rename, so external scrapers / the CI metrics-smoke
-/// step always read a complete document. A final dump is flushed on Stop(),
-/// guaranteeing the last scrape reflects end-of-run totals.
+/// Background task (common/periodic_task.h) that scrapes a MetricRegistry
+/// on a fixed cadence and writes the Prometheus exposition (and optionally
+/// a JSON sidecar) to disk with atomic tmp+rename, so external scrapers /
+/// the CI metrics-smoke step always read a complete document. A final dump
+/// is flushed on Stop(), guaranteeing the last scrape reflects end-of-run
+/// totals.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
+#include "common/periodic_task.h"
 #include "obs/registry.h"
 
 namespace fdrms {
@@ -36,9 +35,9 @@ class PeriodicDumper {
   PeriodicDumper& operator=(const PeriodicDumper&) = delete;
 
   void Start();
-  /// Idempotent and safe for concurrent callers: exactly one caller joins
-  /// the dump thread and writes the final dump; the others return
-  /// immediately (possibly before that final dump lands).
+  /// Idempotent and safe for concurrent callers: the one caller whose
+  /// PeriodicTask::Stop joined the dump thread writes the final dump; the
+  /// others return immediately (possibly before that final dump lands).
   void Stop();
 
   uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
@@ -47,18 +46,13 @@ class PeriodicDumper {
   }
 
  private:
-  void Loop();
   void DumpOnce();
 
   std::shared_ptr<MetricRegistry> registry_;
   PeriodicDumperOptions options_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::thread thread_;
   std::atomic<uint64_t> dumps_{0};
   std::atomic<uint64_t> failures_{0};
+  PeriodicTask task_;  // last: stopped before the members it reads die
 };
 
 }  // namespace obs

@@ -27,10 +27,8 @@ FdRmsService::FdRmsService(int dim, const FdRmsServiceOptions& options)
   FDRMS_CHECK(options.min_batch > 0);
   FDRMS_CHECK(options.min_batch <= options.max_batch)
       << "min_batch must not exceed max_batch";
-  // Adaptive runs start small (latency-first until a burst shows up);
-  // fixed-batch runs behave exactly like the pre-adaptive writer.
-  effective_batch_ =
-      options.adaptive_batching ? options.min_batch : options.max_batch;
+  // Start small: latency-first until a burst shows up.
+  effective_batch_ = options.min_batch;
   RegisterMetrics();
   metrics_.batch_bound->Set(static_cast<double>(options.max_batch));
   metrics_.healthy->Set(1.0);
@@ -134,14 +132,6 @@ Status FdRmsService::Start(const std::vector<std::pair<int, Point>>& initial) {
   FDRMS_RETURN_NOT_OK(InitializeAlgo(initial));
   version_ = options_.initial_version;
   PublishSnapshot();  // the post-Initialize state (version 0 on first boot)
-  if (options_.metrics_dump_every_ms > 0) {
-    obs::PeriodicDumperOptions dopt;
-    dopt.prometheus_path = options_.metrics_dump_path;
-    dopt.json_path = options_.metrics_dump_json_path;
-    dopt.interval_ms = options_.metrics_dump_every_ms;
-    dumper_ = std::make_unique<obs::PeriodicDumper>(registry_, dopt);
-    dumper_->Start();
-  }
   state_.store(State::kRunning);
   writer_ = std::thread(&FdRmsService::WriterLoop, this);
   return Status::OK();
@@ -202,7 +192,6 @@ Status FdRmsService::Stop(StopPolicy policy) {
     metrics_.ops_dropped->Increment(queue_.Clear());
   }
   if (writer_.joinable()) writer_.join();
-  if (dumper_ != nullptr) dumper_->Stop();  // final dump with final totals
   return Status::OK();
 }
 
@@ -407,15 +396,11 @@ void FdRmsService::WriterLoop() {
     // The external ceiling (SetBatchBound) caps whatever the policy below
     // decides; already clamped into [min_batch, max_batch] at the setter.
     const size_t ceiling = batch_bound_.load(std::memory_order_relaxed);
-    if (options_.adaptive_batching) {
-      effective_batch_ = std::min(effective_batch_, ceiling);
-      if (depth >= 2 * effective_batch_) {
-        effective_batch_ = std::min(2 * effective_batch_, ceiling);
-      } else if (depth * 4 <= effective_batch_) {
-        effective_batch_ = std::max(effective_batch_ / 2, options_.min_batch);
-      }
-    } else {
-      effective_batch_ = ceiling;
+    effective_batch_ = std::min(effective_batch_, ceiling);
+    if (depth >= 2 * effective_batch_) {
+      effective_batch_ = std::min(2 * effective_batch_, ceiling);
+    } else if (depth * 4 <= effective_batch_) {
+      effective_batch_ = std::max(effective_batch_ / 2, options_.min_batch);
     }
     Stopwatch drain_watch;
     if (!queue_.PopBatch(effective_batch_, &batch)) break;

@@ -45,7 +45,6 @@
 #include "common/status.h"
 #include "core/fdrms.h"
 #include "obs/metrics.h"
-#include "obs/periodic_dumper.h"
 #include "obs/registry.h"
 #include "serve/mpsc_ring_queue.h"
 #include "serve/result_snapshot.h"
@@ -69,20 +68,17 @@ struct FdRmsServiceOptions {
   /// Bound of the MPSC update queue (operations, not batches).
   size_t queue_capacity = 4096;
 
-  /// Max operations the writer drains into one ApplyBatch/publication —
-  /// the ceiling of the adaptive policy below, or the fixed bound when
-  /// adaptive batching is off.
-  size_t max_batch = 256;
-
-  /// Writer-side adaptive batching (on by default). Each wakeup the writer
-  /// observes the queue depth and steers its effective batch bound within
-  /// [min_batch, max_batch]: the bound doubles while the backlog runs at
+  /// Bounds on the operations the writer drains into one ApplyBatch and
+  /// publication. Batching is adaptive: each wakeup the writer observes
+  /// the queue depth and steers its effective batch bound within
+  /// [min_batch, max_batch]. The bound doubles while the backlog runs at
   /// least two bounds deep (burst: amortize publication cost) and halves
   /// when the backlog falls to a quarter of it (idle: publish small
   /// batches promptly for low publish_p50_us). The bound in force, plus
   /// the depth and batch-size histograms backing the decision, ride every
-  /// ResultSnapshot. Off = fixed max_batch (the pre-adaptive behavior).
-  bool adaptive_batching = true;
+  /// ResultSnapshot. `min_batch == max_batch` pins the bound (fixed-size
+  /// batching).
+  size_t max_batch = 256;
   size_t min_batch = 1;
 
   /// What a submitter experiences when the queue is full: kBlock parks the
@@ -179,16 +175,6 @@ struct FdRmsServiceOptions {
   /// Labels stamped on every metric series this instance registers
   /// (e.g. {{"shard", "3"}}).
   obs::Labels metrics_labels;
-
-  /// Periodic background metrics dump: every `metrics_dump_every_ms` the
-  /// registry's Prometheus exposition is written to `metrics_dump_path`
-  /// (and, when non-empty, a JSON document to `metrics_dump_json_path`)
-  /// with atomic tmp+rename; a final dump lands on Stop(). 0 = off. The
-  /// sharded layer keeps this off on its shards and runs one dumper over
-  /// the shared registry instead.
-  int metrics_dump_every_ms = 0;
-  std::string metrics_dump_path = "fdrms_metrics.prom";
-  std::string metrics_dump_json_path;
 };
 
 /// A live FD-RMS instance behind a single-writer/multi-reader façade.
@@ -285,9 +271,8 @@ class FdRmsService {
   /// Control surface for an external policy (the SLO controller): caps the
   /// batch ceiling the writer steers under. `bound` is clamped into
   /// [options.min_batch, options.max_batch]; the clamped value in force is
-  /// returned and takes effect at the writer's next wakeup. With adaptive
-  /// batching the AIMD policy keeps running inside [min_batch, bound];
-  /// without it the writer drains fixed batches of exactly `bound`.
+  /// returned and takes effect at the writer's next wakeup; the adaptive
+  /// policy keeps running inside [min_batch, bound].
   /// Safe from any thread; exported as the fdrms_batch_bound gauge.
   size_t SetBatchBound(size_t bound);
 
@@ -438,7 +423,6 @@ class FdRmsService {
 
   /// Every stat below lives here; ResultSnapshot fields are views over it.
   std::shared_ptr<obs::MetricRegistry> registry_;
-  std::unique_ptr<obs::PeriodicDumper> dumper_;
 
   /// Handles into registry_, stable for the service's lifetime. Counters
   /// and pow2/latency histograms are multi-writer-safe (striped relaxed

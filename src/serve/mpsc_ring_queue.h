@@ -2,10 +2,11 @@
 #define FDRMS_SERVE_MPSC_RING_QUEUE_H_
 
 /// \file mpsc_ring_queue.h
-/// A bounded lock-free multi-producer/single-consumer ring queue for the
-/// serving layer's update path — the drop-in replacement for the
-/// mutex+condvar BoundedQueue (kept in bounded_queue.h as the reference
-/// implementation for tests and the queue microbenchmark).
+/// The serving layer's update queue: a bounded lock-free multi-producer/
+/// single-consumer ring. Producers are request threads submitting
+/// mutations; the single consumer (the writer) drains up to a batch per
+/// wakeup so it amortizes wakeup and publication cost across many
+/// operations.
 ///
 /// Design (Vyukov-style bounded queue):
 ///  - Power-of-two cell array; each cell carries its own sequence counter,
@@ -25,21 +26,26 @@
 ///    never the data path. Waiters use a bounded wait so a lost wakeup
 ///    costs at most one timeout, not a hang.
 ///
-/// Semantics are exactly BoundedQueue's: `Push` blocks while full and
-/// returns false only when the queue closes first; `TryPush` returns false
-/// when full or closed (kReject load-shedding); `PopBatch` blocks for the
-/// first element, drains up to a batch, returns true with an empty batch on
-/// a `Kick`, and returns false only once the queue is closed *and* every
-/// accepted element has been consumed; `Close` is idempotent and lets the
-/// consumer drain. The push-vs-close race the reference resolves with its
-/// mutex is resolved here with a seq_cst post-claim re-check: a producer
-/// whose claim lands after the close publishes a *dead* cell (no element,
-/// push reports failure) that consumers skip, so a close can neither lose
-/// an accepted element nor let one slip in after the consumer's final
-/// drain. `total_pushed()` is incremented between claiming a cell
-/// and publishing it, so any observer that saw an element consumed reads a
-/// count that already includes it — the serving layer's backlog arithmetic
-/// stays underflow-free.
+/// Contract (backpressure and shutdown):
+///  - `Push` blocks while full and returns false only when the queue
+///    closes first (the element is then not enqueued).
+///  - `TryPush` returns false when full or closed (kReject load-shedding).
+///  - `PopBatch` blocks for the first element, drains up to a batch,
+///    returns true with an empty batch on a `Kick`, and returns false only
+///    once the queue is closed *and* every accepted element has been
+///    consumed (end of stream).
+///  - `Clear` discards the backlog and reports how many were dropped.
+///  - `Close` is idempotent, wakes blocked producers, and lets the consumer
+///    drain.
+///
+/// The push-vs-close race is resolved with a seq_cst post-claim re-check:
+/// a producer whose claim lands after the close publishes a *dead* cell (no
+/// element, push reports failure) that consumers skip, so a close can
+/// neither lose an accepted element nor let one slip in after the
+/// consumer's final drain. `total_pushed()` is incremented between
+/// claiming a cell and publishing it, so any observer that saw an element
+/// consumed reads a count that already includes it — the serving layer's
+/// backlog arithmetic stays underflow-free.
 ///
 /// T must be movable and default-constructible (cells construct elements
 /// in place; PopBatch moves them out through a stack temporary).
@@ -65,7 +71,11 @@ class MpscRingQueue {
  public:
   explicit MpscRingQueue(size_t capacity) : capacity_(capacity) {
     FDRMS_CHECK(capacity > 0);
-    size_t cells = 1;
+    // At least two cells: with one, the consumer's "free" sequence value
+    // (pos + cells) equals the producer's "published" value (pos + 1), so
+    // the next producer could claim the cell while the consumer is still
+    // moving the previous element out of it.
+    size_t cells = 2;
     while (cells < capacity) cells <<= 1;
     mask_ = cells - 1;
     cells_ = std::make_unique<Cell[]>(cells);
@@ -141,7 +151,7 @@ class MpscRingQueue {
         // producer that claimed a cell just before the close will still
         // publish it (live or dead, see TryPushOnce's post-claim check),
         // and an accepted element must never be lost. A stale kick does
-        // not outrank the close (reference semantics). seq_cst pairs with
+        // not outrank the close (see the contract above). seq_cst pairs with
         // the producer's post-claim re-check: a claim this load misses
         // implies the producer's re-check saw the close and refused the
         // element.

@@ -13,7 +13,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/crash_point.h"
 #include "common/durable_io.h"
 #include "common/fault_point.h"
 #include "common/rng.h"
@@ -136,8 +135,8 @@ ShardedFdRmsService::~ShardedFdRmsService() {
   // Runs before member destruction, so the ticker can still see every
   // member; shard writer threads are joined when topology_ (declared last,
   // destroyed first) releases the FdRmsService instances.
-  StopHealthTracker();
-  StopManifestTicker();
+  health_tracker_.Stop();
+  manifest_ticker_.Stop();
 }
 
 void ShardedFdRmsService::RegisterMetrics() {
@@ -271,7 +270,7 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
   // boots only); a shard added to a live constellation starts empty.
   per_shard.resume_path = resume_file;
   // One registry for the constellation: shards are told apart by label, and
-  // the sharded layer owns the (single) dumper. GetOrCreate hands the same
+  // the sharded layer owns the one dumper over it. GetOrCreate hands the same
   // series back for the same (name, labels), so a reborn index must not
   // reuse the retired instance's labels — its counters would resume at the
   // dead instance's totals, inflating the new shard's stats. The first
@@ -285,7 +284,6 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
   if (gen > 0) {
     per_shard.metrics_labels.emplace_back("gen", std::to_string(gen));
   }
-  per_shard.metrics_dump_every_ms = 0;
   auto user_hook = per_shard.on_publish;
   per_shard.on_publish = [this, user_hook = std::move(user_hook)](
                              const ResultSnapshot& snap) {
@@ -424,8 +422,8 @@ Status ShardedFdRmsService::Stop(StopPolicy policy) {
   // lock cannot deadlock; stopping it first means no commit races the
   // shard shutdown below. The health tracker goes first for the same
   // reason (it takes no locks at all — pure atomic polling).
-  StopHealthTracker();
-  StopManifestTicker();
+  health_tracker_.Stop();
+  manifest_ticker_.Stop();
   std::shared_ptr<const Topology> topo = topology();
   std::vector<Status> statuses(topo->shards.size());
   ForEachShardConcurrently(topo->shards.size(), [&](size_t s) {
@@ -672,9 +670,9 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
     // The manifest is the migration's durability commit point: a crash
     // before the slot rename resumes into the pre-migration constellation
     // (replay covers the gap); after it, into the post-migration one.
-    CrashPoints::Hit("shard.cutover", "pre_manifest");
+    (void)FaultPoints::Hit("shard.cutover", "pre_manifest");
     (void)CommitConstellationLocked(/*persist_shards=*/true);
-    CrashPoints::Hit("shard.cutover", "committed");
+    (void)FaultPoints::Hit("shard.cutover", "committed");
   }
   return first_error;
 }
@@ -1110,55 +1108,30 @@ int ShardedFdRmsService::num_unhealthy() const {
 }
 
 void ShardedFdRmsService::StartHealthTrackerLocked() {
-  if (options_.health_poll_every_ms <= 0 || health_tracker_.joinable()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lg(health_mu_);
-    health_stop_ = false;
-  }
-  health_tracker_ = std::thread(&ShardedFdRmsService::HealthTrackerLoop, this);
-}
-
-void ShardedFdRmsService::StopHealthTracker() {
-  if (!health_tracker_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lg(health_mu_);
-    health_stop_ = true;
-  }
-  health_cv_.notify_all();
-  health_tracker_.join();
-}
-
-void ShardedFdRmsService::HealthTrackerLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.health_poll_every_ms);
+  if (options_.health_poll_every_ms <= 0) return;
   // Death transitions already traced, keyed by instance (a revived index
   // is a new instance, so its next death traces again).
-  std::set<const FdRmsService*> traced;
-  std::unique_lock<std::mutex> lk(health_mu_);
-  while (!health_stop_) {
-    health_cv_.wait_for(lk, interval, [this] { return health_stop_; });
-    if (health_stop_) return;
-    lk.unlock();
-    std::shared_ptr<const Topology> topo = topology();
-    int dead = 0;
-    for (size_t s = 0; s < topo->shards.size(); ++s) {
-      const FdRmsService* shard = topo->shards[s].get();
-      if (shard->health() == FdRmsService::Health::kDead) {
-        ++dead;
-        if (traced.insert(shard).second) {
-          metrics_.shard_deaths->Increment();
-          registry_->trace().Record("shard.unhealthy", registry_->NowMicros(),
-                                    0, static_cast<uint64_t>(s),
-                                    shard->writer_heartbeat());
+  health_tracker_.Start(
+      std::chrono::milliseconds(options_.health_poll_every_ms),
+      [this, traced = std::set<const FdRmsService*>()]() mutable {
+        std::shared_ptr<const Topology> topo = topology();
+        int dead = 0;
+        for (size_t s = 0; s < topo->shards.size(); ++s) {
+          const FdRmsService* shard = topo->shards[s].get();
+          if (shard->health() == FdRmsService::Health::kDead) {
+            ++dead;
+            if (traced.insert(shard).second) {
+              metrics_.shard_deaths->Increment();
+              registry_->trace().Record("shard.unhealthy",
+                                        registry_->NowMicros(), 0,
+                                        static_cast<uint64_t>(s),
+                                        shard->writer_heartbeat());
+            }
+          }
         }
-      }
-    }
-    num_unhealthy_.store(dead, std::memory_order_relaxed);
-    metrics_.shards_unhealthy->Set(static_cast<double>(dead));
-    lk.lock();
-  }
+        num_unhealthy_.store(dead, std::memory_order_relaxed);
+        metrics_.shards_unhealthy->Set(static_cast<double>(dead));
+      });
 }
 
 Status ShardedFdRmsService::PersistRoutingLocked(const RoutingTable& table,
@@ -1208,7 +1181,7 @@ Status ShardedFdRmsService::CommitConstellationLocked(bool persist_shards) {
   if (!versioned_persist_) return Status::OK();
   std::shared_ptr<const Topology> topo = topology();
   if (topo->shards.empty()) return Status::OK();
-  if (CrashPoints::crashed()) {
+  if (FaultPoints::crashed()) {
     metrics_.manifest_commit_failures->Increment();
     return Status::Internal("crash injected: process is dead");
   }
@@ -1475,52 +1448,23 @@ Status ShardedFdRmsService::BuildResumedTopologyLocked() {
 }
 
 void ShardedFdRmsService::StartManifestTickerLocked() {
-  if (!versioned_persist_ || options_.manifest_commit_every_ms <= 0 ||
-      manifest_ticker_.joinable()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lg(ticker_mu_);
-    ticker_stop_ = false;
-  }
-  manifest_ticker_ =
-      std::thread(&ShardedFdRmsService::ManifestTickerLoop, this);
-}
-
-void ShardedFdRmsService::StopManifestTicker() {
-  if (!manifest_ticker_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lg(ticker_mu_);
-    ticker_stop_ = true;
-  }
-  ticker_cv_.notify_all();
-  manifest_ticker_.join();
-}
-
-void ShardedFdRmsService::ManifestTickerLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.manifest_commit_every_ms);
-  std::unique_lock<std::mutex> lk(ticker_mu_);
-  while (!ticker_stop_) {
-    ticker_cv_.wait_for(lk, interval, [this] { return ticker_stop_; });
-    if (ticker_stop_) return;
-    lk.unlock();
-    bool dirty;
-    {
-      std::lock_guard<std::mutex> lg(ledger_.mu);
-      dirty = ledger_.dirty;
-    }
-    if (dirty) {
-      // try_to_lock: while a migration or Stop holds the control plane the
-      // tick is skipped — the cutover/Stop commits its own manifest, and a
-      // mid-migration commit could bind a half-moved constellation.
-      std::unique_lock<std::mutex> admin(admin_mutex_, std::try_to_lock);
-      if (admin.owns_lock()) {
-        (void)CommitConstellationLocked(/*persist_shards=*/false);
-      }
-    }
-    lk.lock();
-  }
+  if (!versioned_persist_ || options_.manifest_commit_every_ms <= 0) return;
+  manifest_ticker_.Start(
+      std::chrono::milliseconds(options_.manifest_commit_every_ms), [this] {
+        bool dirty;
+        {
+          std::lock_guard<std::mutex> lg(ledger_.mu);
+          dirty = ledger_.dirty;
+        }
+        if (!dirty) return;
+        // try_to_lock: while a migration or Stop holds the control plane the
+        // tick is skipped — the cutover/Stop commits its own manifest, and a
+        // mid-migration commit could bind a half-moved constellation.
+        std::unique_lock<std::mutex> admin(admin_mutex_, std::try_to_lock);
+        if (admin.owns_lock()) {
+          (void)CommitConstellationLocked(/*persist_shards=*/false);
+        }
+      });
 }
 
 uint64_t ShardedFdRmsService::ops_submitted() const {

@@ -63,19 +63,19 @@
 /// drains the last shard and retires it).
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/periodic_task.h"
 #include "common/status.h"
 #include "core/fdrms.h"
+#include "obs/periodic_dumper.h"
 #include "serve/fdrms_service.h"
 #include "shard/manifest.h"
 #include "shard/merged_snapshot.h"
@@ -157,9 +157,12 @@ struct ShardedServiceOptions {
   /// splits across registries.
   std::shared_ptr<obs::MetricRegistry> registry;
 
-  /// Constellation-level periodic metrics dump (see
-  /// FdRmsServiceOptions::metrics_dump_every_ms; per-shard dumpers are
-  /// forced off — one file covers all shards). 0 = off.
+  /// Constellation-level periodic metrics dump: every
+  /// `metrics_dump_every_ms` the shared registry's Prometheus exposition is
+  /// written to `metrics_dump_path` (and, when non-empty, a JSON document
+  /// to `metrics_dump_json_path`) with atomic tmp+rename; a final dump
+  /// lands on Stop() after the shards stop. One file covers all shards.
+  /// 0 = off.
   int metrics_dump_every_ms = 0;
   std::string metrics_dump_path = "fdrms_metrics.prom";
   std::string metrics_dump_json_path;
@@ -181,8 +184,8 @@ class ShardedFdRmsService {
   ShardedFdRmsService(int dim, const ShardedServiceOptions& options,
                       std::unique_ptr<ShardRouter> router = nullptr);
 
-  /// Joins the manifest ticker (shard writers are joined when the topology
-  /// releases the FdRmsService instances).
+  /// Stops the manifest ticker and health tracker (shard writers are
+  /// joined when the topology releases the FdRmsService instances).
   ~ShardedFdRmsService();
   ShardedFdRmsService(const ShardedFdRmsService&) = delete;
   ShardedFdRmsService& operator=(const ShardedFdRmsService&) = delete;
@@ -484,12 +487,7 @@ class ShardedFdRmsService {
   Status ReviveShardLocked(int s);
 
   void StartManifestTickerLocked();
-  void StopManifestTicker();
-  void ManifestTickerLoop();
-
   void StartHealthTrackerLocked();
-  void StopHealthTracker();
-  void HealthTrackerLoop();
 
   std::shared_ptr<const MergedSnapshot> BuildMerged(
       std::vector<std::shared_ptr<const ResultSnapshot>> parts,
@@ -573,18 +571,12 @@ class ShardedFdRmsService {
   /// Manifest ticker (manifest_commit_every_ms): wakes, try-locks the
   /// admin mutex (never contends with a live migration or Stop), and
   /// commits when the ledger is dirty.
-  std::thread manifest_ticker_;
-  std::mutex ticker_mu_;
-  std::condition_variable ticker_cv_;
-  bool ticker_stop_ = false;
+  PeriodicTask manifest_ticker_;
 
   /// Health tracker (health_poll_every_ms): polls every live shard's
   /// health, maintains the fdrms_shards_unhealthy gauge + num_unhealthy_,
   /// and traces each death transition once.
-  std::thread health_tracker_;
-  std::mutex health_mu_;
-  std::condition_variable health_cv_;
-  bool health_stop_ = false;
+  PeriodicTask health_tracker_;
   std::atomic<int> num_unhealthy_{0};  ///< tracker's last poll result
 
   /// One warm-standby follower per shard index. standby_count_ gates the

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <mutex>
 #include <sstream>
+#include <thread>
+#include <vector>
 
+#include "common/periodic_task.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -126,6 +133,101 @@ TEST(TablePrinterTest, AlignsColumnsAndCountsRows) {
 TEST(EnvTest, FallsBackOnMissing) {
   EXPECT_EQ(GetEnvDouble("FDRMS_DEFINITELY_UNSET_VAR", 3.5), 3.5);
   EXPECT_EQ(GetEnvLong("FDRMS_DEFINITELY_UNSET_VAR", 7), 7);
+}
+
+// PeriodicTask suites are named PeriodicTask* on purpose: the `tsan` CMake
+// test preset selects them alongside the serving-stack suites.
+
+bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 10000) {
+  for (int i = 0; i < timeout_ms; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+TEST(PeriodicTaskTest, RunsOncePerIntervalNeverImmediately) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kInterval = std::chrono::milliseconds(5);
+  std::mutex mu;
+  std::vector<Clock::time_point> calls;
+  PeriodicTask task;
+  const Clock::time_point start = Clock::now();
+  task.Start(kInterval, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    calls.push_back(Clock::now());
+  });
+  EXPECT_TRUE(task.running());
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls.size() >= 4;
+  }));
+  EXPECT_TRUE(task.Stop());
+  EXPECT_FALSE(task.running());
+  std::lock_guard<std::mutex> lock(mu);
+  // Every call waits a full interval after Start or after the previous
+  // call returned (1 ms slack for clock granularity).
+  Clock::time_point prev = start;
+  for (const Clock::time_point& t : calls) {
+    EXPECT_GE(t - prev, kInterval - std::chrono::milliseconds(1));
+    prev = t;
+  }
+}
+
+TEST(PeriodicTaskTest, StopBeforeStartIsANoOp) {
+  PeriodicTask task;
+  EXPECT_FALSE(task.running());
+  EXPECT_FALSE(task.Stop());
+  EXPECT_FALSE(task.Stop());
+  std::atomic<int> calls{0};
+  task.Start(std::chrono::milliseconds(1), [&] { ++calls; });
+  ASSERT_TRUE(WaitFor([&] { return calls.load() > 0; }));
+  EXPECT_TRUE(task.Stop());
+}
+
+TEST(PeriodicTaskTest, DestructorStopsTheTask) {
+  std::atomic<int> calls{0};
+  {
+    PeriodicTask task;
+    task.Start(std::chrono::milliseconds(1), [&] { ++calls; });
+    ASSERT_TRUE(WaitFor([&] { return calls.load() > 0; }));
+  }
+  const int after = calls.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(calls.load(), after);
+}
+
+TEST(PeriodicTaskTest, StopInterruptsTheWaitAndTheTaskRestarts) {
+  std::atomic<int> calls{0};
+  PeriodicTask task;
+  task.Start(std::chrono::hours(1), [&] { ++calls; });
+  // A second Start while running is a no-op: this fn never runs.
+  task.Start(std::chrono::milliseconds(1), [&] { calls += 1000000; });
+  EXPECT_TRUE(task.Stop());  // returns without waiting out the hour
+  EXPECT_EQ(calls.load(), 0);
+  task.Start(std::chrono::milliseconds(1), [&] { ++calls; });
+  ASSERT_TRUE(WaitFor([&] { return calls.load() > 0; }));
+  EXPECT_TRUE(task.Stop());
+  EXPECT_LT(calls.load(), 1000000);
+}
+
+TEST(PeriodicTaskTest, RacingStopJoinsExactlyOnce) {
+  std::atomic<int> calls{0};
+  PeriodicTask task;
+  task.Start(std::chrono::milliseconds(1), [&] { ++calls; });
+  ASSERT_TRUE(WaitFor([&] { return calls.load() > 0; }));
+  // All callers race Stop; exactly one may join the thread (a double join
+  // is std::terminate), the rest must return at once.
+  std::atomic<int> joined{0};
+  std::vector<std::thread> stoppers;
+  for (int i = 0; i < 4; ++i) {
+    stoppers.emplace_back([&] {
+      if (task.Stop()) ++joined;
+    });
+  }
+  for (std::thread& t : stoppers) t.join();
+  EXPECT_EQ(joined.load(), 1);
+  EXPECT_FALSE(task.Stop());  // still idempotent afterwards
 }
 
 }  // namespace

@@ -219,7 +219,9 @@ TEST_F(FaultPointTest, ResetDisarmsEverything) {
 }
 
 TEST_F(FaultPointTest, EnvDirectivesParse) {
-  ::setenv("FDRMS_FAULT", "env.one=error,env.two=delay:50,env.three=die@1", 1);
+  ::setenv("FDRMS_FAULT",
+           "env.one=error,env.two=delay:50,env.three=die@1,env.four=crash@2",
+           1);
   FaultPoints::Reset();  // re-probe the env on the next Hit
   EXPECT_TRUE(FaultPoints::Hit("env", "one").error());
   EXPECT_TRUE(FaultPoints::Hit("env", "one").none());  // one-shot
@@ -227,7 +229,45 @@ TEST_F(FaultPointTest, EnvDirectivesParse) {
   EXPECT_EQ(FaultPoints::Hit("env", "two").kind, FaultKind::kDelay);
   EXPECT_TRUE(FaultPoints::Hit("env", "three").none());  // skipped hit
   EXPECT_TRUE(FaultPoints::Hit("env", "three").die());
+  // An env-armed crash exits the process (see the death test below), so
+  // only its skipped hits are observable here.
+  EXPECT_TRUE(FaultPoints::Hit("env", "four").none());
+  EXPECT_TRUE(FaultPoints::Hit("env", "four").none());
+  EXPECT_FALSE(FaultPoints::crashed());
   EXPECT_TRUE(FaultPoints::Hit("env", "unarmed").none());
+}
+
+TEST_F(FaultPointTest, EnvCrashExitsTheProcessWith137) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("FDRMS_FAULT", "env.crash=crash@1", 1);
+        FaultPoints::Reset();
+        (void)FaultPoints::Hit("env", "crash");  // skipped
+        (void)FaultPoints::Hit("env", "crash");  // _Exit(137)
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(137), "");
+}
+
+TEST_F(FaultPointTest, ApiCrashLatchesCrashedAndIsOneShot) {
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  crash.skip_hits = 1;
+  FaultPoints::Arm("unit.crash", crash);
+  EXPECT_TRUE(FaultPoints::Hit("unit", "crash").none());  // skipped
+  EXPECT_FALSE(FaultPoints::crashed());
+  FaultAction act = FaultPoints::Hit("unit", "crash");
+  EXPECT_TRUE(act.crash());
+  EXPECT_FALSE(act.error());
+  EXPECT_FALSE(act.die());
+  EXPECT_TRUE(FaultPoints::crashed());
+  // Other sites keep answering as before; the flag stays until Reset.
+  EXPECT_TRUE(FaultPoints::Hit("unit", "crash").none());
+  EXPECT_TRUE(FaultPoints::Hit("unit", "other").none());
+  EXPECT_TRUE(FaultPoints::crashed());
+  FaultPoints::Reset();
+  EXPECT_FALSE(FaultPoints::crashed());
 }
 
 TEST_F(FaultPointTest, ToStatusNamesTheSite) {
@@ -574,7 +614,6 @@ TEST_F(FaultWriterTest, BlockedSubmitIsWokenUnavailableWhenWriterDies) {
   sopt.algo.max_utilities = 64;
   sopt.queue_capacity = 4;
   sopt.max_batch = 1;
-  sopt.adaptive_batching = false;
   sopt.overflow = FdRmsServiceOptions::Overflow::kBlock;
   sopt.batch_delay_us_for_test = 50000;  // hold the writer in its first batch
   FdRmsService service(3, sopt);

@@ -12,8 +12,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/crash_point.h"
 #include "common/durable_io.h"
+#include "common/fault_point.h"
 #include "data/generators.h"
 #include "shard/manifest.h"
 #include "shard/sharded_service.h"
@@ -132,12 +132,20 @@ ShardedServiceOptions DurableOptions(const std::string& base, int shards) {
   return sopt;
 }
 
-/// Crash points are process-global; every test starts and ends disarmed.
+/// Fault sites are process-global; every test starts and ends disarmed.
 class ManifestCrashGuard : public ::testing::Test {
  protected:
-  void SetUp() override { CrashPoints::Reset(); }
-  void TearDown() override { CrashPoints::Reset(); }
+  void SetUp() override { FaultPoints::Reset(); }
+  void TearDown() override { FaultPoints::Reset(); }
 };
+
+/// Arms an in-process crash at `site`: reaching it latches
+/// FaultPoints::crashed() and every durable write after it is refused.
+void ArmCrash(const std::string& site) {
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  FaultPoints::Arm(site, crash);
+}
 
 // ---------------------------------------------------------------------------
 // Format: encode/decode round-trip and corruption rejection.
@@ -257,13 +265,13 @@ TEST_F(ManifestCrashGuard, RoutingPersistFailureIsCountedNotSwallowed) {
 
   // The next routing write (the epoch-1 cutover's) dies mid-protocol; the
   // old code returned void and dropped this on the floor.
-  CrashPoints::Arm("shard.routing.tmp_written");
+  ArmCrash("shard.routing.tmp_written");
   std::vector<int> donor = service.routing_table()->SlotsOwnedBy(0);
   donor.resize(donor.size() / 2);
   ASSERT_TRUE(service.Migrate(MigrationPlan::Slots(donor, 1)).ok());
   EXPECT_EQ(service.routing_persist_failures(), 1u);
   EXPECT_GE(service.manifest_commit_failures(), 1u);
-  CrashPoints::Reset();
+  FaultPoints::Reset();
   (void)service.Stop();
 }
 
@@ -557,18 +565,18 @@ TEST_P(ManifestCrashMatrixTest, ResumeLandsOnACommittedConstellation) {
     ShardedFdRmsService service(3, sopt);
     ASSERT_TRUE(service.Start(AsTuples(ps, 60)).ok());
     epoch_pre = service.epoch();
-    CrashPoints::Arm(cc.point);  // after Start: target the cutover commit
+    ArmCrash(cc.point);  // after Start: target the cutover commit
     std::vector<int> donor = service.routing_table()->SlotsOwnedBy(0);
     donor.resize(donor.size() / 2);
     ASSERT_FALSE(donor.empty());
     ASSERT_TRUE(service.Migrate(MigrationPlan::Slots(donor, 1)).ok());
-    EXPECT_TRUE(CrashPoints::crashed())
+    EXPECT_TRUE(FaultPoints::crashed())
         << cc.point << " never fired during the cutover commit";
     // The "dead" process can still be Stop()ed, but nothing it does from
     // here reaches disk — exactly like a real crash.
     (void)service.Stop();
   }
-  CrashPoints::Reset();
+  FaultPoints::Reset();
 
   ShardedServiceOptions ropt = sopt;
   ropt.shard.resume_path = base;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -13,7 +14,6 @@
 #include "eval/service_driver.h"
 #include "eval/workload.h"
 #include "obs/pow2_hist.h"
-#include "serve/bounded_queue.h"
 #include "serve/fdrms_service.h"
 #include "serve/mpsc_ring_queue.h"
 
@@ -53,12 +53,12 @@ std::unique_ptr<FdRms> SequentialReplay(
   return algo;
 }
 
-// Shared queue-contract suite: both the mutex reference (BoundedQueue) and
-// the lock-free ring (MpscRingQueue) must satisfy the exact same
-// semantics — the serving layer treats them as interchangeable.
+// Queue-contract suite (mpsc_ring_queue.h states the contract). Typed so a
+// candidate replacement queue can be added to QueueTypes and held to the
+// same semantics.
 template <typename Q>
 class ServeQueueTest : public ::testing::Test {};
-using QueueTypes = ::testing::Types<BoundedQueue<int>, MpscRingQueue<int>>;
+using QueueTypes = ::testing::Types<MpscRingQueue<int>>;
 TYPED_TEST_SUITE(ServeQueueTest, QueueTypes);
 
 TYPED_TEST(ServeQueueTest, PushPopPreservesFifoOrder) {
@@ -277,8 +277,7 @@ TEST(ServeRingStressTest, TryPushSheddingConservesAcceptedElements) {
 TEST(ServeRingStressTest, CloseRaceNeverLosesOrInventsAcceptedPushes) {
   // Close() racing a hot producer: every Push that reported success must
   // be drained, and every Push the close beat must report failure — the
-  // contract the reference queue enforces with its mutex and the ring
-  // enforces with the post-claim re-check (dead cells).
+  // ring enforces that with the post-claim re-check (dead cells).
   for (int iter = 0; iter < 200; ++iter) {
     MpscRingQueue<int> q(8);
     std::atomic<uint64_t> accepted{0};
@@ -300,6 +299,66 @@ TEST(ServeRingStressTest, CloseRaceNeverLosesOrInventsAcceptedPushes) {
     EXPECT_EQ(consumed.load(), accepted.load()) << "iter " << iter;
     EXPECT_EQ(q.total_pushed(), accepted.load()) << "iter " << iter;
   }
+}
+
+/// Payload whose move takes ~50 us and reports whether its source changed
+/// meanwhile: it holds a cell hand-over open long enough for a producer that
+/// refills the slot too early to land mid-move.
+std::atomic<int> g_torn_moves{0};
+struct SlowMove {
+  std::atomic<int> v{-1};
+  SlowMove() = default;
+  explicit SlowMove(int x) : v(x) {}
+  SlowMove(SlowMove&& o) noexcept : v(o.v.load()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    if (o.v.load() != v.load()) ++g_torn_moves;
+  }
+  SlowMove& operator=(SlowMove&& o) noexcept {
+    v = o.v.load();
+    return *this;
+  }
+};
+
+TEST(ServeRingStressTest, CapacityOneNeverRefillsASlotMidHandOver) {
+  // A one-slot queue (the serving layer's kReject tests use one) against a
+  // producer spinning on TryPush: no element may be overwritten while the
+  // consumer moves it out, none lost, none reordered.
+  constexpr int kOps = 1000;
+  g_torn_moves = 0;
+  MpscRingQueue<SlowMove> q(1);
+  std::vector<int> got;
+  std::atomic<bool> give_up{false};
+  std::atomic<bool> consumer_done{false};
+  std::thread consumer([&] {
+    std::vector<SlowMove> batch;
+    while (got.size() < static_cast<size_t>(kOps) && !give_up.load()) {
+      q.PopBatch(1, &batch);
+      for (const SlowMove& m : batch) got.push_back(m.v.load());
+    }
+    consumer_done = true;
+  });
+  // A wedged queue refuses every push; give up instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool wedged = false;
+  for (int i = 0; i < kOps && !wedged; ++i) {
+    while (!q.TryPush(SlowMove(i))) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        wedged = true;
+        break;
+      }
+    }
+  }
+  if (wedged) give_up = true;
+  while (!consumer_done.load()) {
+    q.Kick();  // release a consumer parked on a wedged queue
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  consumer.join();
+  EXPECT_FALSE(wedged) << "queue refused pushes after " << got.size();
+  EXPECT_EQ(g_torn_moves.load(), 0);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kOps));
+  for (int i = 0; i < kOps; ++i) ASSERT_EQ(got[i], i);
 }
 
 TEST(ServeRingStressTest, KickStormWhilePushingNeverLosesElements) {
@@ -802,7 +861,6 @@ TEST(ServeBatchingTest, AdaptiveBoundStaysInRangeAndHistogramsAccount) {
   sopt.algo.max_utilities = 32;
   sopt.min_batch = 2;
   sopt.max_batch = 32;
-  sopt.adaptive_batching = true;
   FdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
   // Burst phase: push far more than max_batch so the backlog drives the
@@ -846,8 +904,8 @@ TEST(ServeBatchingTest, FixedModeKeepsTheConfiguredBound) {
   FdRmsServiceOptions sopt;
   sopt.algo.r = 4;
   sopt.algo.max_utilities = 32;
+  sopt.min_batch = 16;  // min == max pins the adaptive bound
   sopt.max_batch = 16;
-  sopt.adaptive_batching = false;  // the pre-adaptive writer
   FdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
   for (int i = 100; i < 200; ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/snapshot.h"
@@ -88,6 +89,18 @@ TEST(SnapshotTest, RejectsTruncatedTuples) {
   std::string text = stream.str();
   std::istringstream cut(text.substr(0, text.size() * 2 / 3));
   EXPECT_FALSE(LoadSnapshot(&cut).ok());
+}
+
+TEST(SnapshotTest, RejectsHugeTupleCountWithoutAllocating) {
+  // A few bytes claiming INT_MAX tuples: the loader must report truncation
+  // instead of reserving room for the claimed count up front.
+  std::stringstream stream("FDRMS-SNAPSHOT-v1\n2 1 3 0.1 8 42\n2147483647\n"
+                           "0 0.5 0.5\n");
+  auto loaded = LoadSnapshot(&stream);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("truncated"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(SnapshotTest, RejectsBadParameters) {
