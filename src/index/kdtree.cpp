@@ -26,10 +26,12 @@ Status KdTree::Insert(int id, const Point& p) {
   }
   ++generation_;
   const int slot = points_.AppendRow(p);  // may reallocate the slab
-  FDRMS_DCHECK(slot == static_cast<int>(slots_.size()));
+  // The insert buffer is the row range [indexed_count_, slots_.size()):
+  // appends extend it in place, so it stays one contiguous block.
+  FDRMS_DCHECK(slot == static_cast<int>(slots_.size()) &&
+               slot >= indexed_count_);
   slots_.push_back(Slot{id, true});
   slot_of_[id] = slot;
-  buffer_.push_back(slot);
   ++live_count_;
   MaybeRebuild();
   return Status::OK();
@@ -45,7 +47,7 @@ Status KdTree::Delete(int id) {
   slots_[slot].alive = false;
   slot_of_.erase(it);
   --live_count_;
-  // Buffer slots are scanned with a liveness check, so only tree-referenced
+  // Buffer rows are scanned with a liveness check, so only tree-referenced
   // tombstones count toward rebuild pressure. We cannot cheaply tell which
   // kind `slot` is; counting all deletions as tree pressure only makes
   // rebuilds slightly more eager.
@@ -67,22 +69,41 @@ KdTree::PointRef KdTree::GetPointRef(int id) const {
   return PointRef(this, it->second, generation_);
 }
 
+template <typename Fn>
+void KdTree::ScanRows(int first, int count, const double* u, Fn&& fn) const {
+  double scores[kScanChunk];
+  for (int base = first; base < first + count;
+       base += static_cast<int>(kScanChunk)) {
+    const size_t n =
+        std::min(kScanChunk, static_cast<size_t>(first + count - base));
+    ScoreBlock(points_.row(base), points_.stride(), dim_, n, u, scores);
+    for (size_t i = 0; i < n; ++i) {
+      const Slot& slot = slots_[static_cast<size_t>(base) + i];
+      if (slot.alive) fn(scores[i], slot.id);
+    }
+  }
+}
+
 void KdTree::ScoreIds(const double* u, const std::vector<int>& ids,
                       double* out) const {
-  if (ids.empty()) return;
-  std::vector<int> rows(ids.size());
-  for (size_t j = 0; j < ids.size(); ++j) {
-    auto it = slot_of_.find(ids[j]);
-    FDRMS_CHECK(it != slot_of_.end()) << "ScoreIds on missing id " << ids[j];
-    rows[j] = it->second;
+  // Gather in fixed chunks so the id -> row translation needs no heap.
+  int rows[kScanChunk];
+  for (size_t base = 0; base < ids.size(); base += kScanChunk) {
+    const size_t n = std::min(ids.size() - base, kScanChunk);
+    for (size_t j = 0; j < n; ++j) {
+      auto it = slot_of_.find(ids[base + j]);
+      FDRMS_CHECK(it != slot_of_.end())
+          << "ScoreIds on missing id " << ids[base + j];
+      rows[j] = it->second;
+    }
+    ScoreGather(points_.row(0), points_.stride(), dim_, rows, n, u,
+                out + base);
   }
-  ScoreGather(points_.row(0), points_.stride(), dim_, rows.data(), rows.size(),
-              u, out);
 }
 
 void KdTree::MaybeRebuild() {
-  int total = indexed_count_ + static_cast<int>(buffer_.size());
-  bool buffer_heavy = static_cast<int>(buffer_.size()) > std::max(64, total / 4);
+  int total = static_cast<int>(slots_.size());
+  bool buffer_heavy = total - indexed_count_ > std::max(64, total / 4);
   bool tombstone_heavy = dead_in_tree_ > std::max(64, total / 2);
   if (buffer_heavy || tombstone_heavy) Rebuild();
 }
@@ -90,7 +111,6 @@ void KdTree::MaybeRebuild() {
 void KdTree::Rebuild() {
   ++generation_;
   nodes_.clear();
-  buffer_.clear();
   dead_in_tree_ = 0;
   boxmax_ = ScoreMatrix(dim_);
   // Compact tombstoned slots away; `order` holds the surviving old slot
@@ -205,7 +225,6 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
   // over their contiguous row range; frontier expansion scores both
   // children's box-max rows with one gather call.
   if (root_ >= 0) {
-    std::vector<double> leaf_scores(static_cast<size_t>(leaf_size_));
     using Pq = std::pair<double, int>;  // (upper bound, node)
     std::priority_queue<Pq> frontier;
     frontier.push({NodeUpperBound(root_, u), root_});
@@ -215,16 +234,7 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
       if (bound < current_bound()) break;  // nothing better remains
       const Node& node = nodes_[node_id];
       if (node.is_leaf()) {
-        ScoreBlock(points_.row(node.first), points_.stride(), dim_,
-                   static_cast<size_t>(node.count), u.data(),
-                   leaf_scores.data());
-        for (int i = 0; i < node.count; ++i) {
-          const int slot = node.first + i;
-          if (slots_[static_cast<size_t>(slot)].alive) {
-            offer(leaf_scores[static_cast<size_t>(i)],
-                  slots_[static_cast<size_t>(slot)].id);
-          }
-        }
+        ScanRows(node.first, node.count, u.data(), offer);
       } else {
         const int child_idx[2] = {node.left, node.right};
         double child_bound[2];
@@ -235,13 +245,8 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
       }
     }
   }
-  // Buffer entries are not tree-ordered yet; scan them scalar.
-  for (int slot : buffer_) {
-    if (slots_[static_cast<size_t>(slot)].alive) {
-      offer(DotContiguous(u.data(), points_.row(slot), dim_),
-            slots_[static_cast<size_t>(slot)].id);
-    }
-  }
+  // The buffer has no box bounds, so every live row of it is a candidate.
+  ScanRows(indexed_count_, BufferCount(), u.data(), offer);
   std::vector<ScoredId> out(best.size());
   for (int i = static_cast<int>(best.size()) - 1; i >= 0; --i) {
     out[i] = best.top();
@@ -251,43 +256,35 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
 }
 
 void KdTree::CollectRange(int node_id, const Point& u, double threshold,
-                          std::vector<double>* leaf_scores,
                           std::vector<ScoredId>* out) const {
   const Node& node = nodes_[node_id];
   if (NodeUpperBound(node_id, u) < threshold) return;
   if (node.is_leaf()) {
-    ScoreBlock(points_.row(node.first), points_.stride(), dim_,
-               static_cast<size_t>(node.count), u.data(), leaf_scores->data());
-    for (int i = 0; i < node.count; ++i) {
-      const int slot = node.first + i;
-      const double score = (*leaf_scores)[static_cast<size_t>(i)];
-      if (slots_[static_cast<size_t>(slot)].alive && score >= threshold) {
-        out->push_back({score, slots_[static_cast<size_t>(slot)].id});
-      }
-    }
+    ScanRows(node.first, node.count, u.data(), [&](double score, int id) {
+      if (score >= threshold) out->push_back({score, id});
+    });
     return;
   }
-  CollectRange(node.left, u, threshold, leaf_scores, out);
-  CollectRange(node.right, u, threshold, leaf_scores, out);
+  CollectRange(node.left, u, threshold, out);
+  CollectRange(node.right, u, threshold, out);
 }
 
 std::vector<ScoredId> KdTree::ScoreRange(const Point& u,
                                          double threshold) const {
-  FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
   std::vector<ScoredId> out;
-  if (root_ >= 0) {
-    std::vector<double> leaf_scores(static_cast<size_t>(leaf_size_));
-    CollectRange(root_, u, threshold, &leaf_scores, &out);
-  }
-  for (int slot : buffer_) {
-    if (!slots_[static_cast<size_t>(slot)].alive) continue;
-    double score = DotContiguous(u.data(), points_.row(slot), dim_);
-    if (score >= threshold) {
-      out.push_back({score, slots_[static_cast<size_t>(slot)].id});
-    }
-  }
-  std::sort(out.begin(), out.end(), BetterScore);
+  ScoreRange(u, threshold, &out);
   return out;
+}
+
+void KdTree::ScoreRange(const Point& u, double threshold,
+                        std::vector<ScoredId>* out) const {
+  FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
+  out->clear();
+  if (root_ >= 0) CollectRange(root_, u, threshold, out);
+  ScanRows(indexed_count_, BufferCount(), u.data(), [&](double score, int id) {
+    if (score >= threshold) out->push_back({score, id});
+  });
+  std::sort(out->begin(), out->end(), BetterScore);
 }
 
 }  // namespace fdrms

@@ -18,13 +18,16 @@
 /// Hot-path layout: tuple coordinates live in a slot-indexed ScoreMatrix
 /// slab rather than per-slot heap Points, and Rebuild() permutes slots into
 /// build order so every leaf owns a contiguous row range [first, first +
-/// count). A leaf scan is then one blocked kernel call over consecutive
-/// rows, the best-first frontier scores both children's box-max rows with
-/// one gather call, and only buffer entries (inserted since the last
-/// rebuild, not yet tree-ordered) are scanned scalar. All kernel paths are
-/// bit-identical to scalar Dot (see geometry/score_kernel.h), so queries
-/// return exactly what the heap-scattered layout returned.
+/// count). Inserts append rows, so the buffer (rows inserted since the last
+/// rebuild, not yet tree-ordered) is the contiguous tail [indexed_count_,
+/// slots_.size()). Leaves and the buffer are both scanned with the blocked
+/// kernel over consecutive rows, in fixed stack-sized chunks, and the
+/// best-first frontier scores both children's box-max rows with one gather
+/// call. All kernel paths are bit-identical to scalar Dot (see
+/// geometry/score_kernel.h), so queries return exactly what the
+/// heap-scattered layout returned.
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -113,6 +116,10 @@ class KdTree {
 
   /// All live tuples with <u, p> >= threshold, best first.
   std::vector<ScoredId> ScoreRange(const Point& u, double threshold) const;
+  /// ScoreRange into a caller-owned vector (cleared first), so a caller
+  /// that queries repeatedly reuses one allocation.
+  void ScoreRange(const Point& u, double threshold,
+                  std::vector<ScoredId>* out) const;
 
   /// Batch scores: out[j] = <u, point(ids[j])> via the dispatched gather
   /// kernel over the point slab (bit-identical to per-id Dot). Every id
@@ -152,13 +159,25 @@ class KdTree {
     bool is_leaf() const { return left < 0; }
   };
 
+  /// Rows scored per kernel call by ScanRows and ScoreIds; their scratch
+  /// lives on the stack.
+  static constexpr size_t kScanChunk = 64;
+
   int BuildNode(std::vector<int>* order, int lo, int hi);
   void MaybeRebuild();
   /// <u, box_max(node)> — exact bound since u >= 0.
   double NodeUpperBound(int node_id, const Point& u) const;
   void CollectRange(int node_id, const Point& u, double threshold,
-                    std::vector<double>* leaf_scores,
                     std::vector<ScoredId>* out) const;
+  /// Rows in the insert buffer [indexed_count_, slots_.size()).
+  int BufferCount() const {
+    return static_cast<int>(slots_.size()) - indexed_count_;
+  }
+
+  /// Calls `fn(score, id)` for every live slot in the contiguous row range
+  /// [first, first + count), scoring it with the blocked kernel.
+  template <typename Fn>
+  void ScanRows(int first, int count, const double* u, Fn&& fn) const;
 
   int dim_;
   int leaf_size_;
@@ -168,8 +187,7 @@ class KdTree {
   std::vector<Node> nodes_;
   ScoreMatrix boxmax_;  // node-indexed box-max rows (node n = row n)
   int root_ = -1;
-  int indexed_count_ = 0;       // live slots covered by the tree
-  std::vector<int> buffer_;     // slot indices inserted since last rebuild
+  int indexed_count_ = 0;       // slots [0, indexed_count_) are in the tree
   int dead_in_tree_ = 0;        // tombstoned slots still referenced by tree
   int live_count_ = 0;
   uint64_t generation_ = 0;     // bumped by every mutation (PointRef guard)

@@ -116,10 +116,11 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not present");
   }
   // Only utilities whose Φ set contains `id` can change (S(p) in the paper).
-  std::vector<int> affected(MemberOf(id).begin(), MemberOf(id).end());
-  std::sort(affected.begin(), affected.end());
+  const auto& member_of = MemberOf(id);
+  affected_scratch_.assign(member_of.begin(), member_of.end());
+  std::sort(affected_scratch_.begin(), affected_scratch_.end());
   FDRMS_RETURN_NOT_OK(tree_.Delete(id));
-  for (int u : affected) {
+  for (int u : affected_scratch_) {
     EmitRemove(u, id, deltas);
     auto& list = topk_[u];
     auto in_topk = std::find_if(list.begin(), list.end(),
@@ -132,12 +133,32 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
 
 void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas) {
   const Point& u = utilities_[utility];
-  topk_[utility] = tree_.TopK(u, k_);
+  const std::unordered_set<int>& members = approx_[utility];
+  auto& list = topk_[utility];
+  if (static_cast<int>(members.size()) >= k_) {
+    // The surviving members all score >= the old τ and every non-member
+    // scores below it (see the header), so the k best survivors are the new
+    // exact top-k: one gather over Φ replaces the kd-tree search.
+    member_scratch_.assign(members.begin(), members.end());
+    member_score_scratch_.resize(member_scratch_.size());
+    tree_.ScoreIds(umat_.row(utility), member_scratch_,
+                   member_score_scratch_.data());
+    ranked_scratch_.resize(member_scratch_.size());
+    for (size_t i = 0; i < member_scratch_.size(); ++i) {
+      ranked_scratch_[i] = {member_score_scratch_[i], member_scratch_[i]};
+    }
+    std::partial_sort(ranked_scratch_.begin(), ranked_scratch_.begin() + k_,
+                      ranked_scratch_.end(), BetterScore);
+    list.assign(ranked_scratch_.begin(), ranked_scratch_.begin() + k_);
+  } else {
+    list = tree_.TopK(u, k_);
+  }
   double tau = ThresholdFor(utility);
   // ω_k only decreases on deletion, so existing members stay eligible; the
   // range query finds the (possibly new) entrants at the lowered bar.
-  for (const ScoredId& s : tree_.ScoreRange(u, tau)) {
-    if (approx_[utility].count(s.id) == 0) EmitAdd(utility, s.id, deltas);
+  tree_.ScoreRange(u, tau, &ranked_scratch_);
+  for (const ScoredId& s : ranked_scratch_) {
+    if (members.count(s.id) == 0) EmitAdd(utility, s.id, deltas);
   }
   cone_.SetThreshold(utility, tau);
 }
@@ -169,7 +190,7 @@ Status TopKMaintainer::ValidateAgainstBruteForce() const {
                               std::to_string(u));
     }
     for (size_t i = 0; i < expect_len; ++i) {
-      if (list[i].id != all[i].id) {
+      if (list[i] != all[i]) {
         return Status::Internal("top-k order mismatch for utility " +
                                 std::to_string(u));
       }

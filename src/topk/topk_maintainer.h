@@ -11,6 +11,13 @@
 /// Φ_{k,ε}(u, P) = { p in P : <u, p> >= (1 - ε) * ω_k(u, P) }. When P has
 /// fewer than k tuples we define ω_k = 0 so Φ contains all of P.
 ///
+/// Invariant the delete repair relies on: with τ = (1 - ε) * ω_k, every
+/// member of Φ scores >= τ and every live non-member scores strictly below
+/// τ, so Φ ⊇ the exact top-k. When a delete removes a top-k tuple and at
+/// least k members survive, the k best survivors are therefore the new
+/// exact top-k; only when fewer survive does the repair search the kd-tree.
+/// Either way a score-range query at the lowered τ then finds the entrants.
+///
 /// Every mutation reports the exact membership changes of the Φ sets as a
 /// list of TopKDelta records; FD-RMS consumes them to update the set
 /// system Σ and the dynamic set-cover solution.
@@ -75,9 +82,9 @@ class TopKMaintainer {
   /// S(p) of the paper's set system.
   const std::unordered_set<int>& MemberOf(int id) const;
 
-  /// Recomputes every Φ set from scratch and verifies it matches the
-  /// maintained state; used by tests/failure injection. Returns the first
-  /// inconsistency found, or OK.
+  /// Recomputes every Φ set and exact top-k list (ids and scores) from
+  /// scratch and verifies they match the maintained state; used by
+  /// tests/failure injection. Returns the first inconsistency found, or OK.
   Status ValidateAgainstBruteForce() const;
 
  private:
@@ -97,10 +104,14 @@ class TopKMaintainer {
   /// Scratch for the per-insert candidate scores (avoids an allocation per
   /// mutation; sized to the affected set on use).
   std::vector<double> score_scratch_;
-  /// Scratch for the eviction sweep: current members of one Φ set and
-  /// their batch-gathered scores against the raised admission bar.
+  /// Scratch for the eviction sweep and the delete repair: current members
+  /// of one Φ set and their batch-gathered scores.
   std::vector<int> member_scratch_;
   std::vector<double> member_score_scratch_;
+  /// Scratch for the delete repair: the utilities holding the deleted
+  /// tuple, and the ranked survivors / range-query results of one utility.
+  std::vector<int> affected_scratch_;
+  std::vector<ScoredId> ranked_scratch_;
   KdTree tree_;
   ConeTree cone_;
   std::vector<std::vector<ScoredId>> topk_;            // per utility

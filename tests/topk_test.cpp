@@ -78,6 +78,20 @@ TEST(TopKMaintainerTest, DeleteOfNonMemberTouchesNothing) {
   EXPECT_EQ(m.ApproxTopK(0), (std::unordered_set<int>{0}));
 }
 
+TEST(TopKMaintainerTest, DeleteRepairBreaksScoreTiesByAscendingId) {
+  std::vector<Point> utils{{1.0, 0.0}};
+  TopKMaintainer m(2, /*k=*/2, /*eps=*/0.5, utils);
+  ASSERT_TRUE(m.Insert(100, {0.9, 0.0}, nullptr).ok());
+  // Eight tuples tie at score 0.6, inserted in scrambled id order.
+  for (int id : {7, 3, 8, 1, 6, 2, 5, 4}) {
+    ASSERT_TRUE(m.Insert(id, {0.6, 0.1 * id}, nullptr).ok());
+  }
+  // Deleting the leader leaves eight Φ members, so the repair re-ranks them.
+  ASSERT_TRUE(m.Delete(100, nullptr).ok());
+  EXPECT_EQ(m.ExactTopK(0), (std::vector<ScoredId>{{0.6, 1}, {0.6, 2}}));
+  EXPECT_TRUE(m.ValidateAgainstBruteForce().ok());
+}
+
 TEST(TopKMaintainerTest, DeleteMissingIdFails) {
   std::vector<Point> utils{{1.0, 0.0}};
   TopKMaintainer m(2, 1, 0.0, utils);
@@ -90,7 +104,8 @@ struct ChurnParam {
   double eps;
   int num_utils;
   int num_ops;
-  uint64_t seed;
+  uint32_t seed;
+  int insert_pct;  // chance in percent that an op inserts (when any is live)
 };
 
 class TopKChurnTest : public ::testing::TestWithParam<ChurnParam> {};
@@ -104,9 +119,14 @@ TEST_P(TopKChurnTest, StateMatchesBruteForceAndDeltasAreConsistent) {
   std::vector<std::unordered_set<int>> shadow(param.num_utils);
   std::unordered_map<int, Point> live;
   int next_id = 0;
+  // Delete repairs by the path they take: re-ranking the surviving Φ
+  // members (at least k survive) or the kd-tree TopK fallback.
+  int phi_repairs = 0;
+  int fallback_repairs = 0;
   for (int op = 0; op < param.num_ops; ++op) {
     std::vector<TopKDelta> deltas;
-    bool do_insert = live.empty() || rng.Uniform() < 0.55;
+    bool do_insert =
+        live.empty() || rng.Uniform() < param.insert_pct / 100.0;
     if (do_insert) {
       Point p(param.dim);
       for (double& v : p) v = rng.Uniform();
@@ -116,8 +136,29 @@ TEST_P(TopKChurnTest, StateMatchesBruteForceAndDeltasAreConsistent) {
     } else {
       auto it = live.begin();
       std::advance(it, rng.UniformInt(static_cast<int>(live.size())));
-      ASSERT_TRUE(m.Delete(it->first, &deltas).ok());
+      const int id = it->first;
+      const std::vector<int> held(m.MemberOf(id).begin(),
+                                  m.MemberOf(id).end());
+      for (int u : held) {
+        const auto& list = m.ExactTopK(u);
+        if (std::none_of(list.begin(), list.end(),
+                         [&](const ScoredId& s) { return s.id == id; })) {
+          continue;
+        }
+        if (static_cast<int>(m.ApproxTopK(u).size()) - 1 >= param.k) {
+          ++phi_repairs;
+        } else {
+          ++fallback_repairs;
+        }
+      }
+      ASSERT_TRUE(m.Delete(id, &deltas).ok());
       live.erase(it);
+      // Differential check of the repair: ids and bit-exact scores must
+      // equal a fresh kd-tree search.
+      for (int u : held) {
+        ASSERT_EQ(m.ExactTopK(u), m.tree().TopK(utils[u], param.k))
+            << "op " << op << " utility " << u;
+      }
     }
     for (const auto& d : deltas) {
       if (d.added) {
@@ -135,16 +176,22 @@ TEST_P(TopKChurnTest, StateMatchesBruteForceAndDeltasAreConsistent) {
       }
     }
   }
+  if (param.insert_pct < 50) {
+    // Delete-heavy rows drain the set below k, so both paths must run.
+    EXPECT_GT(phi_repairs, 0);
+    EXPECT_GT(fallback_repairs, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TopKChurnTest,
-    ::testing::Values(ChurnParam{2, 1, 0.0, 8, 300, 21},
-                      ChurnParam{2, 1, 0.1, 16, 300, 22},
-                      ChurnParam{4, 3, 0.05, 32, 400, 23},
-                      ChurnParam{6, 5, 0.02, 24, 400, 24},
-                      ChurnParam{3, 2, 0.3, 12, 500, 25},
-                      ChurnParam{8, 1, 0.01, 40, 300, 26}),
+    ::testing::Values(ChurnParam{2, 1, 0.0, 8, 300, 21, 55},
+                      ChurnParam{2, 1, 0.1, 16, 300, 22, 55},
+                      ChurnParam{4, 3, 0.05, 32, 400, 23, 55},
+                      ChurnParam{6, 5, 0.02, 24, 400, 24, 55},
+                      ChurnParam{3, 2, 0.3, 12, 500, 25, 55},
+                      ChurnParam{8, 1, 0.01, 40, 300, 26, 55},
+                      ChurnParam{4, 3, 0.01, 32, 600, 27, 45}),
     [](const auto& info) {
       std::string name = "d";
       name += std::to_string(info.param.dim);
