@@ -1,6 +1,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <iomanip>
 #include <string>
 #include <vector>
@@ -9,6 +10,11 @@ namespace fdrms {
 
 namespace {
 constexpr char kMagic[] = "FDRMS-SNAPSHOT-v1";
+
+/// Largest utility sample a snapshot may ask for, in doubles. The FdRms
+/// constructor samples max(M, r, d) vectors of d doubles each, so a hostile
+/// header must be refused before anything is built.
+constexpr std::int64_t kMaxUtilitySampleDoubles = std::int64_t{1} << 26;
 }  // namespace
 
 Status SaveSnapshot(const FdRms& algo, std::ostream* os) {
@@ -50,6 +56,14 @@ Result<std::unique_ptr<FdRms>> LoadSnapshot(std::istream* is) {
   if (!is->good() || dim <= 0 || opt.k < 1 || opt.r < 1 ||
       opt.eps < 0.0 || opt.eps >= 1.0 || opt.max_utilities < 1) {
     return Status::Invalid("bad snapshot parameter block");
+  }
+  const std::int64_t sample_rows =
+      std::max({std::int64_t{opt.max_utilities}, std::int64_t{opt.r},
+                std::int64_t{dim}});
+  if (sample_rows * dim > kMaxUtilitySampleDoubles) {
+    return Status::Invalid("snapshot utility sample too large: " +
+                           std::to_string(sample_rows) + " x " +
+                           std::to_string(dim) + " doubles");
   }
   int count = 0;
   *is >> count;

@@ -29,6 +29,9 @@ namespace fdrms {
 Status SaveSnapshot(const FdRms& algo, std::ostream* os);
 
 /// Reconstructs an instance from a snapshot produced by SaveSnapshot.
+/// Hostile input becomes kInvalidArgument: the header is bounded (the
+/// utility sample it implies must fit a fixed cap) before anything is
+/// allocated, and the tuple count is never trusted for a reservation.
 Result<std::unique_ptr<FdRms>> LoadSnapshot(std::istream* is);
 
 }  // namespace fdrms

@@ -129,6 +129,11 @@ Status FdRmsService::Start(const std::vector<std::pair<int, Point>>& initial) {
   if (state_.load() != State::kNew) {
     return Status::FailedPrecondition("service already started");
   }
+  if (options_.persist_every_batches > 0 && !options_.persist_version_path) {
+    return Status::Invalid(
+        "persistence needs persist_version_path (a standalone durable store "
+        "is a 1-shard ShardedFdRmsService)");
+  }
   FDRMS_RETURN_NOT_OK(InitializeAlgo(initial));
   version_ = options_.initial_version;
   PublishSnapshot();  // the post-Initialize state (version 0 on first boot)
@@ -167,13 +172,9 @@ Status FdRmsService::InitializeAlgo(
     return Status::Invalid(
         "resume snapshot algorithm options differ from the service's");
   }
-  std::vector<std::pair<int, Point>> tuples;
-  tuples.reserve(static_cast<size_t>(snap.size()));
-  snap.topk().tree().ForEach(
-      [&](int id, const Point& p) { tuples.emplace_back(id, p); });
-  std::sort(tuples.begin(), tuples.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  FDRMS_RETURN_NOT_OK(algo_.Initialize(tuples));
+  // The loaded instance *is* the restored state (LoadSnapshot already ran
+  // Initialize over the saved tuples): adopt it.
+  algo_ = std::move(**loaded);
   resumed_ = true;
   return Status::OK();
 }
@@ -199,7 +200,7 @@ Status FdRmsService::Submit(FdRms::BatchOp op) {
   if (health() == Health::kDead) {
     // Fail fast instead of parking against a queue no writer will ever
     // drain. The hint is advisory: a revive typically lands within one
-    // health-tracker poll plus a cold restart.
+    // health-tracker poll plus the successor's Initialize.
     return Status::Unavailable(
         "shard writer is dead; retry after revive (suggested backoff 50ms)");
   }
@@ -427,8 +428,8 @@ void FdRmsService::WriterLoop() {
   RunPendingInspections();
   // Final save on the way out (drain, abort, or death — the applied prefix
   // is a consistent state either way), so a clean shutdown persists
-  // everything and a revive restarts from the dying writer's last applied
-  // batch instead of the last cadence save.
+  // everything and a dead writer's last applied batch still reaches the
+  // store.
   MaybePersist(/*force=*/true);
   if (faulted) {
     // Death epilogue. Order matters: health flips to kDead *before* the
@@ -493,8 +494,7 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
   ++batches_;
   ++version_;
   metrics_.batches->Increment();
-  // Journal tap: the batch is applied, hand it to the follower before the
-  // publication so a standby is never behind a snapshot readers can see.
+  // Journal tap: the batch is applied and not yet published.
   if (options_.on_apply) options_.on_apply(batch);
   // A publish-site death leaves this batch applied but unpublished: the
   // algorithm state (and the exit-path save above all else) carries it, so
@@ -529,17 +529,15 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
                             version_);
 }
 
+bool FdRmsService::PersistDirty() const {
+  // "Never saved this run" counts as dirty: a bulk-loaded P_0 with zero
+  // batches must still reach disk on the forced exit/PersistNow saves, or
+  // the manifest would have nothing to reference for this shard.
+  return batches_ != persisted_batches_ || !ever_persisted_;
+}
+
 void FdRmsService::MaybePersist(bool force) {
-  if (options_.persist_every_batches == 0) return;
-  // Versioned (manifest) mode treats "never saved this run" as dirty too:
-  // a bulk-loaded P_0 with zero batches must still reach disk on the
-  // forced exit/PersistNow saves, or the manifest would have nothing to
-  // reference for this shard. Legacy mode keeps the exact historical
-  // condition.
-  const bool dirty = options_.persist_versioned
-                         ? (batches_ != persisted_batches_ || !ever_persisted_)
-                         : (batches_ != persisted_batches_);
-  if (!dirty) return;
+  if (options_.persist_every_batches == 0 || !PersistDirty()) return;
   // Throttle on the last *attempt* so a failing disk is retried once per
   // interval, not once per batch; gate on the last *success* above so the
   // forced exit save still fires whenever any batch is not yet durable.
@@ -555,8 +553,7 @@ Status FdRmsService::DoPersist() {
   // An injected persist error exercises the real failure path (counted,
   // never fatal). A persist-site death aborts only *this* save — the flag
   // check must not trip for a writer already dying from another site, or
-  // the epilogue's forced exit save (the one a revive restarts from) would
-  // never land.
+  // the epilogue's forced exit save would never land.
   const bool was_dying = writer_die_;
   Status injected = WriterFaultSite("writer.persist", "pre");
   if (writer_die_ && !was_dying) {
@@ -572,25 +569,20 @@ Status FdRmsService::DoPersist() {
   Status st = SaveSnapshot(algo_, &buf);
   std::string bytes;
   std::string path;
-  long long gen = 0;
+  // Immutable versioned file; gen survives restarts via persist_gen_start
+  // so names never collide across boots.
+  const long long gen = std::max(persist_gen_, options_.persist_gen_start) + 1;
   if (st.ok()) {
     bytes = buf.str();
-    if (options_.persist_versioned && options_.persist_version_path) {
-      // Immutable versioned file; gen survives restarts via
-      // persist_gen_start so names never collide across boots.
-      gen = std::max(persist_gen_, options_.persist_gen_start) + 1;
-      path = options_.persist_version_path(
-          gen, static_cast<long long>(batches_));
-    } else {
-      path = options_.persist_path;
-    }
+    path = options_.persist_version_path(gen,
+                                         static_cast<long long>(batches_));
     st = WriteFileDurable(path, bytes, "serve.persist");
   }
   if (!st.ok()) {
     metrics_.persist_failures->Increment();
     return st;
   }
-  if (gen > 0) persist_gen_ = gen;
+  persist_gen_ = gen;
   persisted_batches_ = batches_;
   ever_persisted_ = true;
   metrics_.persists->Increment();
@@ -612,11 +604,7 @@ Status FdRmsService::PersistNow() {
   Status save = Status::OK();
   Status rendezvous = Inspect([this, &save](const FdRms&) {
     // Writer thread, between batches: a forced save outside the cadence.
-    const bool dirty =
-        options_.persist_versioned
-            ? (batches_ != persisted_batches_ || !ever_persisted_)
-            : (batches_ != persisted_batches_);
-    if (dirty) save = DoPersist();
+    if (PersistDirty()) save = DoPersist();
   });
   FDRMS_RETURN_NOT_OK(rendezvous);
   return save;

@@ -56,7 +56,7 @@ namespace fdrms {
 /// reference the exact bytes on disk.
 struct PersistEvent {
   std::string file;        ///< full path the snapshot landed at
-  long long gen = 0;       ///< persist generation (versioned mode; else 0)
+  long long gen = 0;       ///< persist generation (named in the file)
   long long batches = 0;   ///< writer batches applied at save time
   std::uint64_t checksum = 0;  ///< FNV-1a over the bytes written
 };
@@ -88,49 +88,48 @@ struct FdRmsServiceOptions {
   Overflow overflow = Overflow::kBlock;
 
   /// Background persistence: every N batches the writer saves the full
-  /// FD-RMS state (core/snapshot.h SaveSnapshot) to `persist_path` with a
-  /// crash-durable write-to-temp → fsync → rename → dir-fsync (a failed
-  /// fsync counts as a persist failure), and once more when the writer
-  /// exits, so
-  /// a crash loses at most N batches and a clean shutdown loses nothing.
-  /// 0 = off. Failures are counted (persist_failures()), never fatal: a
-  /// full disk must not take the serving path down.
+  /// FD-RMS state (core/snapshot.h SaveSnapshot) to a fresh immutable file
+  /// named by `persist_version_path(gen, batches)`, crash-durably (tmp →
+  /// fsync → rename → dir fsync; a failed fsync counts as a persist
+  /// failure), and once more when the writer exits — also when no batch
+  /// landed, so a bulk-loaded P_0 is restorable. A crash loses at most N
+  /// batches and a clean shutdown loses nothing. A referenced file is never
+  /// rewritten, so a crash mid-save can only orphan a new file; `on_persist`
+  /// reports each file and its checksum. 0 = off. Failures are counted
+  /// (persist_failures()), never fatal: a full disk must not take the
+  /// serving path down. Start() fails with kInvalidArgument when N > 0 and
+  /// `persist_version_path` is unset. The sharded layer supplies the names
+  /// (`<base>.shard<i>.g<gen>.b<batches>`) and binds the files into its
+  /// manifest; a standalone durable store is a 1-shard ShardedFdRmsService.
   size_t persist_every_batches = 0;
-  std::string persist_path = "fdrms_service.snapshot";
-
-  /// Versioned persistence (the sharded layer's manifest mode): instead of
-  /// overwriting the fixed `persist_path`, every save goes to a fresh
-  /// immutable file named by `version_path(gen, batches)` (the shard layer
-  /// supplies `<base>.shard<i>.g<gen>.b<batches>`), written crash-durably
-  /// (tmp → fsync → rename → dir fsync), and `on_persist` reports the file
-  /// + its checksum so the constellation manifest can reference it. A
-  /// referenced file is never rewritten, so a crash mid-save can only
-  /// orphan a new file. In this mode the writer also force-saves on exit
-  /// even when zero batches landed (a bulk-loaded P_0 must be restorable).
-  /// Off (the default): the legacy fixed-path overwrite semantics, now with
-  /// fsync-before-rename.
-  bool persist_versioned = false;
   std::function<std::string(long long gen, long long batches)>
       persist_version_path;
+
+  /// Base path of the sharded layer's durable store (its manifest, routing
+  /// and shard snapshot files all start with it; see ShardedServiceOptions).
+  /// FdRmsService itself does not read it.
+  std::string persist_path = "fdrms_service.snapshot";
 
   /// First `gen` handed to persist_version_path is persist_gen_start + 1 —
   /// the sharded layer seeds it from the manifest so filenames stay unique
   /// across restarts.
   long long persist_gen_start = 0;
 
-  /// Writer-thread hook fired after every *successful* snapshot save (both
-  /// modes). The sharded layer feeds its persist ledger from it. Must be
-  /// cheap and must not call back into the service.
+  /// Writer-thread hook fired after every *successful* snapshot save. The
+  /// sharded layer feeds its persist ledger from it. Must be cheap and must
+  /// not call back into the service.
   std::function<void(const PersistEvent&)> on_persist;
 
   /// Restart-from-snapshot: when non-empty and the file exists at Start(),
-  /// the service initializes from the persisted snapshot (core/snapshot.h)
-  /// instead of the `initial` tuples, so a restarted process resumes
-  /// without replaying its history. A missing file falls back to `initial`
-  /// (first boot); a corrupt file, a dimension mismatch, or algorithm
-  /// options that differ from the snapshot's fail Start. Typically set to
-  /// the same path as `persist_path`. Whether the resume actually happened
-  /// is reported by resumed().
+  /// the service adopts the instance LoadSnapshot (core/snapshot.h) builds
+  /// from it instead of initializing from the `initial` tuples, so a
+  /// restarted process resumes without replaying its history and without
+  /// a second Initialize. A missing file falls back to `initial` (first
+  /// boot); a corrupt file, a dimension mismatch, or algorithm options
+  /// that differ from the snapshot's fail Start. Typically a file an
+  /// earlier on_persist reported (the sharded layer passes the one its
+  /// manifest references). Whether the resume actually happened is
+  /// reported by resumed().
   std::string resume_path;
 
   /// Version stamped on the Start() publication; every batch publication
@@ -148,12 +147,8 @@ struct FdRmsServiceOptions {
 
   /// Writer-thread hook fired after each batch is applied (before its
   /// publication), with the exact operation sequence the writer consumed —
-  /// the live journal tap. A follower replica applying the same batches
-  /// through the same deterministic algorithm tracks this instance state-
-  /// for-state (rejects and all), which is what the sharded layer's
-  /// warm-standby failover rides on. Runs on the writer thread: it adds
-  /// directly to apply latency, so keep it cheap. Must not call back into
-  /// the service.
+  /// the live journal tap. Runs on the writer thread: it adds directly to
+  /// apply latency, so keep it cheap. Must not call back into the service.
   std::function<void(const std::vector<FdRms::BatchOp>&)> on_apply;
 
   /// Test/debug hook: record every consumed operation in application order
@@ -196,8 +191,7 @@ class FdRmsService {
   ///    running (injected kDie fault). The last published snapshot keeps
   ///    serving reads; Submit/Flush/Inspect fail fast with kUnavailable
   ///    instead of hanging, and the queue is closed so parked kBlock
-  ///    submitters wake. Recovery is the sharded layer's ReviveShard /
-  ///    PromoteStandby.
+  ///    submitters wake. Recovery is the sharded layer's ReviveShard.
   enum class Health { kRunning, kDegraded, kDead };
 
   FdRmsService(int dim, const FdRmsServiceOptions& options);
@@ -381,9 +375,14 @@ class FdRmsService {
   /// Writer-thread only, on exit: fails every pending and future Inspect.
   void CloseInspections();
 
-  /// Saves the algorithm state to options_.persist_path if a persistence
-  /// interval is configured and due (`force` persists whenever any batch
-  /// landed since the last save). Writer-thread only.
+  /// True when the algorithm state has not reached disk yet this run (a
+  /// batch landed since the last successful save, or nothing was saved).
+  /// Writer-thread only.
+  bool PersistDirty() const;
+
+  /// Saves the algorithm state if a persistence interval is configured and
+  /// the state is dirty, at the batch cadence or whenever `force` is set.
+  /// Writer-thread only.
   void MaybePersist(bool force);
 
   /// The save itself: serializes the algorithm state, writes it
@@ -465,7 +464,7 @@ class FdRmsService {
   uint64_t persisted_batches_ = 0;  ///< batches_ as of the last *successful* save
   uint64_t attempted_persist_batches_ = 0;  ///< batches_ as of the last attempt
   bool ever_persisted_ = false;     ///< any successful save this run
-  long long persist_gen_ = 0;       ///< versioned mode: last gen handed out
+  long long persist_gen_ = 0;       ///< last persist generation handed out
   double busy_seconds_ = 0.0;
   size_t effective_batch_ = 0;  ///< adaptive batching bound in force
   uint64_t applied_total_ = 0;   ///< ops this instance applied

@@ -50,8 +50,9 @@ class SetSystem {
 
   /// Elements of S(set_id); empty set if unknown.
   const std::unordered_set<int>& ElementsOf(int set_id) const {
+    static const std::unordered_set<int> empty;
     auto it = elements_of_.find(set_id);
-    return it == elements_of_.end() ? empty_ : it->second;
+    return it == elements_of_.end() ? empty : it->second;
   }
 
   /// Sets containing `element`.
@@ -73,7 +74,6 @@ class SetSystem {
  private:
   std::unordered_map<int, std::unordered_set<int>> elements_of_;
   std::vector<std::unordered_set<int>> sets_of_;
-  const std::unordered_set<int> empty_;
 };
 
 }  // namespace fdrms

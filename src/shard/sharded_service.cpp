@@ -182,8 +182,8 @@ void ShardedFdRmsService::RegisterMetrics() {
       "or manifest slot write)");
   metrics_.writer_restarts = r.GetCounter(
       "fdrms_shard_writer_restarts_total",
-      "Dead shards brought back by ReviveShard (cold restart from the "
-      "newest snapshot, or warm-standby promotion)");
+      "Dead shards brought back by ReviveShard (successor seeded from the "
+      "dead instance's applied state)");
   metrics_.shard_deaths = r.GetCounter(
       "fdrms_shard_deaths_total",
       "Shard writer deaths observed by the health tracker (one per dead "
@@ -250,7 +250,6 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
       persist_gen_seeds_.resize(static_cast<size_t>(index) + 1, 0);
     }
     const std::string base = options_.shard.persist_path;
-    per_shard.persist_versioned = true;
     per_shard.persist_gen_start = persist_gen_seeds_[static_cast<size_t>(index)];
     per_shard.persist_version_path = [base, index](long long gen,
                                                    long long batches) {
@@ -263,8 +262,6 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
       OnShardPersist(index, ev);
       if (user_persist) user_persist(ev);
     };
-  } else if (per_shard.persist_every_batches > 0) {
-    per_shard.persist_path += ".shard" + std::to_string(index);
   }
   // `resume_file` is the exact snapshot the manifest references (resume
   // boots only); a shard added to a live constellation starts empty.
@@ -289,14 +286,6 @@ std::shared_ptr<FdRmsService> ShardedFdRmsService::MakeShard(
                              const ResultSnapshot& snap) {
     metrics_.publications->Increment();
     if (user_hook) user_hook(snap);
-  };
-  // Journal tap for warm standby: every shard gets the hook (one relaxed
-  // load per batch when no standby is enabled anywhere).
-  auto user_apply = per_shard.on_apply;
-  per_shard.on_apply = [this, index, user_apply = std::move(user_apply)](
-                           const std::vector<FdRms::BatchOp>& batch) {
-    OnShardApply(index, batch);
-    if (user_apply) user_apply(batch);
   };
   auto shard = std::make_shared<FdRmsService>(dim_, per_shard);
   // A shard born under an active controller override must start throttled:
@@ -834,14 +823,6 @@ Status ShardedFdRmsService::RemoveShard() {
     UpdateTopologyGauges(shrunk->epoch(), next->shards.size());
     topology_.store(std::move(next), std::memory_order_release);
   }
-  {
-    // A retired index has no primary to follow; drop its standby.
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    if (standbys_.erase(victim) > 0) {
-      standby_count_.store(static_cast<int>(standbys_.size()),
-                           std::memory_order_release);
-    }
-  }
   Status stopped = victim_shard->Stop(FdRmsService::StopPolicy::kDrain);
   // Retire the victim from the durable constellation: drop its ledger row
   // (the exit save above already reported into it) but remember its persist
@@ -915,54 +896,29 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   std::vector<FdRms::BatchOp> backlog;
   (void)dead->DrainDeadBacklog(&backlog);
 
-  // Successor seed, in preference order: warm standby (already tracking
-  // the applied stream, promotion is just the instance swap), the newest
-  // durable snapshot (the death epilogue force-saved the last applied
-  // state, so it is current), or the dead instance's in-memory algorithm
-  // state (no persistence configured — an in-process revive must still
-  // lose nothing).
+  // Successor seed: the dead instance's own applied state. algorithm() is
+  // valid now that the dead service is stopped, and revive is in-process,
+  // so this is exactly the applied prefix — no durable snapshot (which a
+  // failing disk may have left behind) can be fresher.
   std::vector<std::pair<int, Point>> seed;
-  bool warm = false;
-  {
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    auto it = standbys_.find(s);
-    if (it != standbys_.end() && it->second.follower != nullptr) {
-      it->second.follower->topk().tree().ForEach(
-          [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
-      warm = true;
-      standbys_.erase(it);
-      standby_count_.store(static_cast<int>(standbys_.size()),
-                           std::memory_order_release);
-    }
-  }
-  std::string resume_file;
-  if (!warm) {
-    if (versioned_persist_) {
-      std::lock_guard<std::mutex> lg(ledger_.mu);
-      auto it = ledger_.entries.find(s);
-      if (it != ledger_.entries.end() && !it->second.file.empty()) {
-        resume_file = JoinDirOf(options_.shard.persist_path, it->second.file);
-        // The successor's save generations must not collide with the dead
-        // incarnation's filenames.
-        if (static_cast<size_t>(s) >= persist_gen_seeds_.size()) {
-          persist_gen_seeds_.resize(static_cast<size_t>(s) + 1, 0);
-        }
-        persist_gen_seeds_[static_cast<size_t>(s)] =
-            std::max(persist_gen_seeds_[static_cast<size_t>(s)],
-                     it->second.gen);
-      }
-    } else if (options_.shard.persist_every_batches > 0 &&
-               !options_.shard.persist_path.empty()) {
-      resume_file = options_.shard.persist_path + ".shard" + std::to_string(s);
-    }
-    if (resume_file.empty()) {
-      // algorithm() is valid now that the dead service is stopped.
-      dead->algorithm().topk().tree().ForEach(
-          [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
-    }
-  }
+  dead->algorithm().topk().tree().ForEach(
+      [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
   std::sort(seed.begin(), seed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (versioned_persist_) {
+    // The successor's save generations must not collide with the dead
+    // incarnation's filenames.
+    std::lock_guard<std::mutex> lg(ledger_.mu);
+    auto it = ledger_.entries.find(s);
+    if (it != ledger_.entries.end()) {
+      if (static_cast<size_t>(s) >= persist_gen_seeds_.size()) {
+        persist_gen_seeds_.resize(static_cast<size_t>(s) + 1, 0);
+      }
+      persist_gen_seeds_[static_cast<size_t>(s)] =
+          std::max(persist_gen_seeds_[static_cast<size_t>(s)],
+                   it->second.gen);
+    }
+  }
 
   // The successor continues the dead incarnation's publication sequence:
   // its seed publication is stamped one past the last version the dead
@@ -970,7 +926,8 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   // straight through the revive (the epoch does not change).
   std::shared_ptr<const ResultSnapshot> last_pub = dead->Query();
   const uint64_t next_version = last_pub != nullptr ? last_pub->version + 1 : 0;
-  std::shared_ptr<FdRmsService> fresh = MakeShard(s, resume_file, next_version);
+  std::shared_ptr<FdRmsService> fresh =
+      MakeShard(s, /*resume_file=*/"", next_version);
   Status st = fresh->Start(seed);
   if (!st.ok()) return st;  // dead shard left in place; ReviveShard may retry
 
@@ -1012,79 +969,6 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   last_topology_change_us_.store(registry_->NowMicros(),
                                  std::memory_order_relaxed);
   return first;
-}
-
-Status ShardedFdRmsService::EnableStandby(int s) {
-  std::lock_guard<std::mutex> admin(admin_mutex_);
-  if (!started_.load()) {
-    return Status::FailedPrecondition("sharded service never started");
-  }
-  std::shared_ptr<const Topology> topo = topology();
-  if (s < 0 || s >= static_cast<int>(topo->shards.size())) {
-    return Status::Invalid("no shard " + std::to_string(s));
-  }
-  {
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    if (standbys_.count(s) > 0) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(s) + " already has a standby");
-    }
-  }
-  std::shared_ptr<FdRmsService> shard = topo->shards[static_cast<size_t>(s)];
-  auto follower = std::make_unique<FdRms>(dim_, options_.shard.algo);
-  Status seeded = Status::OK();
-  // The writer is parked between batches for the duration of the callback:
-  // the clone and the tap installation are atomic with respect to the
-  // apply stream, so the follower misses no batch and doubles none.
-  Status st = shard->Inspect([&](const FdRms& algo) {
-    std::vector<std::pair<int, Point>> tuples;
-    algo.topk().tree().ForEach([&tuples](int id, const Point& p) {
-      tuples.emplace_back(id, p);
-    });
-    std::sort(tuples.begin(), tuples.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    seeded = follower->Initialize(tuples);
-    if (!seeded.ok()) return;
-    std::lock_guard<std::mutex> lg(standby_mu_);
-    Standby& sb = standbys_[s];
-    sb.follower = std::move(follower);
-    sb.batches_applied = 0;
-    standby_count_.store(static_cast<int>(standbys_.size()),
-                         std::memory_order_release);
-  });
-  if (!st.ok()) return st;  // kUnavailable when the writer is already dead
-  return seeded;
-}
-
-bool ShardedFdRmsService::has_standby(int s) const {
-  std::lock_guard<std::mutex> lg(standby_mu_);
-  return standbys_.count(s) > 0;
-}
-
-uint64_t ShardedFdRmsService::standby_batches_applied(int s) const {
-  std::lock_guard<std::mutex> lg(standby_mu_);
-  auto it = standbys_.find(s);
-  return it == standbys_.end() ? 0 : it->second.batches_applied;
-}
-
-void ShardedFdRmsService::OnShardApply(
-    int index, const std::vector<FdRms::BatchOp>& batch) {
-  if (standby_count_.load(std::memory_order_acquire) == 0) return;
-  std::lock_guard<std::mutex> lg(standby_mu_);
-  auto it = standbys_.find(index);
-  if (it == standbys_.end() || it->second.follower == nullptr) return;
-  // Same resume-past-reject loop as the primary's writer: the follower is
-  // state-for-state identical, so it rejects exactly the operations the
-  // primary rejected and stays identical.
-  FdRms& f = *it->second.follower;
-  size_t pos = 0;
-  while (pos < batch.size()) {
-    size_t applied = 0;
-    Status st = f.ApplyBatch(batch, pos, &applied);
-    pos += applied;
-    if (!st.ok()) ++pos;  // skip the offender, like the primary did
-  }
-  ++it->second.batches_applied;
 }
 
 std::vector<int> ShardedFdRmsService::unhealthy_shards() const {
@@ -1647,11 +1531,6 @@ std::string ShardedFdRmsService::DebugString() const {
       << metrics_.migration_ops_side_buffered->Value() << "\n";
   {
     std::vector<int> dead = unhealthy_shards();
-    size_t standbys;
-    {
-      std::lock_guard<std::mutex> lg(standby_mu_);
-      standbys = standbys_.size();
-    }
     out << "health: unhealthy=" << dead.size();
     if (!dead.empty()) {
       out << " [";
@@ -1661,8 +1540,7 @@ std::string ShardedFdRmsService::DebugString() const {
       out << "]";
     }
     out << " degraded_reads=" << metrics_.degraded_reads->Value()
-        << " writer_restarts=" << metrics_.writer_restarts->Value()
-        << " standbys=" << standbys << "\n";
+        << " writer_restarts=" << metrics_.writer_restarts->Value() << "\n";
   }
   if (versioned_persist_) {
     out << "durability: manifest_gen="

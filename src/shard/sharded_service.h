@@ -104,7 +104,9 @@ struct ShardedServiceOptions {
   /// manifest (`persist_path + ".manifest.{a,b}"`) binding one snapshot
   /// per shard to one routing epoch is committed crash-durably at every
   /// cutover, on the manifest tick below, and at Stop(). Superseded
-  /// snapshot files are garbage-collected after each commit.
+  /// snapshot files are garbage-collected after each commit. This is the
+  /// only durable format: with persistence on and an empty `persist_path`,
+  /// Start() fails with kInvalidArgument.
   ///
   /// Resume: when `shard.resume_path` is set it must equal `persist_path`
   /// (with persistence on); Start() then resolves the whole topology —
@@ -253,39 +255,20 @@ class ShardedFdRmsService {
 
   /// Recovers shard `s` after its writer died (health() == kDead): joins
   /// the dead writer, drains its acknowledged-but-unapplied backlog, builds
-  /// a successor — seeded from the warm standby when one is enabled, else
-  /// from the shard's newest durable snapshot (the death epilogue force-
-  /// saves the last applied state), else from the dead instance's in-memory
-  /// algorithm state — swaps it into the topology under the route lock (the
-  /// routing table is unchanged: same slots, same epoch), replays the
-  /// backlog in submission order, and flushes. When the replay completes
-  /// the revived shard's applied state equals an unfaulted run's. Fails
-  /// with kFailedPrecondition when the shard is not dead; on a failed
-  /// successor Start the dead shard stays in place and the call may be
-  /// retried. Serialized with the rest of the control plane.
+  /// a successor seeded from the dead instance's own applied state (the
+  /// exact applied prefix: revive is in-process, so no durable snapshot is
+  /// read), swaps it into the topology under the route lock (the routing
+  /// table is unchanged: same slots, same epoch), replays the backlog in
+  /// submission order, and flushes. When the replay completes the revived
+  /// shard's applied state equals an unfaulted run's. With persistence on,
+  /// a manifest commit then binds the successor's first save. Fails with
+  /// kFailedPrecondition when the shard is not dead; on a failed successor
+  /// Start the dead shard stays in place and the call may be retried.
+  /// Serialized with the rest of the control plane.
   Status ReviveShard(int s);
 
   /// Revives every currently dead shard; returns how many came back.
   int ReviveDeadShards();
-
-  /// Warm standby: seeds a follower FdRms with shard `s`'s live tuple set
-  /// (cloned on the shard's writer thread between batches, so the
-  /// journaled-batch tap that keeps it current misses no batch and doubles
-  /// none) and applies every batch the primary applies from then on, via
-  /// the on_apply journal tap. A later ReviveShard(s) then promotes the
-  /// follower instead of re-reading a snapshot from disk: the cutover is
-  /// the in-place instance swap under the route lock. One standby per
-  /// shard index; the follower costs one extra ApplyBatch per batch on the
-  /// primary's writer thread.
-  Status EnableStandby(int s);
-
-  /// True when shard index `s` currently has a warm-standby follower.
-  bool has_standby(int s) const;
-
-  /// Batches the standby follower of shard `s` has applied (0 when none) —
-  /// the lag oracle: equal to the primary's applied batch count whenever
-  /// the primary is idle.
-  uint64_t standby_batches_applied(int s) const;
 
   /// Shard indices whose writer is dead, scanned from the live topology.
   std::vector<int> unhealthy_shards() const;
@@ -478,11 +461,6 @@ class ShardedFdRmsService {
   /// `index`'s newest durable snapshot in the ledger and marks it dirty.
   void OnShardPersist(int index, const PersistEvent& ev);
 
-  /// on_apply hook target (shard writer threads): forwards the applied
-  /// batch to shard `index`'s warm-standby follower when one is enabled.
-  /// One relaxed atomic load when no standby exists anywhere.
-  void OnShardApply(int index, const std::vector<FdRms::BatchOp>& batch);
-
   /// ReviveShard body; caller holds admin_mutex_.
   Status ReviveShardLocked(int s);
 
@@ -578,19 +556,6 @@ class ShardedFdRmsService {
   /// and traces each death transition once.
   PeriodicTask health_tracker_;
   std::atomic<int> num_unhealthy_{0};  ///< tracker's last poll result
-
-  /// One warm-standby follower per shard index. standby_count_ gates the
-  /// writer-thread hot path (OnShardApply) with a single relaxed load;
-  /// standby_mu_ guards the map and the followers behind it (each follower
-  /// is only ever applied under the mutex, so the map's mutation sites and
-  /// the per-batch tap serialize).
-  struct Standby {
-    std::unique_ptr<FdRms> follower;
-    uint64_t batches_applied = 0;
-  };
-  mutable std::mutex standby_mu_;
-  std::map<int, Standby> standbys_;
-  std::atomic<int> standby_count_{0};
 
   /// Constellation-level handles into registry_ (unlabelled — the shard
   /// label belongs to per-shard series). Counters/histograms are

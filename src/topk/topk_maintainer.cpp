@@ -35,8 +35,9 @@ double TopKMaintainer::ThresholdFor(int utility) const {
 }
 
 const std::unordered_set<int>& TopKMaintainer::MemberOf(int id) const {
+  static const std::unordered_set<int> empty;
   auto it = member_of_.find(id);
-  return it == member_of_.end() ? empty_set_ : it->second;
+  return it == member_of_.end() ? empty : it->second;
 }
 
 void TopKMaintainer::EmitAdd(int utility, int id,

@@ -117,7 +117,6 @@ class TopKMaintainer {
   std::vector<std::vector<ScoredId>> topk_;            // per utility
   std::vector<std::unordered_set<int>> approx_;        // per utility
   std::unordered_map<int, std::unordered_set<int>> member_of_;  // S(p)
-  const std::unordered_set<int> empty_set_;
 };
 
 }  // namespace fdrms

@@ -98,6 +98,20 @@ std::string CleanBase(const std::string& name) {
   return base;
 }
 
+/// Turns on versioned persistence for a standalone service: saves land at
+/// `<base>.g<gen>.b<batches>`, and the newest file lands in `*last_file`
+/// (written on the writer thread; read it after Stop()).
+void PersistVersioned(FdRmsServiceOptions* sopt, const std::string& base,
+                      size_t every, std::string* last_file) {
+  sopt->persist_every_batches = every;
+  sopt->persist_version_path = [base](long long gen, long long batches) {
+    return base + ".g" + std::to_string(gen) + ".b" + std::to_string(batches);
+  };
+  sopt->on_persist = [last_file](const PersistEvent& ev) {
+    *last_file = ev.file;
+  };
+}
+
 uint64_t CounterValue(const obs::MetricRegistry& reg, const std::string& name) {
   for (const MetricSnapshot& m : reg.Snapshot().metrics) {
     if (m.name == name && m.type == MetricType::kCounter) {
@@ -409,8 +423,9 @@ TEST_F(FaultWriterTest, InjectedPersistErrorCountsFailureAndKeepsServing) {
   FdRmsServiceOptions sopt;
   sopt.algo.r = 6;
   sopt.algo.max_utilities = 64;
-  sopt.persist_every_batches = 1;
-  sopt.persist_path = ::testing::TempDir() + "fault_persist_err.snapshot";
+  std::string last_file;
+  PersistVersioned(&sopt, CleanBase("fault_persist_err.snapshot"), 1,
+                   &last_file);
   FdRmsService service(3, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 60)).ok());
 
@@ -431,6 +446,7 @@ TEST_F(FaultWriterTest, InjectedPersistErrorCountsFailureAndKeepsServing) {
   ASSERT_TRUE(service.Flush().ok());
   ASSERT_TRUE(service.Stop().ok());
   EXPECT_GE(service.persists(), 1u);
+  EXPECT_FALSE(last_file.empty());
 }
 
 TEST_F(FaultWriterTest, DieAtDrainStashesTheWholeBacklogAsDeadLetter) {
@@ -514,8 +530,9 @@ TEST_F(FaultWriterTest, DieAtPublishPreservesAppliedStateInTheExitSave) {
   FdRmsServiceOptions sopt;
   sopt.algo.r = 6;
   sopt.algo.max_utilities = 64;
-  sopt.persist_every_batches = 1000;  // only the death epilogue's force save
-  sopt.persist_path = CleanBase("fault_publish_die.snapshot");
+  std::string last_file;  // interval 1000: only the death epilogue's save
+  PersistVersioned(&sopt, CleanBase("fault_publish_die.snapshot"), 1000,
+                   &last_file);
   FdRmsService service(3, sopt);
   const auto initial = AsTuples(ps, 80);
   ASSERT_TRUE(service.Start(initial).ok());
@@ -546,7 +563,7 @@ TEST_F(FaultWriterTest, DieAtPublishPreservesAppliedStateInTheExitSave) {
   // Cold restart from the death epilogue's force save + backlog replay
   // reproduces the unfaulted state exactly.
   FdRmsServiceOptions ropt = sopt;
-  ropt.resume_path = sopt.persist_path;
+  ropt.resume_path = last_file;
   FdRmsService revived(3, ropt);
   ASSERT_TRUE(revived.Start({}).ok());
   EXPECT_TRUE(revived.resumed());
@@ -638,8 +655,8 @@ TEST_F(FaultWriterTest, BlockedSubmitIsWokenUnavailableWhenWriterDies) {
 
 // ---------------------------------------------------------------------------
 // Sharded fault domain: degraded merged reads, fail-fast submits, revive
-// (in-memory harvest, durable cold restart, warm standby), health tracker,
-// control-plane fault sites.
+// (seeded from the dead instance, with and without persistence), health
+// tracker, control-plane fault sites.
 // ---------------------------------------------------------------------------
 
 using FaultShardedTest = FaultFixture;
@@ -722,7 +739,7 @@ TEST_F(FaultShardedTest, DeadShardDegradesReadsFailsFastAndRevivesByHarvest) {
   EXPECT_GT(degraded->versions[1 - victim], before->versions[1 - victim]);
   EXPECT_GE(svc.degraded_reads(), 1u);
 
-  // Revive: no persistence, no standby — the in-memory harvest path.
+  // Revive: the successor is seeded from the dead instance's state.
   ASSERT_TRUE(svc.ReviveShard(victim).ok());
   EXPECT_EQ(svc.num_unhealthy(), 0);
   EXPECT_EQ(svc.writer_restarts(), 1u);
@@ -756,7 +773,7 @@ TEST_F(FaultShardedTest, DeadShardDegradesReadsFailsFastAndRevivesByHarvest) {
   ASSERT_TRUE(ref.Stop().ok());
 }
 
-TEST_F(FaultShardedTest, ReviveColdRestartsFromTheDurableSnapshot) {
+TEST_F(FaultShardedTest, ReviveUnderPersistenceMatchesAnUnfaultedRun) {
   PointSet ps = GenerateIndep(400, 3, 78);
   ShardedServiceOptions opt = TwoShardOptions();
   opt.shard.persist_every_batches = 1;
@@ -775,9 +792,6 @@ TEST_F(FaultShardedTest, ReviveColdRestartsFromTheDurableSnapshot) {
   KillShard(&svc, victim, kill_id, ps.Get(kill_id));
 
   ASSERT_TRUE(svc.ReviveShard(victim).ok());
-  // Cold restart: the successor read the dead incarnation's snapshot back
-  // from disk (the death epilogue force-saves the last applied state).
-  EXPECT_TRUE(svc.shard(victim).resumed());
   EXPECT_EQ(svc.writer_restarts(), 1u);
   ASSERT_TRUE(svc.Flush().ok());
   auto after = svc.Query();
@@ -798,51 +812,61 @@ TEST_F(FaultShardedTest, ReviveColdRestartsFromTheDurableSnapshot) {
   ASSERT_TRUE(ref.Stop().ok());
 }
 
-TEST_F(FaultShardedTest, WarmStandbyFollowsThePrimaryAndPromotesOnRevive) {
-  PointSet ps = GenerateIndep(500, 3, 79);
-  ShardedFdRmsService svc(3, TwoShardOptions());
-  const auto initial = AsTuples(ps, 300);
+TEST_F(FaultShardedTest, ReviveKeepsAcknowledgedWritesWhenSavesFail) {
+  // Regression: with every save failing, the newest durable snapshot of
+  // the victim predates the inserts it acknowledged. A revive that seeded
+  // from it lost them; the dead instance's own state has them all.
+  PointSet ps = GenerateIndep(400, 3, 83);
+  ShardedServiceOptions opt = TwoShardOptions();
+  opt.shard.persist_every_batches = 1;
+  opt.shard.persist_path = CleanBase("fault_revive_sticky_store");
+  ShardedFdRmsService svc(3, opt);
+  const auto initial = AsTuples(ps, 200);
   ASSERT_TRUE(svc.Start(initial).ok());
   ASSERT_TRUE(svc.Flush().ok());
 
   const int victim = 0;
-  ASSERT_TRUE(svc.EnableStandby(victim).ok());
-  EXPECT_TRUE(svc.has_standby(victim));
-  EXPECT_EQ(svc.standby_batches_applied(victim), 0u);
-
-  int victim_ops = 0;
-  for (int id = 300; id < 340; ++id) {
-    if (svc.router().Route(id) == victim) ++victim_ops;
+  FaultSpec sticky;
+  sticky.kind = FaultKind::kStickyError;
+  FaultPoints::Arm("writer.persist.pre", sticky);
+  std::vector<int> acked;
+  for (int id = 200; id < 300 && acked.size() < 16; ++id) {
+    if (svc.router().Route(id) != victim) continue;
     ASSERT_TRUE(svc.SubmitInsert(id, ps.Get(id)).ok());
+    acked.push_back(id);
   }
+  ASSERT_EQ(acked.size(), 16u);
   ASSERT_TRUE(svc.Flush().ok());
-  if (victim_ops > 0) {
-    // The journal tap fed every primary batch to the follower.
-    EXPECT_GE(svc.standby_batches_applied(victim), 1u);
-  }
+  EXPECT_GE(svc.shard(victim).persist_failures(), 1u);
 
-  const int kill_id = FindOwnedId(svc, 400, 500, victim);
+  const int kill_id = FindOwnedId(svc, 300, 400, victim);
   KillShard(&svc, victim, kill_id, ps.Get(kill_id));
   ASSERT_TRUE(svc.ReviveShard(victim).ok());
-  EXPECT_FALSE(svc.has_standby(victim));      // follower consumed by promotion
-  EXPECT_FALSE(svc.shard(victim).resumed());  // warm, nothing read from disk
-  EXPECT_EQ(svc.writer_restarts(), 1u);
   ASSERT_TRUE(svc.Flush().ok());
   auto after = svc.Query();
   ASSERT_NE(after, nullptr);
 
+  // The unfaulted reference boots from the applied prefix (P_0 plus every
+  // acknowledged insert): the successor re-initializes from exactly that
+  // tuple set before replaying the backlog, so its Q_t matches this run,
+  // not an incremental one (exact restore is a separate ROADMAP item).
+  std::vector<std::pair<int, Point>> applied = initial;
+  for (int id : acked) applied.emplace_back(id, ps.Get(id));
   ShardedFdRmsService ref(3, TwoShardOptions());
-  ASSERT_TRUE(ref.Start(initial).ok());
-  for (int id = 300; id < 340; ++id) {
-    ASSERT_TRUE(ref.SubmitInsert(id, ps.Get(id)).ok());
-  }
+  ASSERT_TRUE(ref.Start(applied).ok());
   ASSERT_TRUE(ref.SubmitInsert(kill_id, ps.Get(kill_id)).ok());
   ASSERT_TRUE(ref.Flush().ok());
   auto ref_snap = ref.Query();
   ASSERT_NE(ref_snap, nullptr);
+  EXPECT_EQ(svc.shard(victim).Query()->live_tuples,
+            ref.shard(victim).Query()->live_tuples);
   EXPECT_EQ(after->ids, ref_snap->ids);
   ASSERT_TRUE(svc.Stop().ok());
   ASSERT_TRUE(ref.Stop().ok());
+  for (int id : acked) {
+    EXPECT_TRUE(svc.shard(victim).algorithm().topk().tree().Contains(id))
+        << "acknowledged insert " << id << " lost by the revive";
+  }
 }
 
 TEST_F(FaultShardedTest, HealthTrackerCountsDeathsAndRestoresTheGauge) {

@@ -14,6 +14,7 @@
 
 #include "common/durable_io.h"
 #include "common/fault_point.h"
+#include "core/snapshot.h"
 #include "data/generators.h"
 #include "shard/manifest.h"
 #include "shard/sharded_service.h"
@@ -130,6 +131,29 @@ ShardedServiceOptions DurableOptions(const std::string& base, int shards) {
   sopt.shard.persist_path = base;
   sopt.manifest_commit_every_ms = 0;  // deterministic: commit at cutover/Stop
   return sopt;
+}
+
+/// Reads one snapshot file back through LoadSnapshot.
+std::unique_ptr<FdRms> LoadFile(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  auto loaded = LoadSnapshot(&in);
+  EXPECT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
+  return loaded.ok() ? std::move(*loaded) : nullptr;
+}
+
+/// A resumed instance *is* the one LoadSnapshot builds from its file: the
+/// same m, the same Q_t, and the same Φ set for every sampled utility.
+void ExpectSameInstance(const FdRms& resumed, const FdRms& loaded) {
+  EXPECT_EQ(resumed.current_m(), loaded.current_m());
+  EXPECT_EQ(resumed.Result(), loaded.Result());
+  ASSERT_EQ(resumed.topk().num_utilities(), loaded.topk().num_utilities());
+  for (int i = 0; i < loaded.topk().num_utilities(); ++i) {
+    EXPECT_EQ(resumed.topk().ApproxTopK(i), loaded.topk().ApproxTopK(i))
+        << "utility " << i;
+  }
+  Status valid = resumed.Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
 }
 
 /// Fault sites are process-global; every test starts and ends disarmed.
@@ -326,6 +350,88 @@ TEST(ManifestResumeTest, ManifestNotConstructorDecidesTheShardCount) {
   std::vector<int> union_after;
   ExpectOwnershipMatchesRouting(resumed, &union_after);
   EXPECT_EQ(union_after, union_before);
+}
+
+TEST(ManifestCommitTest, PersistenceWithoutABasePathFailsStart) {
+  ShardedServiceOptions sopt = DurableOptions("", 2);
+  ShardedFdRmsService service(3, sopt);
+  EXPECT_EQ(service.Start({}).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ManifestResumeTest, ResumedServiceIsItsLoadedSnapshot) {
+  const std::string base = CleanBase("manifest_single.store");
+  PointSet ps = GenerateIndep(300, 3, 21);
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 6;
+  sopt.algo.max_utilities = 128;
+  sopt.persist_every_batches = 1;
+  sopt.persist_version_path = [base](long long gen, long long batches) {
+    return base + ".g" + std::to_string(gen) + ".b" + std::to_string(batches);
+  };
+  std::string file;  // written on the writer thread, read after Stop
+  sopt.on_persist = [&file](const PersistEvent& ev) { file = ev.file; };
+  {
+    FdRmsService service(3, sopt);
+    ASSERT_TRUE(service.Start(AsTuples(ps, 200)).ok());
+    for (int id = 200; id < 300; ++id) {
+      ASSERT_TRUE(service.SubmitInsert(id, ps.Get(id)).ok());
+    }
+    for (int id = 0; id < 60; ++id) ASSERT_TRUE(service.SubmitDelete(id).ok());
+    ASSERT_TRUE(service.Stop().ok());
+  }
+  ASSERT_FALSE(file.empty());
+  std::unique_ptr<FdRms> loaded = LoadFile(file);
+  ASSERT_NE(loaded, nullptr);
+
+  FdRmsServiceOptions ropt;
+  ropt.algo = sopt.algo;
+  ropt.resume_path = file;
+  FdRmsService resumed(3, ropt);
+  ASSERT_TRUE(resumed.Start({}).ok());
+  EXPECT_TRUE(resumed.resumed());
+  ASSERT_TRUE(resumed.Stop().ok());
+  EXPECT_EQ(resumed.algorithm().size(), 240);
+  ExpectSameInstance(resumed.algorithm(), *loaded);
+}
+
+TEST(ManifestResumeTest, ResumedShardsAreTheirLoadedSnapshots) {
+  const std::string base = CleanBase("manifest_identity.store");
+  PointSet ps = GenerateIndep(300, 3, 22);
+  {
+    ShardedFdRmsService service(3, DurableOptions(base, 2));
+    ASSERT_TRUE(service.Start(AsTuples(ps, 200)).ok());
+    for (int id = 200; id < 300; ++id) {
+      ASSERT_TRUE(service.SubmitInsert(id, ps.Get(id)).ok());
+    }
+    for (int id = 0; id < 60; ++id) ASSERT_TRUE(service.SubmitDelete(id).ok());
+    ASSERT_TRUE(service.Stop().ok());
+  }
+  // Load every file the newest manifest names before the resumed service
+  // commits (and garbage-collects) generations of its own.
+  auto newest = LoadNewestManifest(base);
+  ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+  const ConstellationManifest& manifest = (*newest).manifest;
+  ASSERT_EQ(manifest.shards.size(), 2u);
+  std::vector<std::unique_ptr<FdRms>> loaded;
+  for (const ManifestShardEntry& e : manifest.shards) {
+    loaded.push_back(LoadFile(JoinDirOf(base, e.file)));
+    ASSERT_NE(loaded.back(), nullptr);
+  }
+
+  ShardedServiceOptions ropt = DurableOptions(base, 2);
+  ropt.shard.resume_path = base;
+  ShardedFdRmsService resumed(3, ropt);
+  ASSERT_TRUE(resumed.Start({}).ok());
+  EXPECT_TRUE(resumed.resumed());
+  ASSERT_TRUE(resumed.Stop().ok());
+  ASSERT_EQ(resumed.num_shards(), 2);
+  int live = 0;
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    live += resumed.shard(s).algorithm().size();
+    ExpectSameInstance(resumed.shard(s).algorithm(), *loaded[s]);
+  }
+  EXPECT_EQ(live, 240);
 }
 
 TEST(ManifestResumeTest, SnapshotsWithoutManifestFailLoudly) {

@@ -29,6 +29,20 @@ std::vector<std::pair<int, Point>> AsTuples(const PointSet& ps, int count) {
   return out;
 }
 
+/// Turns on versioned persistence: saves land at `<base>.g<gen>.b<batches>`,
+/// and the newest file lands in `*last_file` (written on the writer thread;
+/// read it after Stop()).
+void PersistVersioned(FdRmsServiceOptions* sopt, const std::string& base,
+                      size_t every, std::string* last_file) {
+  sopt->persist_every_batches = every;
+  sopt->persist_version_path = [base](long long gen, long long batches) {
+    return base + ".g" + std::to_string(gen) + ".b" + std::to_string(batches);
+  };
+  sopt->on_persist = [last_file](const PersistEvent& ev) {
+    *last_file = ev.file;
+  };
+}
+
 /// Replays `ops` sequentially on a fresh FdRms with the service's per-op
 /// semantics: a rejected operation is skipped, the rest keep going.
 std::unique_ptr<FdRms> SequentialReplay(
@@ -694,12 +708,12 @@ TEST(ServeServiceTest, CollectRangeReadsLiveTuplesWhileRunning) {
 
 TEST(ServeResumeTest, ResumeFromSnapshotSkipsHistory) {
   PointSet ps = GenerateIndep(200, 3, 13);
-  const std::string path = ::testing::TempDir() + "serve_resume.snapshot";
+  std::string path;
   FdRmsServiceOptions sopt;
   sopt.algo.r = 6;
   sopt.algo.max_utilities = 64;
-  sopt.persist_every_batches = 1;
-  sopt.persist_path = path;
+  PersistVersioned(&sopt, ::testing::TempDir() + "serve_resume.snapshot", 1,
+                   &path);
   {
     FdRmsService service(3, sopt);
     ASSERT_TRUE(service.Start(AsTuples(ps, 120)).ok());
@@ -753,12 +767,12 @@ TEST(ServeResumeTest, MissingSnapshotFallsBackToInitial) {
 
 TEST(ServeResumeTest, OptionMismatchFailsStart) {
   PointSet ps = GenerateIndep(80, 2, 15);
-  const std::string path = ::testing::TempDir() + "serve_resume_mismatch";
+  std::string path;
   FdRmsServiceOptions sopt;
   sopt.algo.r = 6;
   sopt.algo.max_utilities = 64;
-  sopt.persist_every_batches = 1;
-  sopt.persist_path = path;
+  PersistVersioned(&sopt, ::testing::TempDir() + "serve_resume_mismatch", 1,
+                   &path);
   {
     FdRmsService service(2, sopt);
     ASSERT_TRUE(service.Start(AsTuples(ps, 60)).ok());
@@ -791,13 +805,13 @@ TEST(ServeResumeTest, OptionMismatchFailsStart) {
 
 TEST(ServePersistTest, WriterPersistsPeriodicallyAndFinalStateOnDrainStop) {
   PointSet ps = GenerateIndep(200, 3, 9);
-  const std::string path = ::testing::TempDir() + "serve_persist.snapshot";
+  std::string path;
   FdRmsServiceOptions sopt;
   sopt.algo.r = 6;
   sopt.algo.max_utilities = 64;
   sopt.max_batch = 8;
-  sopt.persist_every_batches = 2;
-  sopt.persist_path = path;
+  PersistVersioned(&sopt, ::testing::TempDir() + "serve_persist.snapshot", 2,
+                   &path);
   FdRmsService service(3, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 120)).ok());
   for (int i = 120; i < 200; ++i) {
@@ -839,8 +853,9 @@ TEST(ServePersistTest, PersistFailuresAreCountedNotFatal) {
   sopt.algo.r = 4;
   sopt.algo.max_utilities = 32;
   sopt.max_batch = 4;
-  sopt.persist_every_batches = 1;
-  sopt.persist_path = ::testing::TempDir() + "no_such_dir/serve.snapshot";
+  std::string path;
+  PersistVersioned(&sopt, ::testing::TempDir() + "no_such_dir/serve.snapshot",
+                   1, &path);
   FdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 60)).ok());
   for (int i = 60; i < 120; ++i) {
@@ -852,6 +867,17 @@ TEST(ServePersistTest, PersistFailuresAreCountedNotFatal) {
   EXPECT_EQ(service.Query()->ops_applied, 60u);
   EXPECT_GT(service.persist_failures(), 0u);
   EXPECT_EQ(service.persists(), 0u);
+  EXPECT_TRUE(path.empty());  // on_persist only reports successful saves
+}
+
+TEST(ServePersistTest, PersistenceWithoutVersionPathFailsStart) {
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 4;
+  sopt.algo.max_utilities = 32;
+  sopt.persist_every_batches = 1;  // no persist_version_path
+  FdRmsService service(2, sopt);
+  EXPECT_EQ(service.Start({}).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(service.running());
 }
 
 TEST(ServeBatchingTest, AdaptiveBoundStaysInRangeAndHistogramsAccount) {

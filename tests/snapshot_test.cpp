@@ -103,6 +103,20 @@ TEST(SnapshotTest, RejectsHugeTupleCountWithoutAllocating) {
       << loaded.status().ToString();
 }
 
+TEST(SnapshotTest, RejectsHugeUtilitySampleWithoutAllocating) {
+  // Each header is well-formed but asks the loader to sample a utility
+  // matrix of billions of doubles: huge dim, huge r, huge M.
+  for (const char* header :
+       {"2147483647 1 3 0.1 8 42", "4 1 2147483647 0.1 8 42",
+        "4 1 3 0.1 2147483647 42"}) {
+    std::stringstream stream(std::string("FDRMS-SNAPSHOT-v1\n") + header +
+                             "\n0\n");
+    auto loaded = LoadSnapshot(&stream);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << header;
+  }
+}
+
 TEST(SnapshotTest, RejectsBadParameters) {
   std::stringstream stream("FDRMS-SNAPSHOT-v1\n2 0 3 0.1 8 42\n0\n");  // k=0
   EXPECT_FALSE(LoadSnapshot(&stream).ok());
