@@ -1,9 +1,10 @@
-/// Ablation — the dual-tree (kd-tree + cone tree) top-k maintenance of
-/// Section III-C versus a brute-force maintainer that rescans every utility
-/// on every operation.
+/// Ablation — the indexed top-k maintenance of Section III-C (kd-tree over
+/// tuples, fused reached scan over utilities) versus a brute-force
+/// maintainer that rescans every utility on every operation.
 ///
-/// Shape: the dual-tree prunes most utilities per insertion, so its
-/// per-operation cost is far below M scans; the gap widens with M.
+/// Shape: the indexes confine the work to the utilities a tuple reaches, so
+/// the per-operation cost is far below M full rescans; the gap widens
+/// with M.
 
 #include <iostream>
 #include <unordered_map>

@@ -1,7 +1,7 @@
 /// Google-benchmark microbenchmarks of the substrates: kd-tree queries,
-/// cone-tree pruning, LP solves, skyline maintenance, dynamic set-cover
-/// operations, the serving layer's lock-free update queue, and the SoA
-/// scoring kernel vs the scalar Dot loop.
+/// the utility index's reached scan, LP solves, skyline maintenance,
+/// dynamic set-cover operations, the serving layer's lock-free update
+/// queue, and the SoA scoring kernel vs the scalar Dot loop.
 /// These are the per-operation costs the complexity analysis of Section
 /// III-B — and the serving layer's throughput model — reason about.
 
@@ -63,7 +63,8 @@ void BM_ConeTreeFindReached(benchmark::State& state) {
   Rng rng(4);
   auto utils = SampleUtilityVectors(m, 6, &rng);
   ConeTree cone(utils);
-  // Realistic thresholds: most utilities unreachable by a random point.
+  // Thresholds in [0.9, 1.0): a random Indep point at d=6 reaches ~60% of
+  // the utilities, so this times the emit path as much as the scoring.
   for (int i = 0; i < m; ++i) cone.SetThreshold(i, 0.9 + 0.1 * rng.Uniform());
   PointSet data = GenerateIndep(256, 6, 5);
   int pi = 0;
@@ -275,6 +276,48 @@ void ScoreSubsetGatherAtTier(benchmark::State& state, SimdTier tier) {
                           static_cast<int64_t>(idx.size()));
   SetSimdTier(BestSupportedSimdTier());
 }
+
+/// The fused reached scan behind ConeTree::FindReached (the insert path's
+/// utility query) at the forced-scalar tier vs the dispatched tier, with
+/// BM_ConeTreeFindReached's thresholds. CI gates the ratio per d
+/// (bench/baselines/micro_kernel_smoke.json).
+void ConeTreeScanAtTier(benchmark::State& state, SimdTier tier) {
+  if (!SetSimdTier(tier)) {
+    state.SkipWithError("tier unsupported on this build/CPU");
+    return;
+  }
+  const int m = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  Rng rng(4);
+  ConeTree cone(SampleUtilityVectors(m, d, &rng));
+  for (int i = 0; i < m; ++i) cone.SetThreshold(i, 0.9 + 0.1 * rng.Uniform());
+  PointSet data = GenerateIndep(256, d, 5);
+  std::vector<Point> probes;
+  for (int i = 0; i < 256; ++i) probes.push_back(data.Get(i));
+  std::vector<int> reached;
+  std::vector<double> scores;
+  size_t pi = 0;
+  for (auto _ : state) {
+    cone.FindReached(probes[pi++ % probes.size()], &reached, &scores);
+    benchmark::DoNotOptimize(reached.data());
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+  SetSimdTier(BestSupportedSimdTier());
+}
+
+void BM_ConeTreeScanForcedScalar(benchmark::State& state) {
+  ConeTreeScanAtTier(state, SimdTier::kScalar);
+}
+BENCHMARK(BM_ConeTreeScanForcedScalar)
+    ->Args({2048, 4})
+    ->Args({2048, 6})
+    ->Args({2048, 8});
+
+void BM_ConeTreeScan(benchmark::State& state) {
+  ConeTreeScanAtTier(state, BestSupportedSimdTier());
+}
+BENCHMARK(BM_ConeTreeScan)->Args({2048, 4})->Args({2048, 6})->Args({2048, 8});
 
 void BM_ScoreSubsetGatherForcedScalar(benchmark::State& state) {
   ScoreSubsetGatherAtTier(state, SimdTier::kScalar);

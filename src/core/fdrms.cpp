@@ -32,7 +32,7 @@ Status FdRms::Initialize(const std::vector<std::pair<int, Point>>& tuples) {
   if (initialized_) {
     return Status::FailedPrecondition("Initialize called twice");
   }
-  // Bulk-load the dual-tree; deltas are not needed yet (the set system is
+  // Bulk-load the indexes; deltas are not needed yet (the set system is
   // built from the finished Φ sets below).
   for (const auto& [id, p] : tuples) {
     FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, /*deltas=*/nullptr));
@@ -102,18 +102,18 @@ void FdRms::ApplyDeltas(const std::vector<TopKDelta>& deltas) {
 
 Status FdRms::Insert(int id, const Point& p) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
-  std::vector<TopKDelta> deltas;
-  FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, &deltas));
-  ApplyDeltas(deltas);
+  delta_scratch_.clear();
+  FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, &delta_scratch_));
+  ApplyDeltas(delta_scratch_);
   if (cover_.CoverSize() != options_.r) UpdateM();
   return Status::OK();
 }
 
 Status FdRms::Delete(int id) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
-  std::vector<TopKDelta> deltas;
-  FDRMS_RETURN_NOT_OK(topk_.Delete(id, &deltas));
-  ApplyDeltas(deltas);
+  delta_scratch_.clear();
+  FDRMS_RETURN_NOT_OK(topk_.Delete(id, &delta_scratch_));
+  ApplyDeltas(delta_scratch_);
   // Purge the (now empty) set of the deleted tuple (Algorithm 3 Line 10).
   cover_.RemoveSet(id);
   if (cover_.CoverSize() != options_.r) UpdateM();

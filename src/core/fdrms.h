@@ -123,6 +123,8 @@ class FdRms {
   int m_ = 0;
   TopKMaintainer topk_;
   DynamicSetCover cover_;
+  /// The current op's Φ membership changes; cleared per op, capacity reused.
+  std::vector<TopKDelta> delta_scratch_;
 };
 
 }  // namespace fdrms

@@ -6,7 +6,7 @@
 /// utility/pivot matrix.
 ///
 /// The maintained indexes score one tuple against *many* vectors on every
-/// mutation — the cone tree's leaf scans, the kd-tree's leaf scans,
+/// mutation — the utility index's reached scan, the kd-tree's leaf scans,
 /// TopKMaintainer's insert and delete-repair loops, and the tau (admission
 /// threshold) recomputation all reduce to "dot p against rows i..j".
 /// Storing those rows as a `std::vector<Point>` (an array of separately
@@ -120,6 +120,31 @@ inline void ScoreGatherScalar(const double* base, size_t stride, int d,
   }
 }
 
+/// Scalar reference of the reached scan (contract in simd_dispatch.h):
+/// kScanLanes rows per step, each with its own accumulator, walking the
+/// columns in ascending order — auto-vectorization-friendly without
+/// changing any row's accumulation order.
+inline size_t ScanReachedScalar(const double* cols, size_t col_stride, int d,
+                                size_t count, const double* q,
+                                const double* tau, int* idx, double* scores) {
+  size_t n = 0;
+  for (size_t i = 0; i < count; i += kScanLanes) {
+    double s[kScanLanes] = {};
+    for (int k = 0; k < d; ++k) {
+      const double* col = cols + static_cast<size_t>(k) * col_stride + i;
+      const double qk = q[k];
+      for (int l = 0; l < kScanLanes; ++l) s[l] += col[l] * qk;
+    }
+    // Branch-free pack: write every lane at n, advance n past the reached.
+    for (int l = 0; l < kScanLanes; ++l) {
+      idx[n] = static_cast<int>(i) + l;
+      scores[n] = s[l];
+      n += s[l] >= tau[i + l] ? 1 : 0;
+    }
+  }
+  return n;
+}
+
 /// Dispatched block kernel (see simd_dispatch.h for tier selection).
 inline void ScoreBlock(const double* rows, size_t stride, int d, size_t count,
                        const double* q, double* out) {
@@ -131,6 +156,14 @@ inline void ScoreGather(const double* base, size_t stride, int d,
                         const int* idx, size_t count, const double* q,
                         double* out) {
   ActiveScoreKernels().gather(base, stride, d, idx, count, q, out);
+}
+
+/// Dispatched reached scan.
+inline size_t ScanReached(const double* cols, size_t col_stride, int d,
+                          size_t count, const double* q, const double* tau,
+                          int* idx, double* scores) {
+  return ActiveScoreKernels().reached(cols, col_stride, d, count, q, tau, idx,
+                                      scores);
 }
 
 /// A set of d-dimensional vectors in one contiguous, 64-byte-aligned slab.
@@ -193,6 +226,9 @@ class ScoreMatrix {
                                       << rows_ << ")";
     return data_.get() + static_cast<size_t>(i) * stride_;
   }
+
+  /// Writable row i, for callers that update values in place.
+  double* mutable_row(int i) { return const_cast<double*>(row(i)); }
 
   /// Grows capacity to at least `rows` (no-op when already large enough).
   void Reserve(int rows) {

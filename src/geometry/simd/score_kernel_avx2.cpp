@@ -7,7 +7,8 @@
 /// in exactly the scalar order, with separate multiply and add (no FMA).
 /// Loads are unaligned-safe (the ScoreBlock API carries no alignment
 /// promise); on 32-byte-aligned ScoreMatrix rows they never split a cache
-/// line.
+/// line. The reached scan reads a column-major slab, so each column load
+/// already holds one coordinate of four rows: no transpose at all.
 
 #include <immintrin.h>
 
@@ -60,6 +61,22 @@ inline __m256d Dot4(const double* r0, const double* r1, const double* r2,
   return acc;
 }
 
+/// Appends the rows of `hit` (lanes of the four rows starting at `first`)
+/// at idx/scores + n and returns the new n. Branch-free: every lane is
+/// written at n and n advances past the reached ones, so the writes stay
+/// below first + 4 <= the caller's `count`.
+inline size_t PackReached(size_t first, __m256d acc, int hit, int* idx,
+                          double* scores, size_t n) {
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, acc);
+  for (int l = 0; l < 4; ++l) {
+    idx[n] = static_cast<int>(first) + l;
+    scores[n] = lane[l];
+    n += static_cast<size_t>((hit >> l) & 1);
+  }
+  return n;
+}
+
 }  // namespace
 
 void ScoreBlockAvx2(const double* rows, size_t stride, int d, size_t count,
@@ -87,6 +104,49 @@ void ScoreGatherAvx2(const double* base, size_t stride, int d, const int* idx,
   for (; j < count; ++j) {
     out[j] = Dot1(base + static_cast<size_t>(idx[j]) * stride, q, d);
   }
+}
+
+size_t ScanReachedAvx2(const double* cols, size_t col_stride, int d,
+                       size_t count, const double* q, const double* tau,
+                       int* idx, double* scores) {
+  size_t n = 0;
+  size_t i = 0;
+  // Four rows of four per step: one broadcast of q[k] feeds four
+  // independent accumulators, each still summing its lanes in k order.
+  for (; i + 16 <= count; i += 16) {
+    __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                      _mm256_setzero_pd(), _mm256_setzero_pd()};
+    for (int k = 0; k < d; ++k) {
+      const double* col = cols + static_cast<size_t>(k) * col_stride + i;
+      const __m256d qk = _mm256_broadcast_sd(q + k);
+      for (int b = 0; b < 4; ++b) {
+        acc[b] = _mm256_add_pd(
+            acc[b], _mm256_mul_pd(_mm256_loadu_pd(col + 4 * b), qk));
+      }
+    }
+    int hit[4];
+    for (int b = 0; b < 4; ++b) {
+      hit[b] = _mm256_movemask_pd(_mm256_cmp_pd(
+          acc[b], _mm256_loadu_pd(tau + i + 4 * b), _CMP_GE_OQ));
+    }
+    // The common case: none of the 16 reached.
+    if ((hit[0] | hit[1] | hit[2] | hit[3]) == 0) continue;
+    for (int b = 0; b < 4; ++b) {
+      n = PackReached(i + 4 * b, acc[b], hit[b], idx, scores, n);
+    }
+  }
+  for (; i < count; i += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (int k = 0; k < d; ++k) {
+      const __m256d col =
+          _mm256_loadu_pd(cols + static_cast<size_t>(k) * col_stride + i);
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(col, _mm256_broadcast_sd(q + k)));
+    }
+    const int hit = _mm256_movemask_pd(
+        _mm256_cmp_pd(acc, _mm256_loadu_pd(tau + i), _CMP_GE_OQ));
+    if (hit != 0) n = PackReached(i, acc, hit, idx, scores, n);
+  }
+  return n;
 }
 
 }  // namespace simd

@@ -2,7 +2,7 @@
 #define FDRMS_GEOMETRY_SIMD_SCORE_KERNELS_SIMD_H_
 
 /// \file score_kernels_simd.h
-/// Entry points of the per-ISA scoring kernels. Each pair is defined in a
+/// Entry points of the per-ISA scoring kernels. Each set is defined in a
 /// translation unit compiled with the matching ISA flags (CMake gates the
 /// TUs on compiler support and defines FDRMS_HAVE_*_KERNEL accordingly), so
 /// they must only be called after the runtime support check in
@@ -23,11 +23,18 @@ void ScoreBlockAvx2(const double* rows, size_t stride, int d, size_t count,
 void ScoreGatherAvx2(const double* base, size_t stride, int d, const int* idx,
                      size_t count, const double* q, double* out);
 
+size_t ScanReachedAvx2(const double* cols, size_t col_stride, int d,
+                       size_t count, const double* q, const double* tau,
+                       int* idx, double* scores);
+
 void ScoreBlockAvx512(const double* rows, size_t stride, int d, size_t count,
                       const double* q, double* out);
 void ScoreGatherAvx512(const double* base, size_t stride, int d,
                        const int* idx, size_t count, const double* q,
                        double* out);
+size_t ScanReachedAvx512(const double* cols, size_t col_stride, int d,
+                         size_t count, const double* q, const double* tau,
+                         int* idx, double* scores);
 
 void ScoreBlockNeon(const double* rows, size_t stride, int d, size_t count,
                     const double* q, double* out);

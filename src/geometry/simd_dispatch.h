@@ -20,7 +20,9 @@
 /// Every tier accumulates each row's inner product in the same coordinate
 /// order as the scalar path (vector lanes run across *rows*, never within
 /// one), so switching tiers never changes a single output bit — the
-/// dispatch-matrix equivalence suite pins this down per tier.
+/// dispatch-matrix equivalence suite pins this down per tier. The reached
+/// scan, which reads a column-major slab, keeps the same contract: one lane
+/// per row, coordinates in ascending order.
 
 #include <cstddef>
 
@@ -47,10 +49,25 @@ using ScoreGatherFn = void (*)(const double* base, size_t stride, int d,
                                const int* idx, size_t count, const double* q,
                                double* out);
 
+/// Lane count of the widest tier; the reached scan's `count` must be a
+/// multiple of it.
+inline constexpr int kScanLanes = 8;
+
+/// Fused score-and-compare over a column-major slab: coordinate k of row i
+/// sits at cols[k*col_stride + i]. Row i scores
+///   s_i = ((0 + c_0[i]*q[0]) + c_1[i]*q[1]) + ...   (separate mul and add)
+/// and is reached when s_i >= tau[i]. Writes the reached rows' offsets
+/// (ascending) to `idx` and their scores to `scores`, and returns how many.
+/// `count` is a multiple of kScanLanes; both outputs need room for `count`.
+using ScanReachedFn = size_t (*)(const double* cols, size_t col_stride, int d,
+                                 size_t count, const double* q,
+                                 const double* tau, int* idx, double* scores);
+
 /// One tier's kernel entry points.
 struct ScoreKernels {
   ScoreBlockFn block;
   ScoreGatherFn gather;
+  ScanReachedFn reached;
   SimdTier tier;
 };
 

@@ -1,7 +1,6 @@
 #include "index/conetree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -10,189 +9,70 @@ namespace fdrms {
 
 namespace {
 
-/// Leaf scans run through a fixed stack buffer in chunks, so any leaf_size
-/// works without per-query allocation.
-constexpr int kLeafChunk = 32;
+/// Rows per kernel call. The kernel writes into fixed stack buffers of this
+/// size, so a query allocates nothing beyond its output vectors.
+constexpr size_t kScanChunk = 512;
+static_assert(kScanChunk % kScanLanes == 0);
 
 }  // namespace
 
-ConeTree::ConeTree(const std::vector<Point>& utilities, int leaf_size)
-    : utilities_(utilities), thresholds_(utilities.size(), 0.0),
-      leaf_of_(utilities.size(), -1) {
-  FDRMS_CHECK(leaf_size >= 2);
+ConeTree::ConeTree(const std::vector<Point>& utilities)
+    : utilities_(utilities) {
   if (utilities_.empty()) return;
-  std::vector<int> indices(utilities_.size());
-  for (size_t i = 0; i < indices.size(); ++i) indices[i] = static_cast<int>(i);
-  leaf_size_build_ = leaf_size;
-  root_ = Build(&indices, 0, static_cast<int>(indices.size()), -1);
-  // The recursive build partitions `indices` in place, so afterwards every
-  // leaf's utilities occupy a contiguous range of it: `indices` *is* the
-  // build permutation. Freeze the permuted hot-path slabs from it.
-  perm_ = std::move(indices);
-  pos_in_perm_.assign(perm_.size(), -1);
-  perm_thresholds_.assign(perm_.size(), 0.0);
-  std::vector<Point> permuted_rows;
-  permuted_rows.reserve(perm_.size());
-  for (size_t pos = 0; pos < perm_.size(); ++pos) {
-    pos_in_perm_[perm_[pos]] = static_cast<int>(pos);
-    permuted_rows.push_back(utilities_[perm_[pos]]);
+  dim_ = static_cast<int>(utilities_[0].size());
+  for (const Point& u : utilities_) {
+    FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
   }
-  perm_utilities_ = ScoreMatrix(permuted_rows);
-  centers_ = ScoreMatrix(build_centers_);  // Build() staged one row per node
-  build_centers_.clear();
-  build_centers_.shrink_to_fit();
-}
-
-int ConeTree::Build(std::vector<int>* indices, int lo, int hi, int parent) {
-  Node node;
-  node.parent = parent;
-  // Center: normalized mean direction of the covered utilities.
-  const int dim = static_cast<int>(utilities_[(*indices)[lo]].size());
-  Point center(dim, 0.0);
-  for (int i = lo; i < hi; ++i) {
-    const Point& u = utilities_[(*indices)[i]];
-    for (int j = 0; j < dim; ++j) center[j] += u[j];
+  const size_t m = utilities_.size();
+  const size_t lanes = (m + kScanLanes - 1) / kScanLanes * kScanLanes;
+  slab_ = ScoreMatrix(static_cast<int>(lanes));
+  slab_.Reserve(dim_ + 1);
+  Point row(lanes, 0.0);
+  for (int j = 0; j < dim_; ++j) {
+    for (size_t i = 0; i < m; ++i) row[i] = utilities_[i][j];
+    slab_.AppendRow(row);
   }
-  if (Norm(center) < 1e-12) {
-    // Degenerate (cannot happen for nonnegative orthant vectors, but keep
-    // the structure safe): fall back to the first utility.
-    center = utilities_[(*indices)[lo]];
-  }
-  Normalize(&center);
-  double half_angle = 0.0;
-  for (int i = lo; i < hi; ++i) {
-    half_angle = std::max(half_angle, Angle(center, utilities_[(*indices)[i]]));
-  }
-  node.cos_half = std::cos(half_angle);
-  node.sin_half = std::sin(half_angle);
-  node.min_tau = 0.0;
-  int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back(node);
-  build_centers_.push_back(center);
-  if (hi - lo <= leaf_size_build_) {
-    nodes_[node_id].first = lo;
-    nodes_[node_id].count = hi - lo;
-    for (int i = lo; i < hi; ++i) leaf_of_[(*indices)[i]] = node_id;
-    return node_id;
-  }
-  // Angular 2-means-style split: pivot a = farthest from first element,
-  // pivot b = farthest from a; assign each utility to the closer pivot.
-  auto farthest_from = [&](const Point& ref) {
-    int best = lo;
-    double best_angle = -1.0;
-    for (int i = lo; i < hi; ++i) {
-      double ang = Angle(ref, utilities_[(*indices)[i]]);
-      if (ang > best_angle) {
-        best_angle = ang;
-        best = i;
-      }
-    }
-    return best;
-  };
-  int ia = farthest_from(utilities_[(*indices)[lo]]);
-  int ib = farthest_from(utilities_[(*indices)[ia]]);
-  Point a = utilities_[(*indices)[ia]];
-  Point b = utilities_[(*indices)[ib]];
-  auto mid = std::partition(indices->begin() + lo, indices->begin() + hi,
-                            [&](int idx) {
-                              const Point& u = utilities_[idx];
-                              return Dot(u, a) >= Dot(u, b);
-                            });
-  int split = static_cast<int>(mid - indices->begin());
-  if (split == lo || split == hi) split = (lo + hi) / 2;  // duplicate vectors
-  int left = Build(indices, lo, split, node_id);
-  int right = Build(indices, split, hi, node_id);
-  nodes_[node_id].left = left;
-  nodes_[node_id].right = right;
-  return node_id;
-}
-
-void ConeTree::SetThreshold(int utility_index, double tau) {
-  FDRMS_DCHECK(utility_index >= 0 &&
-               utility_index < static_cast<int>(utilities_.size()));
-  thresholds_[utility_index] = tau;
-  perm_thresholds_[pos_in_perm_[utility_index]] = tau;
-  int node_id = leaf_of_[utility_index];
-  while (node_id >= 0) {
-    Node& node = nodes_[node_id];
-    double new_min;
-    if (node.is_leaf()) {
-      new_min = std::numeric_limits<double>::infinity();
-      for (int i = node.first; i < node.first + node.count; ++i) {
-        new_min = std::min(new_min, perm_thresholds_[i]);
-      }
-    } else {
-      new_min = std::min(nodes_[node.left].min_tau, nodes_[node.right].min_tau);
-    }
-    if (new_min == node.min_tau && node_id != leaf_of_[utility_index]) break;
-    node.min_tau = new_min;
-    node_id = node.parent;
-  }
-}
-
-void ConeTree::Collect(int node_id, const Point& p, double p_norm,
-                       std::vector<int>* out) const {
-  const Node& node = nodes_[node_id];
-  // Upper bound of <u, p> over the cone, computed trig-free: with
-  // cos_ang = <center, p> / ||p||, the bound ||p|| * cos(ang - half)
-  // expands through cos(ang - half) = cos_ang*cos_half + sin_ang*sin_half
-  // (and is just ||p|| when the point lies inside the cone, ang <= half,
-  // i.e. cos_ang >= cos_half). The identity can lose a few ulps, so pad
-  // the bound before pruning: a tuple scoring exactly tau must never be
-  // missed.
-  const double center_dot =
-      DotContiguous(centers_.row(node_id), p.data(), centers_.dim());
-  double cos_ang = center_dot / p_norm;
-  cos_ang = cos_ang < -1.0 ? -1.0 : (cos_ang > 1.0 ? 1.0 : cos_ang);
-  double bound;
-  if (cos_ang >= node.cos_half) {
-    bound = p_norm;
-  } else {
-    const double sin_ang = std::sqrt(1.0 - cos_ang * cos_ang);
-    bound = p_norm * (cos_ang * node.cos_half + sin_ang * node.sin_half);
-  }
-  bound += 1e-9 * (1.0 + p_norm);
-  if (bound < node.min_tau) return;
-  if (node.is_leaf()) {
-    // Contiguous leaf range: one blocked kernel call per chunk, then exact
-    // per-utility threshold checks.
-    double scores[kLeafChunk];
-    for (int off = 0; off < node.count; off += kLeafChunk) {
-      const int chunk = std::min(kLeafChunk, node.count - off);
-      ScoreBlock(perm_utilities_.row(node.first + off),
-                 perm_utilities_.stride(), perm_utilities_.dim(),
-                 static_cast<size_t>(chunk), p.data(), scores);
-      for (int i = 0; i < chunk; ++i) {
-        const int pos = node.first + off + i;
-        if (scores[i] >= perm_thresholds_[pos]) out->push_back(perm_[pos]);
-      }
-    }
-    return;
-  }
-  Collect(node.left, p, p_norm, out);
-  Collect(node.right, p, p_norm, out);
+  // Padding rows never pass: they score 0 against a +inf threshold.
+  std::fill(row.begin(), row.begin() + m, 0.0);
+  std::fill(row.begin() + m, row.end(),
+            std::numeric_limits<double>::infinity());
+  slab_.AppendRow(row);
 }
 
 std::vector<int> ConeTree::FindReached(const Point& p) const {
   std::vector<int> out;
-  if (root_ < 0) return out;
-  double p_norm = Norm(p);
-  if (p_norm == 0.0) {
-    // The zero point only reaches utilities with tau <= 0.
-    for (size_t i = 0; i < utilities_.size(); ++i) {
-      if (thresholds_[i] <= 0.0) out.push_back(static_cast<int>(i));
-    }
-    return out;
-  }
-  Collect(root_, p, p_norm, &out);
-  std::sort(out.begin(), out.end());
+  FindReached(p, &out, nullptr);
   return out;
+}
+
+void ConeTree::FindReached(const Point& p, std::vector<int>* indices,
+                           std::vector<double>* scores) const {
+  indices->clear();
+  if (scores != nullptr) scores->clear();
+  if (utilities_.empty()) return;
+  FDRMS_DCHECK(static_cast<int>(p.size()) == dim_);
+  const size_t lanes = static_cast<size_t>(slab_.dim());
+  const double* tau = slab_.row(dim_);
+  int chunk_idx[kScanChunk];
+  double chunk_scores[kScanChunk];
+  for (size_t first = 0; first < lanes; first += kScanChunk) {
+    const size_t count = std::min(kScanChunk, lanes - first);
+    const size_t n =
+        ScanReached(slab_.row(0) + first, slab_.stride(), dim_, count,
+                    p.data(), tau + first, chunk_idx, chunk_scores);
+    for (size_t r = 0; r < n; ++r) {
+      indices->push_back(static_cast<int>(first) + chunk_idx[r]);
+    }
+    if (scores != nullptr) {
+      scores->insert(scores->end(), chunk_scores, chunk_scores + n);
+    }
+  }
 }
 
 std::vector<int> ConeTree::FindReachedBruteForce(const Point& p) const {
   std::vector<int> out;
-  for (size_t i = 0; i < utilities_.size(); ++i) {
-    if (Dot(utilities_[i], p) >= thresholds_[i]) out.push_back(static_cast<int>(i));
+  for (int i = 0; i < size(); ++i) {
+    if (Dot(utilities_[i], p) >= GetThreshold(i)) out.push_back(i);
   }
   return out;
 }

@@ -12,7 +12,6 @@ TopKMaintainer::TopKMaintainer(int dim, int k, double eps,
       k_(k),
       eps_(eps),
       utilities_(std::move(utilities)),
-      umat_(utilities_),
       tree_(dim),
       cone_(utilities_),
       topk_(utilities_.size()),
@@ -60,24 +59,23 @@ void TopKMaintainer::EmitRemove(int utility, int id,
 
 Status TopKMaintainer::Insert(int id, const Point& p,
                               std::vector<TopKDelta>* deltas) {
-  // Validate before the cone query: FindReached dots `p` against dim_-sized
+  // Validate before the index scan: FindReached dots `p` against dim_-sized
   // utilities, so a short point would read out of bounds.
   if (static_cast<int>(p.size()) != dim_) {
     return Status::Invalid("point dimension mismatch");
   }
-  // The cone tree prunes to utilities whose admission threshold `p` can
-  // reach; all Φ and top-k changes are confined to those.
-  std::vector<int> affected = cone_.FindReached(p);
+  // One scan of the utility index finds the utilities whose admission
+  // threshold `p` reaches, with their scores; all Φ and top-k changes are
+  // confined to those.
+  cone_.FindReached(p, &reached_scratch_, &reached_score_scratch_);
   FDRMS_RETURN_NOT_OK(tree_.Insert(id, p));
-  // Score the whole candidate set in one blocked pass over the contiguous
-  // utility matrix (bit-identical to per-utility Dot).
-  score_scratch_.resize(affected.size());
-  umat_.ScoreSubset(p, affected, score_scratch_.data());
-  for (size_t ai = 0; ai < affected.size(); ++ai) {
-    const int u = affected[ai];
-    double score = score_scratch_[ai];
+  for (size_t ai = 0; ai < reached_scratch_.size(); ++ai) {
+    const int u = reached_scratch_[ai];
+    const double score = reached_score_scratch_[ai];
     double old_tau = ThresholdFor(u);
-    if (score < old_tau) continue;  // cone bound was loose for this u
+    // The index compared against the last τ pushed to it; the current bar
+    // decides.
+    if (score < old_tau) continue;
     // Update the exact top-k list.
     auto& list = topk_[u];
     auto pos = std::lower_bound(list.begin(), list.end(), ScoredId{score, id},
@@ -99,7 +97,7 @@ Status TopKMaintainer::Insert(int id, const Point& p,
         if (member != id) member_scratch_.push_back(member);
       }
       member_score_scratch_.resize(member_scratch_.size());
-      tree_.ScoreIds(umat_.row(u), member_scratch_,
+      tree_.ScoreIds(utilities_[u].data(), member_scratch_,
                      member_score_scratch_.data());
       for (size_t mi = 0; mi < member_scratch_.size(); ++mi) {
         if (member_score_scratch_[mi] < new_tau) {
@@ -142,7 +140,7 @@ void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas)
     // exact top-k: one gather over Φ replaces the kd-tree search.
     member_scratch_.assign(members.begin(), members.end());
     member_score_scratch_.resize(member_scratch_.size());
-    tree_.ScoreIds(umat_.row(utility), member_scratch_,
+    tree_.ScoreIds(u.data(), member_scratch_,
                    member_score_scratch_.data());
     ranked_scratch_.resize(member_scratch_.size());
     for (size_t i = 0; i < member_scratch_.size(); ++i) {

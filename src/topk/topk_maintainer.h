@@ -4,9 +4,11 @@
 /// \file topk_maintainer.h
 /// Maintains the ε-approximate top-k result Φ_{k,ε}(u_i, P_t) of every
 /// sampled utility vector u_i under tuple insertions and deletions
-/// (Line 2 of Algorithm 2 and Line 3 of Algorithm 3), using the dual-tree
-/// of Section III-C: a dynamic kd-tree over tuples and a cone tree over
-/// utilities.
+/// (Line 2 of Algorithm 2 and Line 3 of Algorithm 3), using the two
+/// indexes of the paper's dual-tree (Section III-C): a dynamic kd-tree over
+/// tuples, and over utilities a flat score-and-compare scan in place of the
+/// paper's cone tree (index/conetree.h). An insert takes both the reached
+/// utilities and their scores from that one scan.
 ///
 /// Φ_{k,ε}(u, P) = { p in P : <u, p> >= (1 - ε) * ω_k(u, P) }. When P has
 /// fewer than k tuples we define ω_k = 0 so Φ contains all of P.
@@ -28,7 +30,6 @@
 
 #include "common/status.h"
 #include "geometry/point.h"
-#include "geometry/score_kernel.h"
 #include "index/conetree.h"
 #include "index/kdtree.h"
 
@@ -42,7 +43,7 @@ struct TopKDelta {
   bool operator==(const TopKDelta& o) const = default;
 };
 
-/// Dual-tree maintainer of all M approximate top-k sets.
+/// Maintainer of all M approximate top-k sets.
 class TopKMaintainer {
  public:
   /// \param dim attribute count d
@@ -97,13 +98,10 @@ class TopKMaintainer {
   int k_;
   double eps_;
   std::vector<Point> utilities_;
-  /// The utility matrix in contiguous form; Insert scores the cone-pruned
-  /// candidate set through its blocked kernel instead of per-utility Dot
-  /// calls over heap-scattered Points.
-  ScoreMatrix umat_;
-  /// Scratch for the per-insert candidate scores (avoids an allocation per
-  /// mutation; sized to the affected set on use).
-  std::vector<double> score_scratch_;
+  /// Scratch for the per-insert index scan: the reached utilities and
+  /// their scores (capacity reused, so an insert allocates nothing here).
+  std::vector<int> reached_scratch_;
+  std::vector<double> reached_score_scratch_;
   /// Scratch for the eviction sweep and the delete repair: current members
   /// of one Φ set and their batch-gathered scores.
   std::vector<int> member_scratch_;

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -285,7 +290,7 @@ TEST(SimdDispatchTest, ConeTreeFindReachedMatchesBruteForceOnEveryTier) {
     Rng rng(77);
     const int d = 5;
     auto utils = SampleUtilityVectors(300, d, &rng);
-    ConeTree cone(utils, /*leaf_size=*/4);
+    ConeTree cone(utils);
     for (int i = 0; i < cone.size(); ++i) {
       cone.SetThreshold(i, 0.4 + 0.6 * rng.Uniform());
     }
@@ -294,6 +299,78 @@ TEST(SimdDispatchTest, ConeTreeFindReachedMatchesBruteForceOnEveryTier) {
       for (double& v : p) v = rng.Uniform() * 1.5;
       EXPECT_EQ(cone.FindReached(p), cone.FindReachedBruteForce(p))
           << SimdTierName(tier) << " trial " << trial;
+    }
+  }
+}
+
+// The fused reached scan behind ConeTree per tier, over every lane tail
+// (M below, at and just past multiples of 4 and 8) and d = 1..17: the
+// indices must equal the scalar brute-force oracle and the scores must be
+// bit-equal to Dot. Thresholds cycle through 0, +inf, -inf, a random bar,
+// the probe's exact Dot score (which >= must reach) and the next double
+// above it (which must not).
+TEST(SimdDispatchTest, ConeTreeScanMatchesOracleBitForBitOnEveryTier) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (SimdTier tier : AvailableTiers()) {
+    ScopedSimdTier scoped(tier);
+    for (int d = 1; d <= 17; ++d) {
+      for (int m : {1, 7, 8, 9, 31, 33, 2048}) {
+        Rng rng(static_cast<uint64_t>(1000 + 64 * d + m));
+        std::vector<Point> utils;
+        for (int i = 0; i < m; ++i) {
+          utils.push_back(SampleUnitVectorNonneg(d, &rng));
+        }
+        ConeTree cone(utils);
+        Point positive(static_cast<size_t>(d));
+        Point mixed(static_cast<size_t>(d));
+        for (int k = 0; k < d; ++k) {
+          positive[static_cast<size_t>(k)] = 1.5 * rng.Uniform();
+          mixed[static_cast<size_t>(k)] = 2.0 * rng.Uniform() - 1.0;
+        }
+        const Point zero(static_cast<size_t>(d), 0.0);
+        int probe = 0;
+        for (const Point& p : {positive, mixed, zero}) {
+          for (int i = 0; i < m; ++i) {
+            const double dot = Dot(utils[static_cast<size_t>(i)], p);
+            switch ((i + probe) % 6) {
+              case 0: cone.SetThreshold(i, 0.0); break;
+              case 1: cone.SetThreshold(i, inf); break;
+              case 2: cone.SetThreshold(i, -inf); break;
+              case 3: cone.SetThreshold(i, 1.2 * rng.Uniform()); break;
+              case 4: cone.SetThreshold(i, dot); break;
+              default: cone.SetThreshold(i, std::nextafter(dot, inf)); break;
+            }
+          }
+          std::vector<int> idx;
+          std::vector<double> scores;
+          cone.FindReached(p, &idx, &scores);
+          const std::string where = std::string(SimdTierName(tier)) +
+                                    " d=" + std::to_string(d) +
+                                    " m=" + std::to_string(m) +
+                                    " probe=" + std::to_string(probe);
+          ASSERT_EQ(idx, cone.FindReachedBruteForce(p)) << where;
+          ASSERT_EQ(idx, cone.FindReached(p)) << where;
+          ASSERT_EQ(scores.size(), idx.size()) << where;
+          for (size_t j = 0; j < idx.size(); ++j) {
+            const double dot =
+                Dot(utils[static_cast<size_t>(idx[j])], p);
+            EXPECT_EQ(std::bit_cast<uint64_t>(scores[j]),
+                      std::bit_cast<uint64_t>(dot))
+                << where << " utility " << idx[j];
+          }
+          for (int i = 0; i < m; ++i) {
+            const bool reached =
+                std::binary_search(idx.begin(), idx.end(), i);
+            if ((i + probe) % 6 == 4) {
+              EXPECT_TRUE(reached) << where << " utility " << i;
+            }
+            if ((i + probe) % 6 == 5) {
+              EXPECT_FALSE(reached) << where << " utility " << i;
+            }
+          }
+          ++probe;
+        }
+      }
     }
   }
 }

@@ -83,8 +83,8 @@ TEST_F(UpdateTest, ValidUpdateMovesTupleInPlace) {
 }
 
 TEST_F(UpdateTest, InsertWithWrongDimensionFailsCleanly) {
-  // Regression: the cone-tree pre-query must not dot a short point against
-  // full-dimension utilities.
+  // Regression: the utility-index pre-query must not dot a short point
+  // against full-dimension utilities.
   const int size_before = algo_->size();
   Status s = algo_->Insert(5000, {0.1});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
