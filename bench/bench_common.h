@@ -2,7 +2,8 @@
 #define FDRMS_BENCH_BENCH_COMMON_H_
 
 /// \file bench_common.h
-/// Shared plumbing for the per-figure bench binaries (DESIGN.md §5).
+/// Shared plumbing for the per-figure bench binaries, so every figure
+/// scales, budgets and reports its runs the same way.
 ///
 /// Scaling: the paper's experiments ran hours on a 256 GB server; every
 /// bench here defaults to a laptop-scale fraction of the paper's dataset

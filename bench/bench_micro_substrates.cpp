@@ -46,17 +46,65 @@ BENCHMARK(BM_KdTreeTopK)->Args({1000, 4})->Args({10000, 4})->Args({10000, 8});
 
 void BM_KdTreeInsertDelete(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  PointSet data = GenerateIndep(n + 100000, 6, 3);
+  const int spare = 100000;
+  PointSet data = GenerateIndep(n + spare, 6, 3);
   KdTree tree(6);
   for (int i = 0; i < n; ++i) (void)tree.Insert(i, data.Get(i));
   int next = n;
   for (auto _ : state) {
-    (void)tree.Insert(next, data.Get(next));
+    // Fast trees run more iterations than there are spare points; reuse
+    // them under fresh ids.
+    (void)tree.Insert(next, data.Get(n + (next - n) % spare));
     (void)tree.Delete(next - n);
     ++next;
   }
 }
 BENCHMARK(BM_KdTreeInsertDelete)->Arg(1000)->Arg(10000)->Arg(50000);
+
+/// The kd-tree after the paper's protocol over n Indep tuples: n/2 loaded,
+/// the other n/2 inserted one by one, then a random n/2 deleted — the
+/// state a delete repair queries. `rebuilt` rebuilds it from scratch first.
+/// Times one ScoreRange at tau = 0.975 * omega_1 (the repair's bar) per
+/// iteration, cycling over 256 utilities. The Churned/Rebuilt ratio gates
+/// how far incremental maintenance lets the tree drift from a fresh build.
+void KdTreeScoreRangeAfterProtocol(benchmark::State& state, bool rebuilt) {
+  const int n = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  PointSet data = GenerateIndep(n, d, 11);
+  Rng rng(12);
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+  rng.Shuffle(&order);
+  KdTree tree(d);
+  for (int id : order) (void)tree.Insert(id, data.Get(id));
+  rng.Shuffle(&order);
+  for (int i = 0; i < n / 2; ++i) {
+    (void)tree.Delete(order[static_cast<size_t>(i)]);
+  }
+  if (rebuilt) tree.Rebuild();
+  std::vector<Point> utils = SampleUtilityVectors(256, d, &rng);
+  std::vector<double> tau;
+  for (const Point& u : utils) tau.push_back(0.975 * tree.TopK(u, 1)[0].score);
+  std::vector<ScoredId> out;
+  size_t qi = 0;
+  for (auto _ : state) {
+    const size_t q = qi++ % utils.size();
+    tree.ScoreRange(utils[q], tau[q], &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_KdTreeScoreRangeChurned(benchmark::State& state) {
+  KdTreeScoreRangeAfterProtocol(state, /*rebuilt=*/false);
+}
+BENCHMARK(BM_KdTreeScoreRangeChurned)->Args({30000, 6});
+
+void BM_KdTreeScoreRangeRebuilt(benchmark::State& state) {
+  KdTreeScoreRangeAfterProtocol(state, /*rebuilt=*/true);
+}
+BENCHMARK(BM_KdTreeScoreRangeRebuilt)->Args({30000, 6});
 
 void BM_ConeTreeFindReached(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

@@ -1,6 +1,7 @@
 /// Table I — statistics of datasets: n, d, #skylines.
 ///
-/// Real datasets are simulated (DESIGN.md §4) and sizes are scaled by
+/// Real datasets are simulated (they cannot be downloaded offline; see
+/// data/generators.h) and sizes are scaled by
 /// FDRMS_BENCH_SCALE; the shape to reproduce is the *relative* skyline
 /// density across datasets (BB sparse … Movie very dense).
 

@@ -9,7 +9,9 @@
 ///  * GeoGreedyRms  — GEOGREEDY of Peng & Wong (ICDE 2014): the same greedy
 ///                    objective with the geometric candidate pruning
 ///                    replaced by a sampled-witness scan refined by exact
-///                    LPs on the top candidates (see DESIGN.md §4).
+///                    LPs on the top candidates; the LPs confirm the true
+///                    maximum-regret witness, the role GEOGREEDY's
+///                    convex-hull machinery plays, without a hull library.
 ///  * GreedyStarRms — GREEDY* of Chester et al. (PVLDB 2014): randomized
 ///                    greedy for k >= 1 driven by a sampled utility set.
 

@@ -5,7 +5,8 @@
 ///  * SphereRms — SPHERE of Xie et al. (SIGMOD 2018): seed the answer with
 ///    the boundary tuples of r well-spread directions (the ε-kernel stage),
 ///    then complete the budget greedily against a sampled utility set (the
-///    GREEDY stage). See DESIGN.md §4 for the substitution notes.
+///    GREEDY stage). Both stages run on a sampled direction set in place
+///    of the original's exact geometric subroutines.
 ///  * CubeRms — CUBE of Nanongkai et al. (VLDB 2010): the classic
 ///    grid-partition reference algorithm whose bound Corollary 1 compares
 ///    against.

@@ -9,7 +9,7 @@
 /// this offline environment, so each has a documented synthetic stand-in
 /// that matches its dimensionality, value range, and attribute-correlation
 /// structure — the properties that drive skyline density and therefore the
-/// relative behaviour of every algorithm under test (see DESIGN.md §4).
+/// relative behaviour of every algorithm under test.
 /// All attributes are scaled to [0, 1], larger is better.
 
 #include <string>

@@ -111,6 +111,13 @@ struct ReaderTally {
   bool consistent = true;
 };
 
+/// Submitter `t` of `num_submitters` owns the ops on ids congruent to t,
+/// so every op on one id goes through one thread in stream order and a
+/// delete cannot overtake the insert of its own id.
+bool OwnsOp(const Operation& op, int t, int num_submitters) {
+  return op.id % num_submitters == t;
+}
+
 }  // namespace
 
 ServiceLoadResult RunServiceLoad(const Workload& workload,
@@ -171,10 +178,9 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
 
   for (int t = 0; t < opts.num_submitters; ++t) {
     threads.emplace_back([&, t] {
-      // Round-robin partition: submitter t owns ops t, t+M, t+2M, ...
       uint64_t retries = 0;
-      for (size_t i = static_cast<size_t>(t); i < ops.size();
-           i += static_cast<size_t>(opts.num_submitters)) {
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (!OwnsOp(ops[i], t, opts.num_submitters)) continue;
         auto submit = [&] {
           return ops[i].is_insert
                      ? service.SubmitInsert(ops[i].id,
@@ -456,8 +462,8 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
   for (int t = 0; t < opts.num_submitters; ++t) {
     threads.emplace_back([&, t] {
       uint64_t retries = 0;
-      for (size_t i = static_cast<size_t>(t); i < ops.size();
-           i += static_cast<size_t>(opts.num_submitters)) {
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (!OwnsOp(ops[i], t, opts.num_submitters)) continue;
         if (!arrival_at.empty()) WaitUntil(wall, arrival_at[i]);
         auto submit = [&] {
           return ops[i].is_insert

@@ -123,8 +123,10 @@ struct ServiceLoadResult {
 };
 
 /// Replays `workload` through a service built from `opts.service` (initial
-/// tuples = the workload's P_0, operations round-robin across submitters)
-/// and measures. The service is drained and stopped before returning.
+/// tuples = the workload's P_0; submitter t takes, in stream order, the
+/// operations whose id % num_submitters == t, so each id's insert precedes
+/// its delete) and measures. The service is drained and stopped before
+/// returning.
 ServiceLoadResult RunServiceLoad(const Workload& workload,
                                  const ServiceLoadOptions& opts);
 
@@ -312,8 +314,8 @@ struct ShardedLoadResult {
 
 /// Replays `workload` through a ShardedFdRmsService built from
 /// `opts.service`. Same protocol as RunServiceLoad: initial tuples are the
-/// workload's P_0 (routed across shards), operations go round-robin across
-/// submitters, readers hammer the merged Query(). Drained and stopped
+/// workload's P_0 (routed across shards), operations are split across
+/// submitters by id, readers hammer the merged Query(). Drained and stopped
 /// before returning.
 ShardedLoadResult RunShardedLoad(const Workload& workload,
                                  const ShardedLoadOptions& opts);

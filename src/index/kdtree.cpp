@@ -1,85 +1,542 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <limits>
+#include <numeric>
 #include <queue>
+#include <string>
 
 #include "common/check.h"
 #include "geometry/score_kernel.h"
 
 namespace fdrms {
 
+namespace {
+
+/// Balance weight: a node is unbalanced when its heavier child holds more
+/// than kBalanceAlpha of its leaves plus one. BuildOverLeaves splits leaf
+/// counts evenly, so any alpha >= 1/2 admits its output; staying below
+/// 1/sqrt(2) keeps the depth within 2 * ceil(log2 leaves).
+constexpr double kBalanceAlpha = 0.7;
+
+/// Whether a child holding `child` of its parent's `total` leaves makes
+/// the parent unbalanced.
+bool Outweighs(int child, int total) {
+  return child > kBalanceAlpha * total + 1.0;
+}
+
+/// Deepest tree whose every node satisfies the balance rule, for `leaves`
+/// leaves: the heavier child of an L-leaf node has at most
+/// min(L - 1, floor(alpha * L + 1)) leaves.
+int MaxBalancedDepth(int leaves) {
+  int depth = 0;
+  for (int l = leaves; l > 1;
+       l = std::min(l - 1, static_cast<int>(kBalanceAlpha * l + 1.0))) {
+    ++depth;
+  }
+  return depth;
+}
+
+}  // namespace
+
 KdTree::KdTree(int dim, int leaf_size)
-    : dim_(dim), leaf_size_(leaf_size), points_(dim), boxmax_(dim) {
+    : dim_(dim),
+      leaf_size_(leaf_size),
+      points_(dim),
+      boxmax_(dim),
+      row_scratch_(static_cast<size_t>(dim)) {
   FDRMS_CHECK(dim > 0);
   FDRMS_CHECK(leaf_size >= 2);
+}
+
+int KdTree::NewNode(int parent) {
+  int node;
+  if (!free_nodes_.empty()) {
+    node = free_nodes_.back();
+    free_nodes_.pop_back();
+    nodes_[static_cast<size_t>(node)] = Node{};
+  } else {
+    node = static_cast<int>(nodes_.size());
+    nodes_.push_back(Node{});
+    // The caller sets the box-max row; any dim() doubles fill it meanwhile.
+    FDRMS_CHECK(boxmax_.AppendRowUnchecked(row_scratch_.data()) == node);
+  }
+  nodes_[static_cast<size_t>(node)].parent = parent;
+  return node;
+}
+
+void KdTree::FreeNode(int node) {
+  Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.block >= 0) {
+    block_leaf_[static_cast<size_t>(n.block)] = -1;
+    free_blocks_.push_back(n.block);
+  }
+  n = Node{};
+  free_nodes_.push_back(node);
+}
+
+int KdTree::NewBlock(int leaf) {
+  int block;
+  if (!free_blocks_.empty()) {
+    block = free_blocks_.back();
+    free_blocks_.pop_back();
+    block_leaf_[static_cast<size_t>(block)] = leaf;
+  } else {
+    block = static_cast<int>(block_leaf_.size());
+    block_leaf_.push_back(leaf);
+    // Rows past a leaf's count are never read, so any filler will do.
+    for (int i = 0; i < block_rows(); ++i) {
+      points_.AppendRowUnchecked(row_scratch_.data());  // may reallocate
+    }
+    row_id_.resize(row_id_.size() + static_cast<size_t>(block_rows()), -1);
+  }
+  nodes_[static_cast<size_t>(leaf)].block = block;
+  return block;
+}
+
+int KdTree::RowMap::Find(int id) const {
+  if (entries_.empty()) return -1;
+  const size_t mask = entries_.size() - 1;
+  for (size_t i = Home(id);; i = (i + 1) & mask) {
+    const Entry& e = entries_[i];
+    if (e.row < 0) return -1;
+    if (e.id == id) return e.row;
+  }
+}
+
+void KdTree::RowMap::Set(int id, int row) {
+  FDRMS_DCHECK(row >= 0);
+  // Keep the load factor at most 1/2 so probe runs stay short.
+  if (2 * (static_cast<size_t>(size_) + 1) > entries_.size()) Grow();
+  const size_t mask = entries_.size() - 1;
+  for (size_t i = Home(id);; i = (i + 1) & mask) {
+    Entry& e = entries_[i];
+    if (e.row < 0) {
+      e = Entry{id, row};
+      ++size_;
+      return;
+    }
+    if (e.id == id) {
+      e.row = row;
+      return;
+    }
+  }
+}
+
+bool KdTree::RowMap::Erase(int id) {
+  if (entries_.empty()) return false;
+  const size_t mask = entries_.size() - 1;
+  size_t hole = Home(id);
+  for (;; hole = (hole + 1) & mask) {
+    if (entries_[hole].row < 0) return false;
+    if (entries_[hole].id == id) break;
+  }
+  // Backward-shift: pull later entries of the run into the hole when their
+  // home does not lie cyclically in (hole, i], so every run stays unbroken.
+  for (size_t i = (hole + 1) & mask; entries_[i].row >= 0; i = (i + 1) & mask) {
+    const size_t home = Home(entries_[i].id);
+    const bool stays = hole <= i ? (hole < home && home <= i)
+                                 : (hole < home || home <= i);
+    if (stays) continue;
+    entries_[hole] = entries_[i];
+    hole = i;
+  }
+  entries_[hole].row = -1;
+  --size_;
+  return true;
+}
+
+void KdTree::RowMap::Grow() {
+  std::vector<Entry> old = std::move(entries_);
+  const size_t capacity = old.empty() ? 16 : 2 * old.size();
+  entries_.assign(capacity, Entry{0, -1});
+  shift_ = 32 - std::countr_zero(capacity);
+  size_ = 0;
+  for (const Entry& e : old) {
+    if (e.row >= 0) Set(e.id, e.row);
+  }
 }
 
 Status KdTree::Insert(int id, const Point& p) {
   if (static_cast<int>(p.size()) != dim_) {
     return Status::Invalid("point dimension mismatch");
   }
-  if (slot_of_.count(id) > 0) {
+  if (slot_of_.Find(id) >= 0) {
     return Status::AlreadyExists("tuple id " + std::to_string(id) +
                                  " already indexed");
   }
   ++generation_;
-  const int slot = points_.AppendRow(p);  // may reallocate the slab
-  // The insert buffer is the row range [indexed_count_, slots_.size()):
-  // appends extend it in place, so it stays one contiguous block.
-  FDRMS_DCHECK(slot == static_cast<int>(slots_.size()) &&
-               slot >= indexed_count_);
-  slots_.push_back(Slot{id, true});
-  slot_of_[id] = slot;
+  if (root_ < 0) {
+    root_ = NewNode(-1);
+    NewBlock(root_);
+    SetLeafBox(root_);
+  }
+  // Descend by the stored splits, widening every box-max row on the way;
+  // a full leaf splits first and the descent continues into its halves.
+  int node = root_;
+  int scapegoat = -1;
+  for (;;) {
+    double* box = boxmax_.mutable_row(node);
+    for (int j = 0; j < dim_; ++j) box[j] = std::max(box[j], p[j]);
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    if (n.is_leaf()) {
+      if (n.count < block_rows()) break;
+      scapegoat = SplitLeaf(node);
+    }
+    const Node& inner = nodes_[static_cast<size_t>(node)];
+    node = p[static_cast<size_t>(inner.split_dim)] < inner.split_value
+               ? inner.left
+               : inner.right;
+  }
+  Node& leaf = nodes_[static_cast<size_t>(node)];
+  const int row = leaf.block * block_rows() + leaf.count++;
+  std::copy_n(p.data(), dim_, points_.mutable_row(row));
+  row_id_[static_cast<size_t>(row)] = id;
+  slot_of_.Set(id, row);
   ++live_count_;
-  MaybeRebuild();
+  if (scapegoat >= 0) Rebalance(scapegoat);
   return Status::OK();
 }
 
 Status KdTree::Delete(int id) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) {
+  const int row = slot_of_.Find(id);
+  if (row < 0) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not indexed");
   }
   ++generation_;
-  int slot = it->second;
-  slots_[slot].alive = false;
-  slot_of_.erase(it);
+  slot_of_.Erase(id);
+  const int leaf = block_leaf_[static_cast<size_t>(row / block_rows())];
+  Node& n = nodes_[static_cast<size_t>(leaf)];
+  const int last = n.block * block_rows() + --n.count;
+  std::copy_n(points_.row(row), dim_, row_scratch_.begin());
+  // Swap-remove: the leaf's last row fills the hole, so the leaf's rows
+  // stay a contiguous prefix of its block.
+  if (row != last) MoveRow(last, row);
   --live_count_;
-  // Buffer rows are scanned with a liveness check, so only tree-referenced
-  // tombstones count toward rebuild pressure. We cannot cheaply tell which
-  // kind `slot` is; counting all deletions as tree pressure only makes
-  // rebuilds slightly more eager.
-  ++dead_in_tree_;
-  MaybeRebuild();
+  TightenBoxes(leaf, row_scratch_.data());
+  // Reclaim leaves once mass deletion leaves them a quarter full on
+  // average; the rebuild costs O(n log n) and needs Omega(n) deletes.
+  const int leaves = nodes_[static_cast<size_t>(root_)].leaves;
+  if (leaves > 1 && static_cast<int64_t>(live_count_) * 4 <
+                        static_cast<int64_t>(leaves) * leaf_size_) {
+    Rebuild();
+  }
   return Status::OK();
 }
 
+void KdTree::MoveRow(int from, int to) {
+  std::copy_n(points_.row(from), dim_, points_.mutable_row(to));
+  const int id = row_id_[static_cast<size_t>(from)];
+  row_id_[static_cast<size_t>(to)] = id;
+  slot_of_.Set(id, to);
+}
+
+void KdTree::SetLeafBox(int node) {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  double* box = boxmax_.mutable_row(node);
+  std::fill(box, box + dim_, std::numeric_limits<double>::lowest());
+  const int first = n.block * block_rows();
+  for (int row = first; row < first + n.count; ++row) {
+    const double* r = points_.row(row);
+    for (int j = 0; j < dim_; ++j) box[j] = std::max(box[j], r[j]);
+  }
+}
+
+void KdTree::TightenBoxes(int leaf, const double* removed) {
+  // A box-max row changes only where the removed row attained it.
+  auto attained = [&](int node) {
+    const double* box = boxmax_.row(node);
+    for (int j = 0; j < dim_; ++j) {
+      if (removed[j] >= box[j]) return true;
+    }
+    return false;
+  };
+  if (!attained(leaf)) return;
+  SetLeafBox(leaf);
+  for (int node = nodes_[static_cast<size_t>(leaf)].parent; node >= 0;
+       node = nodes_[static_cast<size_t>(node)].parent) {
+    if (!attained(node)) return;
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    const double* l = boxmax_.row(n.left);
+    const double* r = boxmax_.row(n.right);
+    double* box = boxmax_.mutable_row(node);
+    for (int j = 0; j < dim_; ++j) box[j] = std::max(l[j], r[j]);
+  }
+}
+
+int KdTree::SplitLeaf(int leaf) {
+  const int cap = block_rows();
+  const int first = nodes_[static_cast<size_t>(leaf)].block * cap;
+  // Widest dimension of the leaf's rows.
+  int split_dim = 0;
+  double best_extent = -1.0;
+  for (int j = 0; j < dim_; ++j) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (int row = first; row < first + cap; ++row) {
+      lo = std::min(lo, points_.row(row)[j]);
+      hi = std::max(hi, points_.row(row)[j]);
+    }
+    if (hi - lo > best_extent) {
+      best_extent = hi - lo;
+      split_dim = j;
+    }
+  }
+  // Median partition of the block positions; when every row ties on
+  // split_dim any partition is a median one, so the halves split by
+  // position.
+  const int mid = cap / 2;
+  std::vector<int>& order = split_order_;
+  order.resize(static_cast<size_t>(cap));
+  std::iota(order.begin(), order.end(), 0);
+  std::nth_element(order.begin(), order.begin() + mid, order.end(),
+                   [&](int a, int b) {
+                     return points_.row(first + a)[split_dim] <
+                            points_.row(first + b)[split_dim];
+                   });
+  const double split_value = points_.row(first + order[mid])[split_dim];
+
+  const int left = NewNode(leaf);
+  const int right = NewNode(leaf);
+  {
+    Node& n = nodes_[static_cast<size_t>(leaf)];
+    nodes_[static_cast<size_t>(left)].block = n.block;
+    block_leaf_[static_cast<size_t>(n.block)] = left;
+    n.block = -1;
+    n.count = 0;
+    n.left = left;
+    n.right = right;
+    n.split_dim = split_dim;
+    n.split_value = split_value;
+  }
+  const int right_first = NewBlock(right) * cap;  // may reallocate the slab
+  // The upper half moves to the fresh block; then the lower-half rows
+  // sitting at positions >= mid fill the positions < mid it vacated.
+  std::vector<char>& lower = split_lower_;
+  lower.assign(static_cast<size_t>(cap), 0);
+  for (int i = 0; i < mid; ++i) lower[static_cast<size_t>(order[i])] = 1;
+  for (int i = mid; i < cap; ++i) {
+    MoveRow(first + order[i], right_first + i - mid);
+  }
+  int hole = 0;
+  for (int pos = mid; pos < cap; ++pos) {
+    if (!lower[static_cast<size_t>(pos)]) continue;
+    while (lower[static_cast<size_t>(hole)]) ++hole;
+    MoveRow(first + pos, first + hole);
+    ++hole;
+  }
+  nodes_[static_cast<size_t>(left)].count = mid;
+  nodes_[static_cast<size_t>(right)].count = cap - mid;
+  SetLeafBox(left);
+  SetLeafBox(right);
+  nodes_[static_cast<size_t>(leaf)].leaves = 2;
+  // Every node was balanced before this split, and the split adds a leaf
+  // to the child on the path only, so only that child can now outweigh
+  // its sibling: no sibling needs reading.
+  int scapegoat = -1;
+  for (int child = leaf, a = nodes_[static_cast<size_t>(leaf)].parent;
+       a >= 0; child = a, a = nodes_[static_cast<size_t>(a)].parent) {
+    Node& n = nodes_[static_cast<size_t>(a)];
+    ++n.leaves;
+    if (Outweighs(nodes_[static_cast<size_t>(child)].leaves, n.leaves)) {
+      scapegoat = a;
+    }
+  }
+  return scapegoat;
+}
+
+bool KdTree::Unbalanced(int node) const {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.is_leaf()) return false;
+  const int heavier = std::max(nodes_[static_cast<size_t>(n.left)].leaves,
+                               nodes_[static_cast<size_t>(n.right)].leaves);
+  return Outweighs(heavier, n.leaves);
+}
+
+void KdTree::Rebalance(int scapegoat) {
+  while (scapegoat >= 0) {
+    // The rebuilt subtree is balanced inside, but its new leaf count may
+    // unbalance an ancestor, from either side; check the path above it.
+    const int parent = nodes_[static_cast<size_t>(scapegoat)].parent;
+    RebuildSubtree(scapegoat);
+    scapegoat = -1;
+    for (int a = parent; a >= 0; a = nodes_[static_cast<size_t>(a)].parent) {
+      if (Unbalanced(a)) scapegoat = a;
+    }
+  }
+}
+
+void KdTree::Rebuild() {
+  ++generation_;
+  if (root_ >= 0) RebuildSubtree(root_);
+}
+
+void KdTree::CollectLeaves(int node, std::vector<int>* leaves) {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.is_leaf()) {
+    if (n.count > 0) {
+      leaves->push_back(node);
+    } else {
+      FreeNode(node);  // an empty leaf bounds nothing
+    }
+    return;
+  }
+  const int left = n.left;
+  const int right = n.right;
+  CollectLeaves(left, leaves);
+  CollectLeaves(right, leaves);
+  FreeNode(node);
+}
+
+void KdTree::RebuildSubtree(int node) {
+  const int parent = nodes_[static_cast<size_t>(node)].parent;
+  const int old_leaves = nodes_[static_cast<size_t>(node)].leaves;
+  std::vector<int> leaves;
+  CollectLeaves(node, &leaves);
+  if (leaves.empty()) {
+    // Only a root rebuild can find no rows: a partial rebuild's subtree
+    // holds the row just inserted. Drop all storage.
+    FDRMS_DCHECK(parent < 0);
+    points_ = ScoreMatrix(dim_);
+    boxmax_ = ScoreMatrix(dim_);
+    row_id_.clear();
+    block_leaf_.clear();
+    free_blocks_.clear();
+    nodes_.clear();
+    free_nodes_.clear();
+    root_ = -1;
+    return;
+  }
+  std::vector<int> merged;
+  MergeSparseLeaves(&leaves, 0, static_cast<int>(leaves.size()), &merged);
+  const int built =
+      BuildOverLeaves(&merged, 0, static_cast<int>(merged.size()), parent);
+  if (parent < 0) {
+    root_ = built;
+    return;
+  }
+  Node& p = nodes_[static_cast<size_t>(parent)];
+  (p.left == node ? p.left : p.right) = built;
+  const int delta = nodes_[static_cast<size_t>(built)].leaves - old_leaves;
+  for (int a = parent; a >= 0; a = nodes_[static_cast<size_t>(a)].parent) {
+    nodes_[static_cast<size_t>(a)].leaves += delta;
+  }
+}
+
+int KdTree::PartitionLeaves(std::vector<int>* leaves, int lo, int hi,
+                            int* split_dim, double* split_value) const {
+  const auto key = [&](int leaf, int j) { return boxmax_.row(leaf)[j]; };
+  *split_dim = 0;
+  double best_extent = -1.0;
+  for (int j = 0; j < dim_; ++j) {
+    double key_lo = std::numeric_limits<double>::infinity();
+    double key_hi = -std::numeric_limits<double>::infinity();
+    for (int i = lo; i < hi; ++i) {
+      key_lo = std::min(key_lo, key((*leaves)[static_cast<size_t>(i)], j));
+      key_hi = std::max(key_hi, key((*leaves)[static_cast<size_t>(i)], j));
+    }
+    if (key_hi - key_lo > best_extent) {
+      best_extent = key_hi - key_lo;
+      *split_dim = j;
+    }
+  }
+  const int mid = (lo + hi) / 2;
+  const int dim = *split_dim;
+  auto begin = leaves->begin();
+  std::nth_element(begin + lo, begin + mid, begin + hi,
+                   [&](int a, int b) { return key(a, dim) < key(b, dim); });
+  // Route by the left half's right edge.
+  *split_value = -std::numeric_limits<double>::infinity();
+  for (int i = lo; i < mid; ++i) {
+    *split_value =
+        std::max(*split_value, key((*leaves)[static_cast<size_t>(i)], dim));
+  }
+  return mid;
+}
+
+void KdTree::MergeSparseLeaves(std::vector<int>* leaves, int lo, int hi,
+                               std::vector<int>* out) {
+  int rows = 0;
+  for (int i = lo; i < hi; ++i) {
+    const int leaf = (*leaves)[static_cast<size_t>(i)];
+    rows += nodes_[static_cast<size_t>(leaf)].count;
+  }
+  if (hi - lo > 1 && rows > leaf_size_) {
+    int split_dim;
+    double split_value;
+    const int mid = PartitionLeaves(leaves, lo, hi, &split_dim, &split_value);
+    MergeSparseLeaves(leaves, lo, mid, out);
+    MergeSparseLeaves(leaves, mid, hi, out);
+    return;
+  }
+  const int into = (*leaves)[static_cast<size_t>(lo)];
+  for (int i = lo + 1; i < hi; ++i) {
+    const int leaf = (*leaves)[static_cast<size_t>(i)];
+    const Node& from = nodes_[static_cast<size_t>(leaf)];
+    const int first = from.block * block_rows();
+    for (int row = first; row < first + from.count; ++row) {
+      Node& dst = nodes_[static_cast<size_t>(into)];
+      MoveRow(row, dst.block * block_rows() + dst.count++);
+    }
+    FreeNode(leaf);
+  }
+  if (hi - lo > 1) SetLeafBox(into);
+  out->push_back(into);
+}
+
+int KdTree::BuildOverLeaves(std::vector<int>* leaves, int lo, int hi,
+                            int parent) {
+  if (hi - lo == 1) {
+    const int leaf = (*leaves)[static_cast<size_t>(lo)];
+    nodes_[static_cast<size_t>(leaf)].parent = parent;
+    return leaf;
+  }
+  int split_dim;
+  double split_value;
+  const int mid = PartitionLeaves(leaves, lo, hi, &split_dim, &split_value);
+  const int node = NewNode(parent);
+  const int left = BuildOverLeaves(leaves, lo, mid, node);
+  const int right = BuildOverLeaves(leaves, mid, hi, node);
+  Node& n = nodes_[static_cast<size_t>(node)];
+  n.left = left;
+  n.right = right;
+  n.split_dim = split_dim;
+  n.split_value = split_value;
+  n.leaves = nodes_[static_cast<size_t>(left)].leaves +
+             nodes_[static_cast<size_t>(right)].leaves;
+  const double* l = boxmax_.row(left);
+  const double* r = boxmax_.row(right);
+  double* box = boxmax_.mutable_row(node);
+  for (int j = 0; j < dim_; ++j) box[j] = std::max(l[j], r[j]);
+  return node;
+}
+
 Point KdTree::GetPoint(int id) const {
-  auto it = slot_of_.find(id);
-  FDRMS_CHECK(it != slot_of_.end()) << "GetPoint on missing id " << id;
-  const double* r = points_.row(it->second);
+  const int row = slot_of_.Find(id);
+  FDRMS_CHECK(row >= 0) << "GetPoint on missing id " << id;
+  const double* r = points_.row(row);
   return Point(r, r + dim_);
 }
 
 KdTree::PointRef KdTree::GetPointRef(int id) const {
-  auto it = slot_of_.find(id);
-  FDRMS_CHECK(it != slot_of_.end()) << "GetPoint on missing id " << id;
-  return PointRef(this, it->second, generation_);
+  const int row = slot_of_.Find(id);
+  FDRMS_CHECK(row >= 0) << "GetPoint on missing id " << id;
+  return PointRef(this, row, generation_);
 }
 
 template <typename Fn>
-void KdTree::ScanRows(int first, int count, const double* u, Fn&& fn) const {
+void KdTree::ScanLeaf(int leaf, const double* u, Fn&& fn) const {
+  const Node& n = nodes_[static_cast<size_t>(leaf)];
+  const int first = n.block * block_rows();
   double scores[kScanChunk];
-  for (int base = first; base < first + count;
+  for (int base = first; base < first + n.count;
        base += static_cast<int>(kScanChunk)) {
-    const size_t n =
-        std::min(kScanChunk, static_cast<size_t>(first + count - base));
-    ScoreBlock(points_.row(base), points_.stride(), dim_, n, u, scores);
-    for (size_t i = 0; i < n; ++i) {
-      const Slot& slot = slots_[static_cast<size_t>(base) + i];
-      if (slot.alive) fn(scores[i], slot.id);
+    const size_t count =
+        std::min(kScanChunk, static_cast<size_t>(first + n.count - base));
+    ScoreBlock(points_.row(base), points_.stride(), dim_, count, u, scores);
+    for (size_t i = 0; i < count; ++i) {
+      fn(scores[i], row_id_[static_cast<size_t>(base) + i]);
     }
   }
 }
@@ -91,106 +548,12 @@ void KdTree::ScoreIds(const double* u, const std::vector<int>& ids,
   for (size_t base = 0; base < ids.size(); base += kScanChunk) {
     const size_t n = std::min(ids.size() - base, kScanChunk);
     for (size_t j = 0; j < n; ++j) {
-      auto it = slot_of_.find(ids[base + j]);
-      FDRMS_CHECK(it != slot_of_.end())
-          << "ScoreIds on missing id " << ids[base + j];
-      rows[j] = it->second;
+      rows[j] = slot_of_.Find(ids[base + j]);
+      FDRMS_CHECK(rows[j] >= 0) << "ScoreIds on missing id " << ids[base + j];
     }
     ScoreGather(points_.row(0), points_.stride(), dim_, rows, n, u,
                 out + base);
   }
-}
-
-void KdTree::MaybeRebuild() {
-  int total = static_cast<int>(slots_.size());
-  bool buffer_heavy = total - indexed_count_ > std::max(64, total / 4);
-  bool tombstone_heavy = dead_in_tree_ > std::max(64, total / 2);
-  if (buffer_heavy || tombstone_heavy) Rebuild();
-}
-
-void KdTree::Rebuild() {
-  ++generation_;
-  nodes_.clear();
-  dead_in_tree_ = 0;
-  boxmax_ = ScoreMatrix(dim_);
-  // Compact tombstoned slots away; `order` holds the surviving old slot
-  // indices and is permuted in place by the build so that when it returns,
-  // position pos belongs to exactly one leaf's [first, first + count).
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(live_count_));
-  for (size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].alive) order.push_back(static_cast<int>(s));
-  }
-  if (order.empty()) {
-    slots_.clear();
-    slot_of_.clear();
-    points_ = ScoreMatrix(dim_);
-    indexed_count_ = 0;
-    root_ = -1;
-    return;
-  }
-  root_ = BuildNode(&order, 0, static_cast<int>(order.size()));
-  // Apply the build permutation to the slot array and the point slab so
-  // each leaf's rows are physically contiguous.
-  ScoreMatrix new_points(dim_);
-  new_points.Reserve(static_cast<int>(order.size()));
-  std::vector<Slot> new_slots;
-  new_slots.reserve(order.size());
-  slot_of_.clear();
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    new_points.AppendRowUnchecked(points_.row(order[pos]));
-    new_slots.push_back(Slot{slots_[static_cast<size_t>(order[pos])].id, true});
-    slot_of_[new_slots.back().id] = static_cast<int>(pos);
-  }
-  points_ = std::move(new_points);
-  slots_ = std::move(new_slots);
-  indexed_count_ = static_cast<int>(slots_.size());
-}
-
-int KdTree::BuildNode(std::vector<int>* order, int lo, int hi) {
-  // Bounding box over rows order[lo..hi) of the (pre-permutation) slab.
-  std::vector<double> box_min(static_cast<size_t>(dim_),
-                              std::numeric_limits<double>::infinity());
-  std::vector<double> box_max(static_cast<size_t>(dim_),
-                              -std::numeric_limits<double>::infinity());
-  for (int i = lo; i < hi; ++i) {
-    const double* p = points_.row((*order)[i]);
-    for (int j = 0; j < dim_; ++j) {
-      const size_t sj = static_cast<size_t>(j);
-      box_min[sj] = std::min(box_min[sj], p[j]);
-      box_max[sj] = std::max(box_max[sj], p[j]);
-    }
-  }
-  int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{});
-  FDRMS_CHECK(boxmax_.AppendRowUnchecked(box_max.data()) == node_id);
-  if (hi - lo <= leaf_size_) {
-    nodes_[node_id].first = lo;
-    nodes_[node_id].count = hi - lo;
-    return node_id;
-  }
-  // Split on the widest dimension at the median.
-  int split_dim = 0;
-  double best_extent = -1.0;
-  for (int j = 0; j < dim_; ++j) {
-    const size_t sj = static_cast<size_t>(j);
-    double extent = box_max[sj] - box_min[sj];
-    if (extent > best_extent) {
-      best_extent = extent;
-      split_dim = j;
-    }
-  }
-  int mid = (lo + hi) / 2;
-  std::nth_element(order->begin() + lo, order->begin() + mid,
-                   order->begin() + hi, [&](int a, int b) {
-                     return points_.row(a)[split_dim] <
-                            points_.row(b)[split_dim];
-                   });
-  int left = BuildNode(order, lo, mid);
-  int right = BuildNode(order, mid, hi);
-  nodes_[node_id].left = left;
-  nodes_[node_id].right = right;
-  return node_id;
 }
 
 double KdTree::NodeUpperBound(int node_id, const Point& u) const {
@@ -221,9 +584,9 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
                ? -std::numeric_limits<double>::infinity()
                : best.top().score;
   };
-  // Best-first traversal of the tree. Leaves stream the blocked kernel
-  // over their contiguous row range; frontier expansion scores both
-  // children's box-max rows with one gather call.
+  // Best-first traversal. Leaves stream the blocked kernel over their
+  // contiguous rows; frontier expansion scores both children's box-max
+  // rows with one gather call.
   if (root_ >= 0) {
     using Pq = std::pair<double, int>;  // (upper bound, node)
     std::priority_queue<Pq> frontier;
@@ -232,9 +595,9 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
       auto [bound, node_id] = frontier.top();
       frontier.pop();
       if (bound < current_bound()) break;  // nothing better remains
-      const Node& node = nodes_[node_id];
+      const Node& node = nodes_[static_cast<size_t>(node_id)];
       if (node.is_leaf()) {
-        ScanRows(node.first, node.count, u.data(), offer);
+        ScanLeaf(node_id, u.data(), offer);
       } else {
         const int child_idx[2] = {node.left, node.right};
         double child_bound[2];
@@ -245,11 +608,9 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
       }
     }
   }
-  // The buffer has no box bounds, so every live row of it is a candidate.
-  ScanRows(indexed_count_, BufferCount(), u.data(), offer);
   std::vector<ScoredId> out(best.size());
   for (int i = static_cast<int>(best.size()) - 1; i >= 0; --i) {
-    out[i] = best.top();
+    out[static_cast<size_t>(i)] = best.top();
     best.pop();
   }
   return out;
@@ -257,10 +618,10 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
 
 void KdTree::CollectRange(int node_id, const Point& u, double threshold,
                           std::vector<ScoredId>* out) const {
-  const Node& node = nodes_[node_id];
+  const Node& node = nodes_[static_cast<size_t>(node_id)];
   if (NodeUpperBound(node_id, u) < threshold) return;
   if (node.is_leaf()) {
-    ScanRows(node.first, node.count, u.data(), [&](double score, int id) {
+    ScanLeaf(node_id, u.data(), [&](double score, int id) {
       if (score >= threshold) out->push_back({score, id});
     });
     return;
@@ -281,10 +642,108 @@ void KdTree::ScoreRange(const Point& u, double threshold,
   FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
   out->clear();
   if (root_ >= 0) CollectRange(root_, u, threshold, out);
-  ScanRows(indexed_count_, BufferCount(), u.data(), [&](double score, int id) {
-    if (score >= threshold) out->push_back({score, id});
-  });
   std::sort(out->begin(), out->end(), BetterScore);
+}
+
+Status KdTree::CheckInvariants() const {
+  auto fail = [](const std::string& what) {
+    return Status::Internal("kd-tree invariant: " + what);
+  };
+  if (root_ < 0) {
+    if (live_count_ != 0 || slot_of_.size() != 0) {
+      return fail("empty tree holds tuples");
+    }
+    return Status::OK();
+  }
+  if (nodes_[static_cast<size_t>(root_)].parent != -1) {
+    return fail("root has a parent");
+  }
+  const int cap = block_rows();
+  std::vector<char> block_used(block_leaf_.size(), 0);
+  std::vector<double> box(static_cast<size_t>(dim_));
+  int rows_seen = 0;
+  int max_depth = 0;
+  // Iterative DFS over (node, depth).
+  std::vector<std::pair<int, int>> stack{{root_, 0}};
+  while (!stack.empty()) {
+    const auto [node, depth] = stack.back();
+    stack.pop_back();
+    if (node < 0 || node >= static_cast<int>(nodes_.size())) {
+      return fail("node index out of range");
+    }
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    const std::string where = "node " + std::to_string(node);
+    max_depth = std::max(max_depth, depth);
+    std::fill(box.begin(), box.end(), std::numeric_limits<double>::lowest());
+    if (n.is_leaf()) {
+      if (n.leaves != 1) return fail(where + " is a leaf with leaves != 1");
+      if (n.block < 0 || n.block >= static_cast<int>(block_leaf_.size())) {
+        return fail(where + " has no valid block");
+      }
+      if (block_used[static_cast<size_t>(n.block)]++ ||
+          block_leaf_[static_cast<size_t>(n.block)] != node) {
+        return fail(where + " shares or does not own its block");
+      }
+      if (n.count < 0 || n.count > cap) return fail(where + " over capacity");
+      const int first = n.block * cap;
+      for (int row = first; row < first + n.count; ++row) {
+        const int id = row_id_[static_cast<size_t>(row)];
+        if (slot_of_.Find(id) != row) {
+          return fail("row " + std::to_string(row) + " and slot_of_ disagree");
+        }
+        const double* r = points_.row(row);
+        for (int j = 0; j < dim_; ++j) {
+          const size_t sj = static_cast<size_t>(j);
+          box[sj] = std::max(box[sj], r[j]);
+        }
+      }
+      rows_seen += n.count;
+    } else {
+      for (int child : {n.left, n.right}) {
+        if (child < 0 || child >= static_cast<int>(nodes_.size()) ||
+            nodes_[static_cast<size_t>(child)].parent != node) {
+          return fail(where + " has a bad child link");
+        }
+        const double* c = boxmax_.row(child);
+        for (int j = 0; j < dim_; ++j) {
+          const size_t sj = static_cast<size_t>(j);
+          box[sj] = std::max(box[sj], c[j]);
+        }
+        stack.push_back({child, depth + 1});
+      }
+      if (n.leaves != nodes_[static_cast<size_t>(n.left)].leaves +
+                          nodes_[static_cast<size_t>(n.right)].leaves) {
+        return fail(where + " miscounts its leaves");
+      }
+      if (Unbalanced(node)) return fail(where + " is unbalanced");
+    }
+    // Children's rows are checked against their own box when popped, so
+    // an exact max at every node bounds every row below it.
+    const double* b = boxmax_.row(node);
+    for (int j = 0; j < dim_; ++j) {
+      if (b[j] != box[static_cast<size_t>(j)]) {
+        return fail(where + " box-max is not the max of its subtree");
+      }
+    }
+  }
+  if (rows_seen != live_count_ ||
+      slot_of_.size() != live_count_) {
+    return fail("live count " + std::to_string(live_count_) + " but " +
+                std::to_string(rows_seen) + " leaf rows and " +
+                std::to_string(slot_of_.size()) + " ids");
+  }
+  for (size_t b = 0; b < block_leaf_.size(); ++b) {
+    if (!block_used[b] && block_leaf_[b] != -1) {
+      return fail("block " + std::to_string(b) + " is owned by no leaf");
+    }
+  }
+  const int leaves = nodes_[static_cast<size_t>(root_)].leaves;
+  if (max_depth > MaxBalancedDepth(leaves)) {
+    return fail("depth " + std::to_string(max_depth) + " exceeds the bound " +
+                std::to_string(MaxBalancedDepth(leaves)) + " for " +
+                std::to_string(leaves) + " leaves");
+  }
+  return Status::OK();
 }
 
 }  // namespace fdrms

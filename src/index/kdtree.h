@@ -9,27 +9,43 @@
 /// because every utility vector lies in the nonnegative orthant, an
 /// axis-aligned bounding box gives the exact branch-and-bound bound
 /// max_{p in box} <u, p> = <u, box.max>, so this tree runs the same
-/// best-first search directly in the original space (see DESIGN.md).
+/// best-first search directly in the original space and needs no lifting.
 ///
-/// Dynamism: inserts append to a linearly scanned buffer, deletes tombstone
-/// their slot; the tree is rebuilt when either exceeds a fraction of the
-/// indexed size (standard amortized-logarithmic strategy).
+/// Dynamism: every insert is indexed at once. It descends by the split
+/// (dimension, value) stored in each internal node, widens the box-max rows
+/// on that path and appends its row to the leaf it reaches. A full leaf is
+/// first split at the median of its widest dimension (by position when
+/// every row ties there); routing is only a heuristic, correctness rests on
+/// every box-max row covering its subtree's rows. A delete swap-removes its
+/// row within its leaf and re-tightens the box-max rows it bounded, so
+/// every box-max row is the exact coordinate-wise max of its subtree.
 ///
-/// Hot-path layout: tuple coordinates live in a slot-indexed ScoreMatrix
-/// slab rather than per-slot heap Points, and Rebuild() permutes slots into
-/// build order so every leaf owns a contiguous row range [first, first +
-/// count). Inserts append rows, so the buffer (rows inserted since the last
-/// rebuild, not yet tree-ordered) is the contiguous tail [indexed_count_,
-/// slots_.size()). Leaves and the buffer are both scanned with the blocked
-/// kernel over consecutive rows, in fixed stack-sized chunks, and the
-/// best-first frontier scores both children's box-max rows with one gather
-/// call. All kernel paths are bit-identical to scalar Dot (see
-/// geometry/score_kernel.h), so queries return exactly what the
-/// heap-scattered layout returned.
+/// Balance: each node counts the leaves below it. After a split, the
+/// highest node on the insert path whose heavier child holds more than
+/// 0.7 of its leaves plus one is rebuilt (scapegoat-style), and its
+/// ancestors are checked again. A rebuild works on the subtree's leaves,
+/// not its rows: it drops empty leaves, merges neighbouring leaves that
+/// together hold at most leaf_size rows, and builds a leaf-count-balanced
+/// subtree over the rest by median splits of their box-max corners. Rows
+/// stay in their blocks, so even a sorted insert stream, which keeps
+/// unbalancing the same path, pays amortized O(log n) leaf moves per
+/// insert rather than row moves. Every node thus stays weight-balanced and
+/// the depth is at most 2 * ceil(log2 leaves). Rebuild() is the same
+/// routine at the root; a delete also calls it when the live rows fall
+/// below a quarter of leaves * leaf_size, which reclaims leaves after mass
+/// deletion.
+///
+/// Hot-path layout: each leaf owns one fixed block of 2 * leaf_size rows in
+/// a ScoreMatrix slab (blocks are recycled through a free list), and its
+/// live rows are the contiguous prefix of that block. Leaves are scanned
+/// with the blocked kernel over consecutive rows, and the best-first
+/// frontier scores both children's box-max rows with one gather call. All
+/// kernel paths are bit-identical to scalar Dot (see
+/// geometry/score_kernel.h) and results are ordered by BetterScore, so
+/// queries do not depend on the tree's shape.
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,7 +75,8 @@ inline bool BetterScore(const ScoredId& a, const ScoredId& b) {
 class KdTree {
  public:
   /// \param dim attribute count d
-  /// \param leaf_size max points per leaf before splitting
+  /// \param leaf_size a leaf splits into two halves of leaf_size rows when
+  ///   it holds 2 * leaf_size rows
   explicit KdTree(int dim, int leaf_size = 16);
 
   /// Adds tuple `id`. Fails with AlreadyExists if `id` is live.
@@ -71,14 +88,15 @@ class KdTree {
   /// Number of live tuples.
   int size() const { return live_count_; }
   int dim() const { return dim_; }
-  bool Contains(int id) const { return slot_of_.count(id) > 0; }
+  bool Contains(int id) const { return slot_of_.Find(id) >= 0; }
 
   /// Copy of a live tuple's attributes.
   Point GetPoint(int id) const;
 
   /// Borrowed, allocation-free view of a live tuple's attributes — the
   /// hot-path variant of GetPoint. Invalidated by the next Insert/Delete/
-  /// Rebuild (the point slab may reallocate or be permuted), so callers
+  /// Rebuild (the slab may reallocate, a split or rebuild moves rows, and a
+  /// delete moves its leaf's last row into the freed one), so callers
   /// must not hold one across mutations; debug builds stamp each ref with
   /// the tree's generation and DCHECK-fail on any stale access instead of
   /// reading through a dangling row pointer.
@@ -133,29 +151,44 @@ class KdTree {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     Point scratch(static_cast<size_t>(dim_));
-    for (size_t s = 0; s < slots_.size(); ++s) {
-      if (!slots_[s].alive) continue;
-      const double* r = points_.row(static_cast<int>(s));
-      for (int k = 0; k < dim_; ++k) scratch[static_cast<size_t>(k)] = r[k];
-      fn(slots_[s].id, static_cast<const Point&>(scratch));
+    for (int block = 0; block < static_cast<int>(block_leaf_.size());
+         ++block) {
+      const int leaf = block_leaf_[static_cast<size_t>(block)];
+      if (leaf < 0) continue;  // free block
+      const int first = block * block_rows();
+      for (int row = first; row < first + nodes_[leaf].count; ++row) {
+        const double* r = points_.row(row);
+        for (int k = 0; k < dim_; ++k) scratch[static_cast<size_t>(k)] = r[k];
+        fn(row_id_[static_cast<size_t>(row)],
+           static_cast<const Point&>(scratch));
+      }
     }
   }
 
-  /// Forces a rebuild now (also exposed for benchmarks).
+  /// Rebuilds the whole tree over its leaves (see the file comment; also
+  /// exposed for benchmarks).
   void Rebuild();
 
+  /// Verifies the structure: every box-max row is the exact coordinate-wise
+  /// max of its subtree's rows (so it contains them), leaf blocks are
+  /// disjoint and within capacity, slot_of_ and the leaf rows map one to
+  /// one, the live count matches, and every node is weight-balanced with
+  /// depth within the bound in the file comment. Returns the first
+  /// violation found, or OK. O(size() * dim()).
+  Status CheckInvariants() const;
+
  private:
-  struct Slot {
-    int id;
-    bool alive;
-  };
   struct Node {
-    int left = -1;
+    int left = -1;  // -1 for a leaf
     int right = -1;
-    // Leaf payload: the contiguous slot/row range [first, first + count).
-    // Internal nodes keep count == 0.
-    int first = 0;
+    int parent = -1;
+    // Internal nodes route inserts: p[split_dim] < split_value goes left.
+    int split_dim = 0;
+    double split_value = 0.0;
+    // Leaf payload: the first `count` rows of slab block `block`.
+    int block = -1;
     int count = 0;
+    int leaves = 1;  // leaves in this subtree (the balance weight)
     bool is_leaf() const { return left < 0; }
   };
 
@@ -163,34 +196,102 @@ class KdTree {
   /// lives on the stack.
   static constexpr size_t kScanChunk = 64;
 
-  int BuildNode(std::vector<int>* order, int lo, int hi);
-  void MaybeRebuild();
+  /// Slab rows per leaf block.
+  int block_rows() const { return 2 * leaf_size_; }
+  int NewNode(int parent);
+  void FreeNode(int node);
+  int NewBlock(int leaf);
+  /// Splits the full leaf `leaf` in place into an internal node with two
+  /// leaf children; returns the highest ancestor the split unbalanced, or
+  /// -1.
+  int SplitLeaf(int leaf);
+  /// Rebuilds `scapegoat`, then the highest unbalanced ancestor, while
+  /// there is one.
+  void Rebalance(int scapegoat);
+  bool Unbalanced(int node) const;
+  /// Rebuilds the subtree at `node` over its own leaves, dropping empty
+  /// ones, and links the new subtree in its place.
+  void RebuildSubtree(int node);
+  /// Appends the nonempty leaves under `node` to `leaves` and frees the
+  /// rest of the subtree's nodes.
+  void CollectLeaves(int node, std::vector<int>* leaves);
+  /// Reorders leaves[lo, hi) around its median on the dimension where the
+  /// leaves' box-max corners spread widest; returns the median position
+  /// and sets the split, whose value is the left half's right edge.
+  int PartitionLeaves(std::vector<int>* leaves, int lo, int hi,
+                      int* split_dim, double* split_value) const;
+  /// Splits leaves[lo, hi) like BuildOverLeaves, but merges every range
+  /// holding at most leaf_size rows into its first leaf; appends the
+  /// surviving leaves to `out`.
+  void MergeSparseLeaves(std::vector<int>* leaves, int lo, int hi,
+                         std::vector<int>* out);
+  /// Builds a leaf-count-balanced subtree over leaves[lo, hi) by
+  /// PartitionLeaves and returns its root.
+  int BuildOverLeaves(std::vector<int>* leaves, int lo, int hi, int parent);
+  /// Copies slab row `from` (coordinates and id) to row `to` and points
+  /// slot_of_ at it.
+  void MoveRow(int from, int to);
+  /// Sets box-max row `node` to the max of rows [first, first + count)
+  /// (the lowest double when count == 0, so the bound never admits it).
+  void SetLeafBox(int node);
+  /// Re-tightens the box-max rows from `leaf` up after a delete of
+  /// `removed` from it.
+  void TightenBoxes(int leaf, const double* removed);
   /// <u, box_max(node)> — exact bound since u >= 0.
   double NodeUpperBound(int node_id, const Point& u) const;
   void CollectRange(int node_id, const Point& u, double threshold,
                     std::vector<ScoredId>* out) const;
-  /// Rows in the insert buffer [indexed_count_, slots_.size()).
-  int BufferCount() const {
-    return static_cast<int>(slots_.size()) - indexed_count_;
-  }
 
-  /// Calls `fn(score, id)` for every live slot in the contiguous row range
-  /// [first, first + count), scoring it with the blocked kernel.
+  /// Calls `fn(score, id)` for every row of leaf `leaf`, scoring its
+  /// contiguous block prefix with the blocked kernel.
   template <typename Fn>
-  void ScanRows(int first, int count, const double* u, Fn&& fn) const;
+  void ScanLeaf(int leaf, const double* u, Fn&& fn) const;
 
   int dim_;
   int leaf_size_;
-  std::vector<Slot> slots_;
-  ScoreMatrix points_;  // slot-indexed coordinate rows (slot s = row s)
-  std::unordered_map<int, int> slot_of_;  // id -> slot index
+  ScoreMatrix points_;              // leaf blocks of block_rows() rows
+  std::vector<int> row_id_;         // slab row -> tuple id
+  std::vector<int> block_leaf_;     // slab block -> leaf node, -1 if free
+  std::vector<int> free_blocks_;
+  /// Open-addressing map from tuple id to slab row: linear probing over
+  /// one flat array (Fibonacci-hashed), with backward-shift deletion. A
+  /// leaf split rewrites half a leaf's entries, so one probe costing one
+  /// cache line instead of a bucket and a node is most of a split's cost.
+  class RowMap {
+   public:
+    int size() const { return size_; }
+    /// Row of `id`, or -1 when absent.
+    int Find(int id) const;
+    /// Maps `id` to `row` (>= 0), inserting `id` if absent.
+    void Set(int id, int row);
+    /// Removes `id`; returns false when it was absent.
+    bool Erase(int id);
+
+   private:
+    struct Entry {
+      int id;
+      int row;  // -1 marks a free entry
+    };
+    size_t Home(int id) const {
+      return (static_cast<uint32_t>(id) * 0x9E3779B9u) >> shift_;
+    }
+    void Grow();
+    std::vector<Entry> entries_;  // power-of-two size
+    int size_ = 0;
+    int shift_ = 32;  // 32 - log2(entries_.size())
+  };
+  RowMap slot_of_;  // id -> slab row
   std::vector<Node> nodes_;
+  std::vector<int> free_nodes_;
   ScoreMatrix boxmax_;  // node-indexed box-max rows (node n = row n)
   int root_ = -1;
-  int indexed_count_ = 0;       // slots [0, indexed_count_) are in the tree
-  int dead_in_tree_ = 0;        // tombstoned slots still referenced by tree
   int live_count_ = 0;
   uint64_t generation_ = 0;     // bumped by every mutation (PointRef guard)
+  // dim() doubles: Delete's copy of the removed row, and filler for fresh
+  // slab and box-max rows.
+  std::vector<double> row_scratch_;
+  std::vector<int> split_order_;   // SplitLeaf's scratch
+  std::vector<char> split_lower_;
 };
 
 }  // namespace fdrms

@@ -163,6 +163,7 @@ void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas)
 }
 
 Status TopKMaintainer::ValidateAgainstBruteForce() const {
+  FDRMS_RETURN_NOT_OK(tree_.CheckInvariants());
   for (size_t u = 0; u < utilities_.size(); ++u) {
     // Recompute scores of all live tuples.
     std::vector<ScoredId> all;

@@ -83,7 +83,8 @@ class TopKMaintainer {
   /// S(p) of the paper's set system.
   const std::unordered_set<int>& MemberOf(int id) const;
 
-  /// Recomputes every Φ set and exact top-k list (ids and scores) from
+  /// Checks the kd-tree's structure (KdTree::CheckInvariants), then
+  /// recomputes every Φ set and exact top-k list (ids and scores) from
   /// scratch and verifies they match the maintained state; used by
   /// tests/failure injection. Returns the first inconsistency found, or OK.
   Status ValidateAgainstBruteForce() const;

@@ -999,5 +999,23 @@ TEST(ServeDriverTest, LoadRunDrainsWorkloadAndStaysConsistent) {
   EXPECT_GE(res.max_staleness_ops, res.mean_staleness_ops);
 }
 
+// Submitters split the stream by id, so an id's delete never overtakes its
+// insert: every op of a paper-protocol stream applies.
+TEST(ServeDriverTest, IdPartitionedSubmittersApplyEveryOp) {
+  PointSet ps = GenerateIndep(4000, 3, 23);
+  Workload wl(&ps, 29);
+  ServiceLoadOptions lopt;
+  lopt.num_readers = 1;
+  lopt.num_submitters = 4;
+  lopt.service.algo.r = 8;
+  lopt.service.algo.max_utilities = 64;
+  lopt.service.max_batch = 32;
+  ServiceLoadResult res = RunServiceLoad(wl, lopt);
+  EXPECT_EQ(res.ops_submitted, wl.operations().size());
+  EXPECT_EQ(res.ops_rejected, 0u);
+  EXPECT_EQ(res.ops_applied, wl.operations().size());
+  EXPECT_EQ(res.submit_failures, 0u);
+}
+
 }  // namespace
 }  // namespace fdrms
