@@ -125,7 +125,17 @@ FdRmsService::~FdRmsService() {
   }
 }
 
-Status FdRmsService::Start(const std::vector<std::pair<int, Point>>& initial) {
+namespace {
+
+/// True when `a` and `b` define the same guarantee (k, r, eps, M, seed).
+bool SameAlgorithmOptions(const FdRmsOptions& a, const FdRmsOptions& b) {
+  return a.k == b.k && a.r == b.r && a.eps == b.eps &&
+         a.max_utilities == b.max_utilities && a.seed == b.seed;
+}
+
+}  // namespace
+
+Status FdRmsService::CheckStartable() const {
   if (state_.load() != State::kNew) {
     return Status::FailedPrecondition("service already started");
   }
@@ -134,7 +144,28 @@ Status FdRmsService::Start(const std::vector<std::pair<int, Point>>& initial) {
         "persistence needs persist_version_path (a standalone durable store "
         "is a 1-shard ShardedFdRmsService)");
   }
+  return Status::OK();
+}
+
+Status FdRmsService::Start(const std::vector<std::pair<int, Point>>& initial) {
+  FDRMS_RETURN_NOT_OK(CheckStartable());
   FDRMS_RETURN_NOT_OK(InitializeAlgo(initial));
+  return Launch();
+}
+
+Status FdRmsService::StartFrom(FdRms state) {
+  FDRMS_RETURN_NOT_OK(CheckStartable());
+  if (state.dim() != dim_ ||
+      !SameAlgorithmOptions(state.options(), algo_.options())) {
+    return Status::Invalid(
+        "adopted instance's dimension or algorithm options differ from the "
+        "service's");
+  }
+  algo_ = std::move(state);
+  return Launch();
+}
+
+Status FdRmsService::Launch() {
   version_ = options_.initial_version;
   PublishSnapshot();  // the post-Initialize state (version 0 on first boot)
   state_.store(State::kRunning);
@@ -164,11 +195,7 @@ Status FdRmsService::InitializeAlgo(
   // restored guarantee; silently serving it under different knobs would
   // misreport eps/r, so a mismatch is an error. Compare against the
   // normalized options (the FdRms constructor may raise max_utilities).
-  const FdRmsOptions& ours = algo_.options();
-  const FdRmsOptions& theirs = snap.options();
-  if (theirs.k != ours.k || theirs.r != ours.r || theirs.eps != ours.eps ||
-      theirs.max_utilities != ours.max_utilities ||
-      theirs.seed != ours.seed) {
+  if (!SameAlgorithmOptions(snap.options(), algo_.options())) {
     return Status::Invalid(
         "resume snapshot algorithm options differ from the service's");
   }

@@ -207,6 +207,12 @@ class FdRmsService {
   /// the service was already started.
   Status Start(const std::vector<std::pair<int, Point>>& initial);
 
+  /// As Start, but adopts `state` as is instead of bulk-loading: an
+  /// initialized instance with this service's dimension and algorithm
+  /// options. ReviveShard seeds a successor with its dead predecessor's
+  /// exact state this way.
+  Status StartFrom(FdRms state);
+
   /// Stops the writer thread per `policy` and joins it. Idempotent once
   /// stopped; fails if never started.
   Status Stop(StopPolicy policy = StopPolicy::kDrain);
@@ -368,6 +374,12 @@ class FdRmsService {
   /// Initializes algo_ from `initial` or, when configured and present, the
   /// resume snapshot. Start()-caller thread, pre-writer.
   Status InitializeAlgo(const std::vector<std::pair<int, Point>>& initial);
+
+  /// Fails unless the service is new and its persistence options are
+  /// complete. Start()-caller thread.
+  Status CheckStartable() const;
+  /// Publishes algo_'s state and spawns the writer. Start()-caller thread.
+  Status Launch();
 
   /// Writer-thread only: serves queued InspectRequests in FIFO order.
   void RunPendingInspections();

@@ -1,6 +1,7 @@
 #include "setcover/dynamic_set_cover.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 
@@ -46,7 +47,8 @@ void DynamicSetCover::BumpCount(int set_id, int level, int delta) {
   FDRMS_DCHECK(row[level] >= 0);
   // Condition (2) violation candidate: |S ∩ A_j| >= 2^{j+1}.
   if (delta > 0 && row[level] >= (2LL << level)) {
-    violations_.emplace_back(set_id, level);
+    violations_.push_back({set_id, level});
+    std::push_heap(violations_.begin(), violations_.end(), std::greater<>());
   }
 }
 
@@ -117,17 +119,18 @@ void DynamicSetCover::Reassign(int element) {
   const auto& candidates = system_.SetsContaining(element);
   if (candidates.empty()) return;  // uncovered until a membership arrives
   // Prefer an existing solution set at the highest level (keeps C small);
-  // fall back to opening any containing set.
+  // fall back to opening a containing set. Ties go to the smallest set id,
+  // so the choice depends only on the incidence, not on its storage order.
   int best = kUnassigned;
   int best_level = -1;
   for (int set_id : candidates) {
-    auto it = in_cover_.find(set_id);
-    if (it != in_cover_.end() && it->second.level > best_level) {
+    const int level = LevelOf(set_id);
+    if (best == kUnassigned || level > best_level ||
+        (level == best_level && set_id < best)) {
       best = set_id;
-      best_level = it->second.level;
+      best_level = level;
     }
   }
-  if (best == kUnassigned) best = *candidates.begin();
   Assign(element, best);
 }
 
@@ -253,6 +256,9 @@ void DynamicSetCover::RemoveSet(int set_id) {
   std::vector<int> orphans;
   if (it != in_cover_.end()) {
     orphans.assign(it->second.cov.begin(), it->second.cov.end());
+    // Reassigning in ascending element order keeps the outcome independent
+    // of the cov set's storage order.
+    std::sort(orphans.begin(), orphans.end());
     for (int e : orphans) {
       phi_[e] = kUnassigned;
       UpdateCounts(e, elem_level_[e], -1);
@@ -268,9 +274,13 @@ void DynamicSetCover::RemoveSet(int set_id) {
 }
 
 void DynamicSetCover::Stabilize() {
+  // Always fix the smallest violated (set, level) key first. Every violated
+  // key is queued (a count only crosses its bound on an increment), and
+  // stale entries are skipped, so the order depends only on the state.
   while (!violations_.empty()) {
-    auto [set_id, level] = violations_.front();
-    violations_.pop_front();
+    std::pop_heap(violations_.begin(), violations_.end(), std::greater<>());
+    auto [set_id, level] = violations_.back();
+    violations_.pop_back();
     auto cit = counts_.find(set_id);
     if (cit == counts_.end() || cit->second[level] < (2LL << level)) {
       continue;  // stale entry
@@ -291,9 +301,9 @@ void DynamicSetCover::Stabilize() {
     }
     CoverState& state = in_cover_[set_id];
     bool was_in_cover = state.level >= 0;
-    std::unordered_set<int> donors;
+    std::vector<int> donors;
     for (int e : steal) {
-      donors.insert(phi_[e]);
+      donors.push_back(phi_[e]);
       in_cover_.at(phi_[e]).cov.erase(e);
       phi_[e] = set_id;
       state.cov.insert(e);
@@ -314,6 +324,8 @@ void DynamicSetCover::Stabilize() {
         }
       }
     }
+    std::sort(donors.begin(), donors.end());
+    donors.erase(std::unique(donors.begin(), donors.end()), donors.end());
     for (int donor : donors) Relevel(donor);
   }
 }

@@ -20,7 +20,6 @@
 /// consistent: AddMembership / RemoveMembership (σ = (u, S, ±)),
 /// AddToUniverse / RemoveFromUniverse (σ = (u, U, ±)), RemoveSet.
 
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -119,7 +118,8 @@ class DynamicSetCover {
   std::unordered_map<int, CoverState> in_cover_;
   // counts_[set][j] = |S ∩ A_j| over assigned universe elements.
   std::unordered_map<int, std::vector<int>> counts_;
-  std::deque<std::pair<int, int>> violations_;  // (set, level) to re-check
+  // (set, level) keys to re-check, a min-heap.
+  std::vector<std::pair<int, int>> violations_;
 };
 
 }  // namespace fdrms

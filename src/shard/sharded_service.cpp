@@ -896,15 +896,12 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   std::vector<FdRms::BatchOp> backlog;
   (void)dead->DrainDeadBacklog(&backlog);
 
-  // Successor seed: the dead instance's own applied state. algorithm() is
-  // valid now that the dead service is stopped, and revive is in-process,
-  // so this is exactly the applied prefix — no durable snapshot (which a
-  // failing disk may have left behind) can be fresher.
-  std::vector<std::pair<int, Point>> seed;
-  dead->algorithm().topk().tree().ForEach(
-      [&seed](int id, const Point& p) { seed.emplace_back(id, p); });
-  std::sort(seed.begin(), seed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Successor seed: a copy of the dead instance's own applied state.
+  // algorithm() is valid now that the dead service is stopped, and revive
+  // is in-process, so this is exactly the applied prefix — no durable
+  // snapshot (which a failing disk may have left behind) can be fresher —
+  // and the successor continues from the very state, not a re-initialized
+  // one over the same tuples.
   if (versioned_persist_) {
     // The successor's save generations must not collide with the dead
     // incarnation's filenames.
@@ -928,7 +925,7 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   const uint64_t next_version = last_pub != nullptr ? last_pub->version + 1 : 0;
   std::shared_ptr<FdRmsService> fresh =
       MakeShard(s, /*resume_file=*/"", next_version);
-  Status st = fresh->Start(seed);
+  Status st = fresh->StartFrom(dead->algorithm());
   if (!st.ok()) return st;  // dead shard left in place; ReviveShard may retry
 
   // Cutover: the routing table (and so the epoch) is unchanged — the

@@ -99,11 +99,16 @@ Status TopKMaintainer::Insert(int id, const Point& p,
       member_score_scratch_.resize(member_scratch_.size());
       tree_.ScoreIds(utilities_[u].data(), member_scratch_,
                      member_score_scratch_.data());
+      // Evict in ascending id order, so the delta stream is a function of
+      // the Φ sets' contents, not of how they are stored.
+      evicted_scratch_.clear();
       for (size_t mi = 0; mi < member_scratch_.size(); ++mi) {
         if (member_score_scratch_[mi] < new_tau) {
-          EmitRemove(u, member_scratch_[mi], deltas);
+          evicted_scratch_.push_back(member_scratch_[mi]);
         }
       }
+      std::sort(evicted_scratch_.begin(), evicted_scratch_.end());
+      for (int member : evicted_scratch_) EmitRemove(u, member, deltas);
       cone_.SetThreshold(u, new_tau);
     }
   }

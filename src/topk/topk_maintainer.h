@@ -107,6 +107,7 @@ class TopKMaintainer {
   /// of one Φ set and their batch-gathered scores.
   std::vector<int> member_scratch_;
   std::vector<double> member_score_scratch_;
+  std::vector<int> evicted_scratch_;
   /// Scratch for the delete repair: the utilities holding the deleted
   /// tuple, and the ranked survivors / range-query results of one utility.
   std::vector<int> affected_scratch_;

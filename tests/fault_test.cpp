@@ -846,14 +846,13 @@ TEST_F(FaultShardedTest, ReviveKeepsAcknowledgedWritesWhenSavesFail) {
   auto after = svc.Query();
   ASSERT_NE(after, nullptr);
 
-  // The unfaulted reference boots from the applied prefix (P_0 plus every
-  // acknowledged insert): the successor re-initializes from exactly that
-  // tuple set before replaying the backlog, so its Q_t matches this run,
-  // not an incremental one (exact restore is a separate ROADMAP item).
-  std::vector<std::pair<int, Point>> applied = initial;
-  for (int id : acked) applied.emplace_back(id, ps.Get(id));
+  // The unfaulted reference applies the same per-shard operations: the
+  // successor continues from a copy of the dead instance's state (P_0 plus
+  // every acknowledged insert) before replaying the backlog, so its Q_t
+  // matches this incremental run.
   ShardedFdRmsService ref(3, TwoShardOptions());
-  ASSERT_TRUE(ref.Start(applied).ok());
+  ASSERT_TRUE(ref.Start(initial).ok());
+  for (int id : acked) ASSERT_TRUE(ref.SubmitInsert(id, ps.Get(id)).ok());
   ASSERT_TRUE(ref.SubmitInsert(kill_id, ps.Get(kill_id)).ok());
   ASSERT_TRUE(ref.Flush().ok());
   auto ref_snap = ref.Query();

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/fdrms.h"
 #include "data/generators.h"
+#include "eval/workload.h"
 #include "geometry/sampling.h"
 
 namespace fdrms {
@@ -272,6 +273,52 @@ TEST(FdRmsTest, IdenticalSeedsReproduceIdenticalResults) {
   EXPECT_EQ(a.current_m(), b.current_m());
   EXPECT_EQ(a.Result(), b.Result());
 }
+
+class FdRmsOrderTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FdRmsOrderTest, StateDoesNotDependOnInitialTupleOrder) {
+  // Φ sets, the cover and m are functions of the tuples and the utility
+  // seed alone: loading P_0 in another order must not change any result
+  // along the paper's insert-then-delete protocol.
+  const int dim = GetParam();
+  PointSet ps = GenerateIndep(4000, dim, 40 + dim);
+  Workload workload(&ps, 50 + dim);
+  std::vector<std::pair<int, Point>> initial;
+  for (int id : workload.initial_ids()) initial.emplace_back(id, ps.Get(id));
+  std::vector<std::pair<int, Point>> shuffled = initial;
+  Rng rng(60 + dim);
+  rng.Shuffle(&shuffled);
+  ASSERT_NE(shuffled, initial);
+  FdRmsOptions opt = Options(1, dim == 4 ? 10 : 20, dim == 4 ? 0.05 : 0.025,
+                             512, /*seed=*/70 + dim);
+  FdRms a(dim, opt), b(dim, opt);
+  ASSERT_TRUE(a.Initialize(initial).ok());
+  ASSERT_TRUE(b.Initialize(shuffled).ok());
+  ASSERT_EQ(a.current_m(), b.current_m());
+  ASSERT_EQ(a.Result(), b.Result());
+  const auto& ops = workload.operations();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Operation& op = ops[i];
+    if (op.is_insert) {
+      ASSERT_TRUE(a.Insert(op.id, ps.Get(op.id)).ok());
+      ASSERT_TRUE(b.Insert(op.id, ps.Get(op.id)).ok());
+    } else {
+      ASSERT_TRUE(a.Delete(op.id).ok());
+      ASSERT_TRUE(b.Delete(op.id).ok());
+    }
+    if ((i + 1) % 500 == 0) {
+      ASSERT_EQ(a.current_m(), b.current_m()) << "after op " << i;
+      ASSERT_EQ(a.Result(), b.Result()) << "after op " << i;
+      ASSERT_TRUE(a.Validate().ok()) << "after op " << i;
+      ASSERT_TRUE(b.Validate().ok()) << "after op " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, FdRmsOrderTest, ::testing::Values(4, 6),
+                         [](const auto& info) {
+                           return "d" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace fdrms
