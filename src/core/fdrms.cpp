@@ -203,14 +203,13 @@ Status FdRms::Validate() const {
   // nonempty Φ set must be covered by Q_t.
   const int M = topk_.num_utilities();
   for (int i = 0; i < M; ++i) {
-    const auto& phi_set = topk_.ApproxTopK(i);
-    const auto& sets = cover_.system().SetsContaining(i);
-    if (phi_set.size() != sets.size()) {
+    const SetSystem::KeyRange phi_set = topk_.ApproxTopK(i);
+    if (phi_set.size() != cover_.system().SetsContaining(i).size()) {
       return Status::Internal("set system incidence out of sync at utility " +
                               std::to_string(i));
     }
     for (int id : phi_set) {
-      if (sets.count(id) == 0) {
+      if (!cover_.system().Contains(i, id)) {
         return Status::Internal("membership missing for utility " +
                                 std::to_string(i));
       }

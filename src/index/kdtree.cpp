@@ -1,7 +1,6 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -95,74 +94,11 @@ int KdTree::NewBlock(int leaf) {
   return block;
 }
 
-int KdTree::RowMap::Find(int id) const {
-  if (entries_.empty()) return -1;
-  const size_t mask = entries_.size() - 1;
-  for (size_t i = Home(id);; i = (i + 1) & mask) {
-    const Entry& e = entries_[i];
-    if (e.row < 0) return -1;
-    if (e.id == id) return e.row;
-  }
-}
-
-void KdTree::RowMap::Set(int id, int row) {
-  FDRMS_DCHECK(row >= 0);
-  // Keep the load factor at most 1/2 so probe runs stay short.
-  if (2 * (static_cast<size_t>(size_) + 1) > entries_.size()) Grow();
-  const size_t mask = entries_.size() - 1;
-  for (size_t i = Home(id);; i = (i + 1) & mask) {
-    Entry& e = entries_[i];
-    if (e.row < 0) {
-      e = Entry{id, row};
-      ++size_;
-      return;
-    }
-    if (e.id == id) {
-      e.row = row;
-      return;
-    }
-  }
-}
-
-bool KdTree::RowMap::Erase(int id) {
-  if (entries_.empty()) return false;
-  const size_t mask = entries_.size() - 1;
-  size_t hole = Home(id);
-  for (;; hole = (hole + 1) & mask) {
-    if (entries_[hole].row < 0) return false;
-    if (entries_[hole].id == id) break;
-  }
-  // Backward-shift: pull later entries of the run into the hole when their
-  // home does not lie cyclically in (hole, i], so every run stays unbroken.
-  for (size_t i = (hole + 1) & mask; entries_[i].row >= 0; i = (i + 1) & mask) {
-    const size_t home = Home(entries_[i].id);
-    const bool stays = hole <= i ? (hole < home && home <= i)
-                                 : (hole < home || home <= i);
-    if (stays) continue;
-    entries_[hole] = entries_[i];
-    hole = i;
-  }
-  entries_[hole].row = -1;
-  --size_;
-  return true;
-}
-
-void KdTree::RowMap::Grow() {
-  std::vector<Entry> old = std::move(entries_);
-  const size_t capacity = old.empty() ? 16 : 2 * old.size();
-  entries_.assign(capacity, Entry{0, -1});
-  shift_ = 32 - std::countr_zero(capacity);
-  size_ = 0;
-  for (const Entry& e : old) {
-    if (e.row >= 0) Set(e.id, e.row);
-  }
-}
-
 Status KdTree::Insert(int id, const Point& p) {
   if (static_cast<int>(p.size()) != dim_) {
     return Status::Invalid("point dimension mismatch");
   }
-  if (slot_of_.Find(id) >= 0) {
+  if (row_of_.Find(id) >= 0) {
     return Status::AlreadyExists("tuple id " + std::to_string(id) +
                                  " already indexed");
   }
@@ -193,19 +129,19 @@ Status KdTree::Insert(int id, const Point& p) {
   const int row = leaf.block * block_rows() + leaf.count++;
   std::copy_n(p.data(), dim_, points_.mutable_row(row));
   row_id_[static_cast<size_t>(row)] = id;
-  slot_of_.Set(id, row);
+  row_of_.Set(id, row);
   ++live_count_;
   if (scapegoat >= 0) Rebalance(scapegoat);
   return Status::OK();
 }
 
 Status KdTree::Delete(int id) {
-  const int row = slot_of_.Find(id);
+  const int row = row_of_.Find(id);
   if (row < 0) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not indexed");
   }
   ++generation_;
-  slot_of_.Erase(id);
+  row_of_.Erase(id);
   const int leaf = block_leaf_[static_cast<size_t>(row / block_rows())];
   Node& n = nodes_[static_cast<size_t>(leaf)];
   const int last = n.block * block_rows() + --n.count;
@@ -229,7 +165,7 @@ void KdTree::MoveRow(int from, int to) {
   std::copy_n(points_.row(from), dim_, points_.mutable_row(to));
   const int id = row_id_[static_cast<size_t>(from)];
   row_id_[static_cast<size_t>(to)] = id;
-  slot_of_.Set(id, to);
+  row_of_.Set(id, to);
 }
 
 void KdTree::SetLeafBox(int node) {
@@ -513,14 +449,14 @@ int KdTree::BuildOverLeaves(std::vector<int>* leaves, int lo, int hi,
 }
 
 Point KdTree::GetPoint(int id) const {
-  const int row = slot_of_.Find(id);
+  const int row = row_of_.Find(id);
   FDRMS_CHECK(row >= 0) << "GetPoint on missing id " << id;
   const double* r = points_.row(row);
   return Point(r, r + dim_);
 }
 
 KdTree::PointRef KdTree::GetPointRef(int id) const {
-  const int row = slot_of_.Find(id);
+  const int row = row_of_.Find(id);
   FDRMS_CHECK(row >= 0) << "GetPoint on missing id " << id;
   return PointRef(this, row, generation_);
 }
@@ -548,7 +484,7 @@ void KdTree::ScoreIds(const double* u, const std::vector<int>& ids,
   for (size_t base = 0; base < ids.size(); base += kScanChunk) {
     const size_t n = std::min(ids.size() - base, kScanChunk);
     for (size_t j = 0; j < n; ++j) {
-      rows[j] = slot_of_.Find(ids[base + j]);
+      rows[j] = row_of_.Find(ids[base + j]);
       FDRMS_CHECK(rows[j] >= 0) << "ScoreIds on missing id " << ids[base + j];
     }
     ScoreGather(points_.row(0), points_.stride(), dim_, rows, n, u,
@@ -650,7 +586,7 @@ Status KdTree::CheckInvariants() const {
     return Status::Internal("kd-tree invariant: " + what);
   };
   if (root_ < 0) {
-    if (live_count_ != 0 || slot_of_.size() != 0) {
+    if (live_count_ != 0 || row_of_.size() != 0) {
       return fail("empty tree holds tuples");
     }
     return Status::OK();
@@ -688,8 +624,8 @@ Status KdTree::CheckInvariants() const {
       const int first = n.block * cap;
       for (int row = first; row < first + n.count; ++row) {
         const int id = row_id_[static_cast<size_t>(row)];
-        if (slot_of_.Find(id) != row) {
-          return fail("row " + std::to_string(row) + " and slot_of_ disagree");
+        if (row_of_.Find(id) != row) {
+          return fail("row " + std::to_string(row) + " and row_of_ disagree");
         }
         const double* r = points_.row(row);
         for (int j = 0; j < dim_; ++j) {
@@ -727,10 +663,10 @@ Status KdTree::CheckInvariants() const {
     }
   }
   if (rows_seen != live_count_ ||
-      slot_of_.size() != live_count_) {
+      row_of_.size() != live_count_) {
     return fail("live count " + std::to_string(live_count_) + " but " +
                 std::to_string(rows_seen) + " leaf rows and " +
-                std::to_string(slot_of_.size()) + " ids");
+                std::to_string(row_of_.size()) + " ids");
   }
   for (size_t b = 0; b < block_leaf_.size(); ++b) {
     if (!block_used[b] && block_leaf_[b] != -1) {

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flat_id_map.h"
 #include "common/status.h"
 #include "geometry/point.h"
 #include "geometry/score_kernel.h"
@@ -88,7 +89,7 @@ class KdTree {
   /// Number of live tuples.
   int size() const { return live_count_; }
   int dim() const { return dim_; }
-  bool Contains(int id) const { return slot_of_.Find(id) >= 0; }
+  bool Contains(int id) const { return row_of_.Find(id) >= 0; }
 
   /// Copy of a live tuple's attributes.
   Point GetPoint(int id) const;
@@ -171,7 +172,7 @@ class KdTree {
 
   /// Verifies the structure: every box-max row is the exact coordinate-wise
   /// max of its subtree's rows (so it contains them), leaf blocks are
-  /// disjoint and within capacity, slot_of_ and the leaf rows map one to
+  /// disjoint and within capacity, row_of_ and the leaf rows map one to
   /// one, the live count matches, and every node is weight-balanced with
   /// depth within the bound in the file comment. Returns the first
   /// violation found, or OK. O(size() * dim()).
@@ -229,7 +230,7 @@ class KdTree {
   /// PartitionLeaves and returns its root.
   int BuildOverLeaves(std::vector<int>* leaves, int lo, int hi, int parent);
   /// Copies slab row `from` (coordinates and id) to row `to` and points
-  /// slot_of_ at it.
+  /// row_of_ at it.
   void MoveRow(int from, int to);
   /// Sets box-max row `node` to the max of rows [first, first + count)
   /// (the lowest double when count == 0, so the bound never admits it).
@@ -253,34 +254,10 @@ class KdTree {
   std::vector<int> row_id_;         // slab row -> tuple id
   std::vector<int> block_leaf_;     // slab block -> leaf node, -1 if free
   std::vector<int> free_blocks_;
-  /// Open-addressing map from tuple id to slab row: linear probing over
-  /// one flat array (Fibonacci-hashed), with backward-shift deletion. A
-  /// leaf split rewrites half a leaf's entries, so one probe costing one
-  /// cache line instead of a bucket and a node is most of a split's cost.
-  class RowMap {
-   public:
-    int size() const { return size_; }
-    /// Row of `id`, or -1 when absent.
-    int Find(int id) const;
-    /// Maps `id` to `row` (>= 0), inserting `id` if absent.
-    void Set(int id, int row);
-    /// Removes `id`; returns false when it was absent.
-    bool Erase(int id);
-
-   private:
-    struct Entry {
-      int id;
-      int row;  // -1 marks a free entry
-    };
-    size_t Home(int id) const {
-      return (static_cast<uint32_t>(id) * 0x9E3779B9u) >> shift_;
-    }
-    void Grow();
-    std::vector<Entry> entries_;  // power-of-two size
-    int size_ = 0;
-    int shift_ = 32;  // 32 - log2(entries_.size())
-  };
-  RowMap slot_of_;  // id -> slab row
+  /// Tuple id -> slab row. A leaf split rewrites half a leaf's entries, so
+  /// one probe costing one cache line instead of a bucket and a node is
+  /// most of a split's cost.
+  FlatIdMap row_of_;
   std::vector<Node> nodes_;
   std::vector<int> free_nodes_;
   ScoreMatrix boxmax_;  // node-indexed box-max rows (node n = row n)

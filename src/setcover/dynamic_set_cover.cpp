@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <tuple>
 
 #include "common/check.h"
 
@@ -9,8 +11,9 @@ namespace fdrms {
 
 DynamicSetCover::DynamicSetCover(int element_capacity)
     : system_(element_capacity),
-      phi_(element_capacity, kUnassigned),
+      phi_(element_capacity, -1),
       elem_level_(element_capacity, -1),
+      cov_pos_(element_capacity, -1),
       in_universe_(element_capacity, false) {}
 
 int DynamicSetCover::LevelForSize(int size) {
@@ -23,125 +26,158 @@ int DynamicSetCover::LevelForSize(int size) {
 
 std::vector<int> DynamicSetCover::CoverSetIds() const {
   std::vector<int> ids;
-  ids.reserve(in_cover_.size());
-  for (const auto& [id, _] : in_cover_) ids.push_back(id);
+  ids.reserve(cover_slots_.size());
+  for (int slot : cover_slots_) ids.push_back(system_.SetIdOf(slot));
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 int DynamicSetCover::LevelOf(int set_id) const {
-  auto it = in_cover_.find(set_id);
-  return it == in_cover_.end() ? -1 : it->second.level;
+  const int slot = system_.SlotOf(set_id);
+  return slot < 0 ? -1 : level_[static_cast<size_t>(slot)];
 }
 
-const std::unordered_set<int>& DynamicSetCover::CoverSetOf(int set_id) const {
-  static const std::unordered_set<int> empty;
-  auto it = in_cover_.find(set_id);
-  return it == in_cover_.end() ? empty : it->second.cov;
+const std::vector<int>& DynamicSetCover::CoverSetOf(int set_id) const {
+  static const std::vector<int> empty;
+  const int slot = system_.SlotOf(set_id);
+  return slot < 0 ? empty : cov_[static_cast<size_t>(slot)];
 }
 
-void DynamicSetCover::BumpCount(int set_id, int level, int delta) {
-  auto& row = counts_[set_id];
-  if (row.empty()) row.assign(kMaxLevels, 0);
-  row[level] += delta;
-  FDRMS_DCHECK(row[level] >= 0);
+void DynamicSetCover::GrowSlots() {
+  const size_t n = static_cast<size_t>(system_.slot_capacity());
+  if (level_.size() >= n) return;
+  cov_.resize(n);
+  level_.resize(n, -1);
+  cover_pos_.resize(n, -1);
+  counts_.resize(n * kMaxLevels, 0);
+}
+
+void DynamicSetCover::CovInsert(int slot, int element) {
+  std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+  cov_pos_[static_cast<size_t>(element)] = static_cast<int>(cov.size());
+  cov.push_back(element);
+}
+
+void DynamicSetCover::CovErase(int slot, int element) {
+  std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+  const int at = cov_pos_[static_cast<size_t>(element)];
+  FDRMS_DCHECK(cov[static_cast<size_t>(at)] == element);
+  const int last = cov.back();
+  cov[static_cast<size_t>(at)] = last;
+  cov_pos_[static_cast<size_t>(last)] = at;
+  cov.pop_back();
+}
+
+void DynamicSetCover::JoinCover(int slot) {
+  cover_pos_[static_cast<size_t>(slot)] = static_cast<int>(cover_slots_.size());
+  cover_slots_.push_back(slot);
+}
+
+void DynamicSetCover::LeaveCover(int slot) {
+  const int at = cover_pos_[static_cast<size_t>(slot)];
+  const int last = cover_slots_.back();
+  cover_slots_[static_cast<size_t>(at)] = last;
+  cover_pos_[static_cast<size_t>(last)] = at;
+  cover_slots_.pop_back();
+  cover_pos_[static_cast<size_t>(slot)] = -1;
+  level_[static_cast<size_t>(slot)] = -1;
+}
+
+void DynamicSetCover::BumpCount(int slot, int level, int delta) {
+  int& count = CountsRow(slot)[level];
+  count += delta;
+  FDRMS_DCHECK(count >= 0);
   // Condition (2) violation candidate: |S ∩ A_j| >= 2^{j+1}.
-  if (delta > 0 && row[level] >= (2LL << level)) {
-    violations_.push_back({set_id, level});
+  if (delta > 0 && count >= (2LL << level)) {
+    violations_.emplace_back(system_.SetIdOf(slot), level);
     std::push_heap(violations_.begin(), violations_.end(), std::greater<>());
   }
 }
 
 void DynamicSetCover::UpdateCounts(int element, int old_level, int new_level) {
   if (old_level == new_level) return;
-  for (int set_id : system_.SetsContaining(element)) {
-    if (old_level >= 0) BumpCount(set_id, old_level, -1);
-    if (new_level >= 0) BumpCount(set_id, new_level, +1);
+  for (const SetSystem::Link& link : system_.ElementLinks(element)) {
+    if (old_level >= 0) BumpCount(link.other, old_level, -1);
+    if (new_level >= 0) BumpCount(link.other, new_level, +1);
   }
-  elem_level_[element] = new_level;
+  elem_level_[static_cast<size_t>(element)] = new_level;
 }
 
-void DynamicSetCover::Assign(int element, int set_id) {
-  FDRMS_DCHECK(phi_[element] == kUnassigned);
+void DynamicSetCover::Assign(int element, int slot) {
+  FDRMS_DCHECK(phi_[element] < 0);
   FDRMS_DCHECK(in_universe_[element]);
-  FDRMS_DCHECK(system_.Contains(element, set_id));
-  CoverState& state = in_cover_[set_id];
-  state.cov.insert(element);
-  phi_[element] = set_id;
-  // New solution sets enter at the level of their (so far) singleton cov;
-  // Relevel fixes growth.
-  int level = state.level;
-  if (level < 0) {
-    level = LevelForSize(static_cast<int>(state.cov.size()));
-    state.level = level;
-  }
-  UpdateCounts(element, -1, state.level);
-  Relevel(set_id);
+  FDRMS_DCHECK(system_.Contains(element, system_.SetIdOf(slot)));
+  const bool joins = level_[static_cast<size_t>(slot)] < 0;
+  if (joins) JoinCover(slot);
+  CovInsert(slot, element);
+  phi_[static_cast<size_t>(element)] = slot;
+  // New solution sets enter at the level of their singleton cov; Relevel
+  // fixes growth.
+  if (joins) level_[static_cast<size_t>(slot)] = LevelForSize(1);
+  UpdateCounts(element, -1, level_[static_cast<size_t>(slot)]);
+  Relevel(slot);
 }
 
 void DynamicSetCover::Unassign(int element) {
-  int set_id = phi_[element];
-  if (set_id == kUnassigned) return;
-  auto it = in_cover_.find(set_id);
-  FDRMS_DCHECK(it != in_cover_.end());
-  it->second.cov.erase(element);
-  phi_[element] = kUnassigned;
-  UpdateCounts(element, elem_level_[element], -1);
-  Relevel(set_id);
+  const int slot = phi_[static_cast<size_t>(element)];
+  if (slot < 0) return;
+  CovErase(slot, element);
+  phi_[static_cast<size_t>(element)] = -1;
+  UpdateCounts(element, elem_level_[static_cast<size_t>(element)], -1);
+  Relevel(slot);
 }
 
-void DynamicSetCover::ShiftCovLevel(int set_id, int old_level, int new_level) {
-  const auto& cov = in_cover_.at(set_id).cov;
-  for (int element : cov) {
-    UpdateCounts(element, old_level, new_level);
-  }
-}
-
-void DynamicSetCover::Relevel(int set_id) {
-  auto it = in_cover_.find(set_id);
-  if (it == in_cover_.end()) return;
-  CoverState& state = it->second;
-  if (state.cov.empty()) {
-    in_cover_.erase(it);
+void DynamicSetCover::Relevel(int slot) {
+  const int old_level = level_[static_cast<size_t>(slot)];
+  if (old_level < 0) return;
+  const std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+  if (cov.empty()) {
+    LeaveCover(slot);
     return;
   }
-  int correct = LevelForSize(static_cast<int>(state.cov.size()));
-  if (correct != state.level) {
-    int old_level = state.level;
-    state.level = correct;
-    ShiftCovLevel(set_id, old_level, correct);
-  }
+  const int correct = LevelForSize(static_cast<int>(cov.size()));
+  if (correct == old_level) return;
+  level_[static_cast<size_t>(slot)] = correct;
+  // Every cov member moves to the new level in the count caches.
+  for (int element : cov) UpdateCounts(element, old_level, correct);
 }
 
 void DynamicSetCover::Reassign(int element) {
   FDRMS_DCHECK(in_universe_[element]);
-  FDRMS_DCHECK(phi_[element] == kUnassigned);
-  const auto& candidates = system_.SetsContaining(element);
-  if (candidates.empty()) return;  // uncovered until a membership arrives
+  FDRMS_DCHECK(phi_[element] < 0);
   // Prefer an existing solution set at the highest level (keeps C small);
   // fall back to opening a containing set. Ties go to the smallest set id,
   // so the choice depends only on the incidence, not on its storage order.
-  int best = kUnassigned;
+  int best = -1;
+  int best_id = 0;
   int best_level = -1;
-  for (int set_id : candidates) {
-    const int level = LevelOf(set_id);
-    if (best == kUnassigned || level > best_level ||
-        (level == best_level && set_id < best)) {
-      best = set_id;
+  for (const SetSystem::Link& link : system_.ElementLinks(element)) {
+    const int level = level_[static_cast<size_t>(link.other)];
+    const int id = system_.SetIdOf(link.other);
+    if (best < 0 || level > best_level ||
+        (level == best_level && id < best_id)) {
+      best = link.other;
+      best_id = id;
       best_level = level;
     }
   }
+  if (best < 0) return;  // uncovered until a membership arrives
   Assign(element, best);
 }
 
 void DynamicSetCover::InitializeGreedy(
     const std::vector<int>& universe_elements) {
   // Reset all solution state (incidence is kept).
-  phi_.assign(phi_.size(), kUnassigned);
+  phi_.assign(phi_.size(), -1);
   elem_level_.assign(elem_level_.size(), -1);
   in_universe_.assign(in_universe_.size(), false);
-  in_cover_.clear();
-  counts_.clear();
+  for (int slot : cover_slots_) {
+    cov_[static_cast<size_t>(slot)].clear();
+    level_[static_cast<size_t>(slot)] = -1;
+    cover_pos_[static_cast<size_t>(slot)] = -1;
+  }
+  cover_slots_.clear();
+  std::fill(counts_.begin(), counts_.end(), 0);
   violations_.clear();
   universe_size_ = 0;
   for (int e : universe_elements) {
@@ -151,47 +187,47 @@ void DynamicSetCover::InitializeGreedy(
       ++universe_size_;
     }
   }
-  // Classic greedy with lazily re-evaluated gains (gains only shrink).
-  std::unordered_map<int, int> gain;  // set -> |S ∩ uncovered| upper bound
-  std::vector<std::pair<int, int>> heap;  // (gain, set_id) max-heap
-  for (int set_id : system_.NonEmptySetIds()) {
+  // Classic greedy with lazily re-evaluated gains (gains only shrink). The
+  // max-heap orders by (gain, set id); the slot rides along.
+  std::vector<std::tuple<int, int, int>> heap;
+  for (int slot = 0; slot < system_.slot_capacity(); ++slot) {
     int g = 0;
-    for (int e : system_.ElementsOf(set_id)) {
-      if (in_universe_[e]) ++g;
+    for (const SetSystem::Link& link : system_.SlotLinks(slot)) {
+      if (in_universe_[link.other]) ++g;
     }
-    if (g > 0) {
-      gain[set_id] = g;
-      heap.emplace_back(g, set_id);
-    }
+    if (g > 0) heap.emplace_back(g, system_.SetIdOf(slot), slot);
   }
   std::make_heap(heap.begin(), heap.end());
   int uncovered = universe_size_;
   while (uncovered > 0 && !heap.empty()) {
     std::pop_heap(heap.begin(), heap.end());
-    auto [g, set_id] = heap.back();
+    auto [g, set_id, slot] = heap.back();
     heap.pop_back();
     // Re-count the true gain; push back if stale.
     int true_gain = 0;
-    for (int e : system_.ElementsOf(set_id)) {
-      if (in_universe_[e] && phi_[e] == kUnassigned) ++true_gain;
+    for (const SetSystem::Link& link : system_.SlotLinks(slot)) {
+      if (in_universe_[link.other] && phi_[link.other] < 0) ++true_gain;
     }
     if (true_gain == 0) continue;
-    if (true_gain < g && !heap.empty() && heap.front().first > true_gain) {
-      heap.emplace_back(true_gain, set_id);
+    if (true_gain < g && !heap.empty() &&
+        std::get<0>(heap.front()) > true_gain) {
+      heap.emplace_back(true_gain, set_id, slot);
       std::push_heap(heap.begin(), heap.end());
       continue;
     }
     // Take the set: cov(S*) = uncovered ∩ S*.
-    CoverState& state = in_cover_[set_id];
-    for (int e : system_.ElementsOf(set_id)) {
-      if (in_universe_[e] && phi_[e] == kUnassigned) {
-        state.cov.insert(e);
-        phi_[e] = set_id;
+    JoinCover(slot);
+    for (const SetSystem::Link& link : system_.SlotLinks(slot)) {
+      if (in_universe_[link.other] && phi_[link.other] < 0) {
+        CovInsert(slot, link.other);
+        phi_[static_cast<size_t>(link.other)] = slot;
       }
     }
-    state.level = LevelForSize(static_cast<int>(state.cov.size()));
-    for (int e : state.cov) UpdateCounts(e, -1, state.level);
-    uncovered -= static_cast<int>(state.cov.size());
+    const std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+    const int level = LevelForSize(static_cast<int>(cov.size()));
+    level_[static_cast<size_t>(slot)] = level;
+    for (int e : cov) UpdateCounts(e, -1, level);
+    uncovered -= static_cast<int>(cov.size());
   }
   // Greedy output is provably stable (Lemma 1), but the count caches may
   // already reveal violations if ties were broken adversarially; draining
@@ -201,35 +237,39 @@ void DynamicSetCover::InitializeGreedy(
 }
 
 void DynamicSetCover::AddMembership(int element, int set_id) {
-  if (!system_.AddMembership(element, set_id)) return;  // already present
+  int slot = -1;
+  if (!system_.AddMembership(element, set_id, &slot)) return;  // present
+  GrowSlots();
   if (in_universe_[element]) {
-    if (phi_[element] == kUnassigned) {
+    if (phi_[element] < 0) {
       // A previously uncoverable universe element becomes coverable.
-      Assign(element, set_id);
+      Assign(element, slot);
     } else if (elem_level_[element] >= 0) {
-      BumpCount(set_id, elem_level_[element], +1);
+      BumpCount(slot, elem_level_[element], +1);
     }
   }
   Stabilize();
 }
 
 void DynamicSetCover::RemoveMembership(int element, int set_id) {
-  if (!system_.RemoveMembership(element, set_id)) return;
+  // The slot stays valid for this call's own bookkeeping even if the set
+  // empties and gives it up: nothing acquires a slot before we return.
+  const int slot = system_.SlotOf(set_id);
+  if (slot < 0 || !system_.RemoveMembership(element, set_id)) return;
   if (in_universe_[element]) {
     // The departing element no longer counts toward |S ∩ A_j| for this set;
     // the system no longer lists the membership, so Unassign below will not
-    // touch this set's counts.
+    // touch this set's counts. A set that emptied is left with a zero row.
     if (elem_level_[element] >= 0) {
-      BumpCount(set_id, elem_level_[element], -1);
+      BumpCount(slot, elem_level_[element], -1);
     }
-    if (phi_[element] == set_id) {
+    if (phi_[element] == slot) {
       // Case σ = (u, S, -) with u ∈ cov(S): move u to another set
       // containing it (Lines 2-5).
       Unassign(element);
       Reassign(element);
     }
   }
-  if (system_.ElementsOf(set_id).empty()) counts_.erase(set_id);
   Stabilize();
 }
 
@@ -250,83 +290,88 @@ void DynamicSetCover::RemoveFromUniverse(int element) {
 }
 
 void DynamicSetCover::RemoveSet(int set_id) {
+  const int slot = system_.SlotOf(set_id);
+  if (slot < 0) return;  // no memberships, so not in C either
   // Detach cover duties first (Algorithm 3, Lines 10-12), then drop all
-  // memberships.
-  auto it = in_cover_.find(set_id);
-  std::vector<int> orphans;
-  if (it != in_cover_.end()) {
-    orphans.assign(it->second.cov.begin(), it->second.cov.end());
-    // Reassigning in ascending element order keeps the outcome independent
-    // of the cov set's storage order.
-    std::sort(orphans.begin(), orphans.end());
-    for (int e : orphans) {
-      phi_[e] = kUnassigned;
-      UpdateCounts(e, elem_level_[e], -1);
-    }
-    in_cover_.erase(it);
+  // memberships. Reassigning in ascending element order keeps the outcome
+  // independent of cov's storage order.
+  std::vector<int> orphans = cov_[static_cast<size_t>(slot)];
+  std::sort(orphans.begin(), orphans.end());
+  for (int e : orphans) {
+    phi_[static_cast<size_t>(e)] = -1;
+    UpdateCounts(e, elem_level_[static_cast<size_t>(e)], -1);
   }
-  std::vector<int> members(system_.ElementsOf(set_id).begin(),
-                           system_.ElementsOf(set_id).end());
-  for (int e : members) system_.RemoveMembership(e, set_id);
-  counts_.erase(set_id);
+  if (level_[static_cast<size_t>(slot)] >= 0) {
+    cov_[static_cast<size_t>(slot)].clear();
+    LeaveCover(slot);
+  }
+  system_.RemoveSet(set_id);
+  std::fill_n(CountsRow(slot), kMaxLevels, 0);
   for (int e : orphans) Reassign(e);
   Stabilize();
 }
 
 void DynamicSetCover::Stabilize() {
-  // Always fix the smallest violated (set, level) key first. Every violated
-  // key is queued (a count only crosses its bound on an increment), and
-  // stale entries are skipped, so the order depends only on the state.
+  // Always fix the smallest violated (set id, level) key first. Every
+  // violated key is queued (a count only crosses its bound on an
+  // increment), and stale entries are skipped, so the order depends only on
+  // the state.
   while (!violations_.empty()) {
     std::pop_heap(violations_.begin(), violations_.end(), std::greater<>());
-    auto [set_id, level] = violations_.back();
+    const auto [set_id, level] = violations_.back();
     violations_.pop_back();
-    auto cit = counts_.find(set_id);
-    if (cit == counts_.end() || cit->second[level] < (2LL << level)) {
+    const int slot = system_.SlotOf(set_id);
+    if (slot < 0 || CountsRow(slot)[level] < (2LL << level)) {
       continue;  // stale entry
     }
     // cov(S) ← cov(S) ∪ (S ∩ A_j): steal every element of S assigned at
     // this level (Lines 29-32).
-    std::vector<int> steal;
-    for (int e : system_.ElementsOf(set_id)) {
-      if (in_universe_[e] && elem_level_[e] == level && phi_[e] != set_id) {
-        steal.push_back(e);
+    steal_scratch_.clear();
+    for (const SetSystem::Link& link : system_.SlotLinks(slot)) {
+      const int e = link.other;
+      if (in_universe_[e] && elem_level_[e] == level && phi_[e] != slot) {
+        steal_scratch_.push_back(e);
       }
     }
-    if (steal.empty()) {
+    if (steal_scratch_.empty()) {
       // All counted elements already belong to this set; Relevel keeps the
       // level consistent and the violation is vacuous.
-      Relevel(set_id);
+      Relevel(slot);
       continue;
     }
-    CoverState& state = in_cover_[set_id];
-    bool was_in_cover = state.level >= 0;
-    std::vector<int> donors;
-    for (int e : steal) {
-      donors.push_back(phi_[e]);
-      in_cover_.at(phi_[e]).cov.erase(e);
-      phi_[e] = set_id;
-      state.cov.insert(e);
+    const bool was_in_cover = level_[static_cast<size_t>(slot)] >= 0;
+    if (!was_in_cover) JoinCover(slot);
+    donor_scratch_.clear();
+    for (int e : steal_scratch_) {
+      const int donor = phi_[static_cast<size_t>(e)];
+      donor_scratch_.emplace_back(system_.SetIdOf(donor), donor);
+      CovErase(donor, e);
+      phi_[static_cast<size_t>(e)] = slot;
+      CovInsert(slot, e);
     }
+    const std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+    const int correct = LevelForSize(static_cast<int>(cov.size()));
     if (!was_in_cover) {
-      state.level = LevelForSize(static_cast<int>(state.cov.size()));
-      for (int e : state.cov) UpdateCounts(e, elem_level_[e], state.level);
+      level_[static_cast<size_t>(slot)] = correct;
+      for (int e : cov) UpdateCounts(e, elem_level_[e], correct);
     } else {
-      int old_level = state.level;
-      int correct = LevelForSize(static_cast<int>(state.cov.size()));
-      state.level = correct;
+      const int old_level = level_[static_cast<size_t>(slot)];
+      level_[static_cast<size_t>(slot)] = correct;
       // Stolen elements move from `level` to `correct`; incumbent cov
       // members move only if the set releveled.
-      for (int e : steal) UpdateCounts(e, level, correct);
+      for (int e : steal_scratch_) UpdateCounts(e, level, correct);
       if (correct != old_level) {
-        for (int e : state.cov) {
+        for (int e : cov) {
           if (elem_level_[e] != correct) UpdateCounts(e, elem_level_[e], correct);
         }
       }
     }
-    std::sort(donors.begin(), donors.end());
-    donors.erase(std::unique(donors.begin(), donors.end()), donors.end());
-    for (int donor : donors) Relevel(donor);
+    // Donors relevel in ascending set id order.
+    std::sort(donor_scratch_.begin(), donor_scratch_.end());
+    donor_scratch_.erase(
+        std::unique(donor_scratch_.begin(), donor_scratch_.end()),
+        donor_scratch_.end());
+    for (const auto& [donor_id, donor] : donor_scratch_) Relevel(donor);
   }
 }
 
@@ -334,65 +379,86 @@ Status DynamicSetCover::CheckInvariants() const {
   // 1. Assignment <-> cov consistency; levels within range (Condition 1).
   int assigned = 0;
   for (int e = 0; e < system_.element_capacity(); ++e) {
-    int s = phi_[e];
-    if (s == kUnassigned) continue;
+    const int slot = phi_[static_cast<size_t>(e)];
+    if (slot < 0) continue;
     if (!in_universe_[e]) return Status::Internal("assigned non-universe element");
-    auto it = in_cover_.find(s);
-    if (it == in_cover_.end()) return Status::Internal("phi points outside C");
-    if (it->second.cov.count(e) == 0) {
+    if (slot >= static_cast<int>(level_.size()) ||
+        level_[static_cast<size_t>(slot)] < 0) {
+      return Status::Internal("phi points outside C");
+    }
+    const std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+    const int at = cov_pos_[static_cast<size_t>(e)];
+    if (at < 0 || at >= static_cast<int>(cov.size()) ||
+        cov[static_cast<size_t>(at)] != e) {
       return Status::Internal("phi(e) does not list e in cov");
     }
-    if (!system_.Contains(e, s)) {
+    if (!system_.Contains(e, system_.SetIdOf(slot))) {
       return Status::Internal("element assigned to set not containing it");
     }
-    if (elem_level_[e] != it->second.level) {
+    if (elem_level_[static_cast<size_t>(e)] !=
+        level_[static_cast<size_t>(slot)]) {
       return Status::Internal("elem_level cache stale");
     }
     ++assigned;
   }
   size_t cov_total = 0;
-  for (const auto& [set_id, state] : in_cover_) {
-    if (state.cov.empty()) return Status::Internal("empty set kept in C");
-    int size = static_cast<int>(state.cov.size());
-    cov_total += state.cov.size();
-    int expect = LevelForSize(size);
-    if (state.level != expect) {
-      return Status::Internal("level range violated for set " +
-                              std::to_string(set_id));
+  for (size_t i = 0; i < cover_slots_.size(); ++i) {
+    const int slot = cover_slots_[i];
+    if (cover_pos_[static_cast<size_t>(slot)] != static_cast<int>(i)) {
+      return Status::Internal("cover slot list out of sync");
     }
-    for (int e : state.cov) {
-      if (phi_[e] != set_id) return Status::Internal("cov lists foreign element");
+    const std::vector<int>& cov = cov_[static_cast<size_t>(slot)];
+    if (cov.empty()) return Status::Internal("empty set kept in C");
+    cov_total += cov.size();
+    if (level_[static_cast<size_t>(slot)] !=
+        LevelForSize(static_cast<int>(cov.size()))) {
+      return Status::Internal("level range violated for set " +
+                              std::to_string(system_.SetIdOf(slot)));
+    }
+    for (int e : cov) {
+      if (phi_[static_cast<size_t>(e)] != slot) {
+        return Status::Internal("cov lists foreign element");
+      }
     }
   }
   if (static_cast<int>(cov_total) != assigned) {
     return Status::Internal("cover sets are not disjoint");
   }
   // 2. Stability Condition 2 and count-cache correctness, by brute force.
-  for (int set_id : system_.NonEmptySetIds()) {
-    std::vector<int> true_counts(kMaxLevels, 0);
-    for (int e : system_.ElementsOf(set_id)) {
+  // A free slot (no links) must hold no cover state and a zero row.
+  std::vector<int> true_counts(kMaxLevels);
+  for (int slot = 0; slot < system_.slot_capacity(); ++slot) {
+    const auto& links = system_.SlotLinks(slot);
+    std::fill(true_counts.begin(), true_counts.end(), 0);
+    for (const SetSystem::Link& link : links) {
+      const int e = link.other;
       if (in_universe_[e] && elem_level_[e] >= 0) ++true_counts[elem_level_[e]];
     }
-    auto cit = counts_.find(set_id);
+    const bool in_cover = level_[static_cast<size_t>(slot)] >= 0;
+    if (in_cover != (cover_pos_[static_cast<size_t>(slot)] >= 0) ||
+        (!in_cover && !cov_[static_cast<size_t>(slot)].empty())) {
+      return Status::Internal("cover state of slot " + std::to_string(slot) +
+                              " inconsistent");
+    }
+    auto set_name = [&] {
+      return links.empty() ? "free slot " + std::to_string(slot)
+                           : "set " + std::to_string(system_.SetIdOf(slot));
+    };
+    const int* row = CountsRow(slot);
     for (int j = 0; j < kMaxLevels; ++j) {
-      int cached = (cit == counts_.end() || cit->second.empty())
-                       ? 0
-                       : cit->second[j];
-      if (cached != true_counts[j]) {
-        return Status::Internal("count cache mismatch for set " +
-                                std::to_string(set_id));
+      if (row[j] != true_counts[static_cast<size_t>(j)]) {
+        return Status::Internal("count cache mismatch for " + set_name());
       }
-      if (true_counts[j] >= (2LL << j)) {
-        return Status::Internal("stability Condition 2 violated: set " +
-                                std::to_string(set_id) + " level " +
-                                std::to_string(j));
+      if (true_counts[static_cast<size_t>(j)] >= (2LL << j)) {
+        return Status::Internal("stability Condition 2 violated: " +
+                                set_name() + " level " + std::to_string(j));
       }
     }
   }
   // 3. Coverage: every universe element contained in some set is assigned.
   for (int e = 0; e < system_.element_capacity(); ++e) {
-    if (in_universe_[e] && phi_[e] == kUnassigned &&
-        !system_.SetsContaining(e).empty()) {
+    if (in_universe_[e] && phi_[static_cast<size_t>(e)] < 0 &&
+        !system_.ElementLinks(e).empty()) {
       return Status::Internal("coverable universe element left unassigned");
     }
   }

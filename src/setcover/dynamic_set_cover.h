@@ -12,16 +12,24 @@
 /// at level j. Theorem 1: any stable solution is O(log m)-approximate.
 ///
 /// This implementation keeps, for every set S and level j, the count
-/// |S ∩ A_j| incrementally; STABILIZE drains a violation queue instead of
-/// rescanning all sets, giving the same fixpoint as the paper's Lines
-/// 28-32 in time proportional to actual churn.
+/// |S ∩ A_j| incrementally; STABILIZE drains a queue of candidate
+/// violations instead of rescanning all sets, giving the same fixpoint as
+/// the paper's Lines 28-32 in time proportional to actual churn. It fixes
+/// the smallest violated (set id, level) key first.
+///
+/// Per-set state lives in flat arrays indexed by the set's slot in the
+/// SetSystem: a row of kMaxLevels counts, the level, and cov(S) as a vector
+/// with each element's position in it, so cov insert and erase are O(1).
+/// Every choice the algorithm makes (the covering set Reassign picks, the
+/// order of violations, donors and orphans) is a function of the set ids
+/// and the incidence, never of slot numbers or list order, so equal inputs
+/// give equal solutions however the incidence was built.
 ///
 /// All set-system mutations flow through this class so the counts stay
 /// consistent: AddMembership / RemoveMembership (σ = (u, S, ±)),
 /// AddToUniverse / RemoveFromUniverse (σ = (u, U, ±)), RemoveSet.
 
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -58,17 +66,20 @@ class DynamicSetCover {
   // ---- solution inspection ----
 
   /// Number of sets in the solution C.
-  int CoverSize() const { return static_cast<int>(in_cover_.size()); }
-  /// Set ids (tuple ids) forming C.
+  int CoverSize() const { return static_cast<int>(cover_slots_.size()); }
+  /// Set ids (tuple ids) forming C, ascending.
   std::vector<int> CoverSetIds() const;
   bool InUniverse(int element) const { return in_universe_[element]; }
   int UniverseSize() const { return universe_size_; }
   /// Assigned set of `element` (kUnassigned if uncovered / not in universe).
-  int AssignmentOf(int element) const { return phi_[element]; }
+  int AssignmentOf(int element) const {
+    const int slot = phi_[static_cast<size_t>(element)];
+    return slot < 0 ? kUnassigned : system_.SetIdOf(slot);
+  }
   /// Level of a solution set, -1 if not in C.
   int LevelOf(int set_id) const;
-  /// cov(S); empty if not in C.
-  const std::unordered_set<int>& CoverSetOf(int set_id) const;
+  /// cov(S), in unspecified order; empty if not in C.
+  const std::vector<int>& CoverSetOf(int set_id) const;
 
   const SetSystem& system() const { return system_; }
 
@@ -80,46 +91,64 @@ class DynamicSetCover {
   static constexpr int kMaxLevels = 34;
 
  private:
-  struct CoverState {
-    std::unordered_set<int> cov;
-    int level = -1;
-  };
-
   static int LevelForSize(int size);
 
-  /// Makes `element` assigned to `set_id` (which must contain it), updating
-  /// cov, counts, and levels. `element` must be currently unassigned.
-  void Assign(int element, int set_id);
+  /// Sizes the per-slot arrays to the system's slot capacity.
+  void GrowSlots();
+  int* CountsRow(int slot) {
+    return counts_.data() + static_cast<size_t>(slot) * kMaxLevels;
+  }
+  const int* CountsRow(int slot) const {
+    return counts_.data() + static_cast<size_t>(slot) * kMaxLevels;
+  }
+  /// cov(slot) += element / -= element, O(1).
+  void CovInsert(int slot, int element);
+  void CovErase(int slot, int element);
+  /// Enters / leaves C (the level is set by the caller).
+  void JoinCover(int slot);
+  void LeaveCover(int slot);
+
+  /// Makes `element` assigned to `slot` (whose set must contain it),
+  /// updating cov, counts, and levels. `element` must be currently
+  /// unassigned.
+  void Assign(int element, int slot);
   /// Clears the assignment of `element` (updating its donor set), without
   /// reassigning.
   void Unassign(int element);
-  /// Re-derives the level of `set_id` from |cov|; drops empty sets from C
+  /// Re-derives the level of `slot` from |cov|; drops empty sets from C
   /// (RELEVEL in Algorithm 1).
-  void Relevel(int set_id);
-  /// Moves all cov members of `set_id` to level `new_level` in the count
-  /// caches of every set containing them.
-  void ShiftCovLevel(int set_id, int old_level, int new_level);
+  void Relevel(int slot);
   /// Picks a covering set for an unassigned universe element: a set already
   /// in C containing it if any (highest level wins), else any containing
-  /// set, else leaves it uncovered.
+  /// set, else leaves it uncovered; ties go to the smallest set id.
   void Reassign(int element);
   /// Count-cache maintenance for one element changing level (old_level or
   /// new_level may be -1 meaning "not counted").
   void UpdateCounts(int element, int old_level, int new_level);
-  void BumpCount(int set_id, int level, int delta);
+  void BumpCount(int slot, int level, int delta);
   /// Drains the violation queue (STABILIZE, Lines 28-32).
   void Stabilize();
 
   SetSystem system_;
-  std::vector<int> phi_;
+  // Per element.
+  std::vector<int> phi_;         // slot of φ(e), -1 if unassigned
   std::vector<int> elem_level_;  // level of φ(e), -1 if unassigned
+  std::vector<int> cov_pos_;     // index of e in cov(φ(e))
   std::vector<bool> in_universe_;
   int universe_size_ = 0;
-  std::unordered_map<int, CoverState> in_cover_;
-  // counts_[set][j] = |S ∩ A_j| over assigned universe elements.
-  std::unordered_map<int, std::vector<int>> counts_;
-  // (set, level) keys to re-check, a min-heap.
+  // Per slot.
+  std::vector<std::vector<int>> cov_;
+  std::vector<int> level_;      // -1 if not in C
+  std::vector<int> cover_pos_;  // index in cover_slots_, -1 if not in C
+  // counts_[slot * kMaxLevels + j] = |S ∩ A_j| over assigned universe
+  // elements. A free slot's row is all zero.
+  std::vector<int> counts_;
+  std::vector<int> cover_slots_;  // the slots of C
+  // (set id, level) keys to re-check, a min-heap.
   std::vector<std::pair<int, int>> violations_;
+  // Stabilize's scratch.
+  std::vector<int> steal_scratch_;
+  std::vector<std::pair<int, int>> donor_scratch_;  // (set id, slot)
 };
 
 }  // namespace fdrms

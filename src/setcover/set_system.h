@@ -5,14 +5,22 @@
 /// The set system Σ = (U, S) of Section III: elements are indices of
 /// sampled utility vectors, sets are keyed by tuple id, and S(p) contains
 /// the utilities for which tuple p is an ε-approximate top-k result.
-/// Incidence is stored bidirectionally so both S(p) and "sets containing
-/// u" are O(1) to enumerate.
+///
+/// Storage is flat. A set holds a dense slot (common/flat_id_map.h) while
+/// it is nonempty, so callers can keep per-set state in slot-indexed
+/// arrays. Each slot and each element owns one vector of links, one per
+/// membership; a link records the other endpoint and the index of its
+/// mirror link in that endpoint's vector. Both S(p) and "sets containing
+/// u" are therefore contiguous to enumerate, and a membership is removed by
+/// one scan of the shorter of its two vectors plus two O(1) swap-removes.
+/// List order is unspecified: it depends on the mutation history.
 
-#include <unordered_map>
-#include <unordered_set>
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "common/check.h"
+#include "common/flat_id_map.h"
 
 namespace fdrms {
 
@@ -20,60 +28,194 @@ namespace fdrms {
 /// [0, capacity); set keys are arbitrary ints (tuple ids).
 class SetSystem {
  public:
-  explicit SetSystem(int element_capacity)
-      : sets_of_(element_capacity) {}
+  /// One side of a membership: `other` is the far endpoint (an element in
+  /// a slot's vector, a slot in an element's vector) and `mirror` the index
+  /// of the matching link in the far endpoint's vector.
+  struct Link {
+    int other;
+    int mirror;
+  };
 
-  int element_capacity() const { return static_cast<int>(sets_of_.size()); }
+  /// Read-only range over one link vector that yields its far endpoints as
+  /// keys: elements as they are, slots as set ids. A view: valid until the
+  /// next mutation of the system.
+  class KeyRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = int;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = int;
 
-  /// True if the membership was new.
-  bool AddMembership(int element, int set_id) {
+      iterator() = default;
+      iterator(const Link* link, const int* ids) : link_(link), ids_(ids) {}
+      int operator*() const {
+        return ids_ == nullptr ? link_->other : ids_[link_->other];
+      }
+      iterator& operator++() {
+        ++link_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++link_;
+        return old;
+      }
+      bool operator==(const iterator& o) const { return link_ == o.link_; }
+
+     private:
+      const Link* link_ = nullptr;
+      const int* ids_ = nullptr;
+    };
+
+    KeyRange(const std::vector<Link>& links, const int* ids)
+        : begin_(links.data()), end_(links.data() + links.size()), ids_(ids) {}
+    iterator begin() const { return {begin_, ids_}; }
+    iterator end() const { return {end_, ids_}; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+    bool empty() const { return begin_ == end_; }
+
+   private:
+    const Link* begin_;
+    const Link* end_;
+    const int* ids_;  // slot -> set id; null when the links hold elements
+  };
+
+  explicit SetSystem(int element_capacity) : by_element_(element_capacity) {}
+
+  int element_capacity() const { return static_cast<int>(by_element_.size()); }
+
+  /// True if the membership was new. When `slot` is given it receives the
+  /// slot of `set_id` either way.
+  bool AddMembership(int element, int set_id, int* slot = nullptr) {
     FDRMS_DCHECK(element >= 0 && element < element_capacity());
-    bool inserted = elements_of_[set_id].insert(element).second;
-    if (inserted) sets_of_[element].insert(set_id);
-    return inserted;
-  }
-
-  /// True if the membership existed.
-  bool RemoveMembership(int element, int set_id) {
-    auto it = elements_of_.find(set_id);
-    if (it == elements_of_.end()) return false;
-    if (it->second.erase(element) == 0) return false;
-    if (it->second.empty()) elements_of_.erase(it);
-    sets_of_[element].erase(set_id);
+    int s = slots_.Find(set_id);
+    if (s >= 0 && FindLink(element, s) >= 0) {
+      if (slot != nullptr) *slot = s;
+      return false;
+    }
+    if (s < 0) {
+      s = slots_.Acquire(set_id);
+      if (s == static_cast<int>(by_slot_.size())) by_slot_.emplace_back();
+    }
+    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
+    std::vector<Link>& elem_links = by_element_[static_cast<size_t>(element)];
+    set_links.push_back({element, static_cast<int>(elem_links.size())});
+    elem_links.push_back({s, static_cast<int>(set_links.size()) - 1});
+    if (slot != nullptr) *slot = s;
     return true;
   }
 
+  /// True if the membership existed. A set that empties gives up its slot.
+  bool RemoveMembership(int element, int set_id) {
+    const int s = slots_.Find(set_id);
+    if (s < 0) return false;
+    const int at = FindLink(element, s);
+    if (at < 0) return false;
+    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
+    const int mirror = set_links[static_cast<size_t>(at)].mirror;
+    SwapRemove(&set_links, at, &by_element_);
+    SwapRemove(&by_element_[static_cast<size_t>(element)], mirror, &by_slot_);
+    if (set_links.empty()) slots_.Release(set_id);
+    return true;
+  }
+
+  /// Drops every membership of `set_id` and its slot.
+  void RemoveSet(int set_id) {
+    const int s = slots_.Find(set_id);
+    if (s < 0) return;
+    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
+    for (const Link& link : set_links) {
+      SwapRemove(&by_element_[static_cast<size_t>(link.other)], link.mirror,
+                 &by_slot_);
+    }
+    set_links.clear();
+    slots_.Release(set_id);
+  }
+
   bool Contains(int element, int set_id) const {
-    auto it = elements_of_.find(set_id);
-    return it != elements_of_.end() && it->second.count(element) > 0;
+    const int s = slots_.Find(set_id);
+    return s >= 0 && FindLink(element, s) >= 0;
   }
 
-  /// Elements of S(set_id); empty set if unknown.
-  const std::unordered_set<int>& ElementsOf(int set_id) const {
-    static const std::unordered_set<int> empty;
-    auto it = elements_of_.find(set_id);
-    return it == elements_of_.end() ? empty : it->second;
+  /// Elements of S(set_id); empty if unknown.
+  KeyRange ElementsOf(int set_id) const {
+    static const std::vector<Link> empty;
+    const int s = slots_.Find(set_id);
+    return {s < 0 ? empty : by_slot_[static_cast<size_t>(s)], nullptr};
   }
 
-  /// Sets containing `element`.
-  const std::unordered_set<int>& SetsContaining(int element) const {
+  /// Set ids of the sets containing `element`.
+  KeyRange SetsContaining(int element) const {
     FDRMS_DCHECK(element >= 0 && element < element_capacity());
-    return sets_of_[element];
+    return {by_element_[static_cast<size_t>(element)], slots_.ids()};
   }
 
-  /// Ids of all nonempty sets.
+  /// Ids of all nonempty sets, in unspecified order.
   std::vector<int> NonEmptySetIds() const {
     std::vector<int> ids;
-    ids.reserve(elements_of_.size());
-    for (const auto& [id, _] : elements_of_) ids.push_back(id);
+    ids.reserve(num_sets());
+    for (size_t s = 0; s < by_slot_.size(); ++s) {
+      if (!by_slot_[s].empty()) ids.push_back(slots_.IdOf(static_cast<int>(s)));
+    }
     return ids;
   }
 
-  size_t num_sets() const { return elements_of_.size(); }
+  size_t num_sets() const { return static_cast<size_t>(slots_.size()); }
+
+  // ---- slot-level access, for per-set state kept in flat arrays ----
+
+  /// Slot of a nonempty set, -1 otherwise.
+  int SlotOf(int set_id) const { return slots_.Find(set_id); }
+  /// Set id holding `slot`.
+  int SetIdOf(int slot) const { return slots_.IdOf(slot); }
+  /// Every slot is below this bound; it only grows.
+  int slot_capacity() const { return static_cast<int>(by_slot_.size()); }
+  /// Links of a slot (elements; empty when the slot is free).
+  const std::vector<Link>& SlotLinks(int slot) const {
+    return by_slot_[static_cast<size_t>(slot)];
+  }
+  /// Links of an element (slots of the sets containing it).
+  const std::vector<Link>& ElementLinks(int element) const {
+    return by_element_[static_cast<size_t>(element)];
+  }
 
  private:
-  std::unordered_map<int, std::unordered_set<int>> elements_of_;
-  std::vector<std::unordered_set<int>> sets_of_;
+  /// Index of `element` in slot `s`'s links, or -1; scans the shorter of
+  /// the membership's two vectors.
+  int FindLink(int element, int s) const {
+    const std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
+    const std::vector<Link>& elem_links =
+        by_element_[static_cast<size_t>(element)];
+    if (set_links.size() <= elem_links.size()) {
+      for (size_t i = 0; i < set_links.size(); ++i) {
+        if (set_links[i].other == element) return static_cast<int>(i);
+      }
+    } else {
+      for (const Link& link : elem_links) {
+        if (link.other == s) return link.mirror;
+      }
+    }
+    return -1;
+  }
+
+  /// Removes links[at] by moving the last link into its place and pointing
+  /// that link's mirror (in `far`) at the new index.
+  static void SwapRemove(std::vector<Link>* links, int at,
+                         std::vector<std::vector<Link>>* far) {
+    const Link last = links->back();
+    links->pop_back();
+    if (at == static_cast<int>(links->size())) return;
+    (*links)[static_cast<size_t>(at)] = last;
+    (*far)[static_cast<size_t>(last.other)][static_cast<size_t>(last.mirror)]
+        .mirror = at;
+  }
+
+  IdSlots slots_;
+  std::vector<std::vector<Link>> by_slot_;     // slot -> element links
+  std::vector<std::vector<Link>> by_element_;  // element -> slot links
 };
 
 }  // namespace fdrms

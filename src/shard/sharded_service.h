@@ -257,8 +257,9 @@ class ShardedFdRmsService {
   /// the dead writer, drains its acknowledged-but-unapplied backlog, builds
   /// a successor seeded with a copy of the dead instance's own state (the
   /// exact applied prefix: revive is in-process, so no durable snapshot is
-  /// read, and nothing is re-initialized), swaps it into the topology under the route lock (the routing
-  /// table is unchanged: same slots, same epoch), replays the backlog in
+  /// read, and nothing is re-initialized), swaps it into the topology
+  /// under the route lock (the routing table is unchanged: same slots, same
+  /// epoch), replays the backlog in
   /// submission order, and flushes. When the replay completes the revived
   /// shard's applied state equals an unfaulted run's. With persistence on,
   /// a manifest commit then binds the successor's first save. Fails with

@@ -15,7 +15,7 @@ TopKMaintainer::TopKMaintainer(int dim, int k, double eps,
       tree_(dim),
       cone_(utilities_),
       topk_(utilities_.size()),
-      approx_(utilities_.size()) {
+      phi_(static_cast<int>(utilities_.size())) {
   FDRMS_CHECK(k_ >= 1);
   FDRMS_CHECK(eps_ >= 0.0 && eps_ < 1.0);
   for (const Point& u : utilities_) {
@@ -33,27 +33,19 @@ double TopKMaintainer::ThresholdFor(int utility) const {
   return (1.0 - eps_) * OmegaK(utility);
 }
 
-const std::unordered_set<int>& TopKMaintainer::MemberOf(int id) const {
-  static const std::unordered_set<int> empty;
-  auto it = member_of_.find(id);
-  return it == member_of_.end() ? empty : it->second;
-}
-
 void TopKMaintainer::EmitAdd(int utility, int id,
                              std::vector<TopKDelta>* deltas) {
-  approx_[utility].insert(id);
-  member_of_[id].insert(utility);
+  const bool added = phi_.AddMembership(utility, id);
+  FDRMS_DCHECK(added);
+  (void)added;
   if (deltas != nullptr) deltas->push_back({utility, id, /*added=*/true});
 }
 
 void TopKMaintainer::EmitRemove(int utility, int id,
                                 std::vector<TopKDelta>* deltas) {
-  approx_[utility].erase(id);
-  auto it = member_of_.find(id);
-  if (it != member_of_.end()) {
-    it->second.erase(utility);
-    if (it->second.empty()) member_of_.erase(it);
-  }
+  const bool removed = phi_.RemoveMembership(utility, id);
+  FDRMS_DCHECK(removed);
+  (void)removed;
   if (deltas != nullptr) deltas->push_back({utility, id, /*added=*/false});
 }
 
@@ -93,7 +85,7 @@ Status TopKMaintainer::Insert(int id, const Point& p,
       // gather-kernel call scores the whole membership against the tree's
       // point slab — no Point copy or per-member pointer chase.
       member_scratch_.clear();
-      for (int member : approx_[u]) {
+      for (int member : phi_.SetsContaining(u)) {
         if (member != id) member_scratch_.push_back(member);
       }
       member_score_scratch_.resize(member_scratch_.size());
@@ -120,7 +112,7 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not present");
   }
   // Only utilities whose Φ set contains `id` can change (S(p) in the paper).
-  const auto& member_of = MemberOf(id);
+  const SetSystem::KeyRange member_of = MemberOf(id);
   affected_scratch_.assign(member_of.begin(), member_of.end());
   std::sort(affected_scratch_.begin(), affected_scratch_.end());
   FDRMS_RETURN_NOT_OK(tree_.Delete(id));
@@ -137,7 +129,7 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
 
 void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas) {
   const Point& u = utilities_[utility];
-  const std::unordered_set<int>& members = approx_[utility];
+  const SetSystem::KeyRange members = phi_.SetsContaining(utility);
   auto& list = topk_[utility];
   if (static_cast<int>(members.size()) >= k_) {
     // The surviving members all score >= the old τ and every non-member
@@ -162,7 +154,7 @@ void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas)
   // range query finds the (possibly new) entrants at the lowered bar.
   tree_.ScoreRange(u, tau, &ranked_scratch_);
   for (const ScoredId& s : ranked_scratch_) {
-    if (members.count(s.id) == 0) EmitAdd(utility, s.id, deltas);
+    if (!phi_.Contains(utility, s.id)) EmitAdd(utility, s.id, deltas);
   }
   cone_.SetThreshold(utility, tau);
 }
@@ -179,11 +171,15 @@ Status TopKMaintainer::ValidateAgainstBruteForce() const {
     double omega_k =
         static_cast<int>(all.size()) < k_ ? 0.0 : all[k_ - 1].score;
     double tau = (1.0 - eps_) * omega_k;
-    std::unordered_set<int> expected;
+    std::vector<int> expected;
     for (const ScoredId& s : all) {
-      if (s.score >= tau) expected.insert(s.id);
+      if (s.score >= tau) expected.push_back(s.id);
     }
-    if (expected != approx_[u]) {
+    std::sort(expected.begin(), expected.end());
+    const SetSystem::KeyRange phi = ApproxTopK(static_cast<int>(u));
+    std::vector<int> maintained(phi.begin(), phi.end());
+    std::sort(maintained.begin(), maintained.end());
+    if (expected != maintained) {
       return Status::Internal("approx top-k mismatch for utility " +
                               std::to_string(u));
     }

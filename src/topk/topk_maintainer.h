@@ -20,18 +20,21 @@
 /// exact top-k; only when fewer survive does the repair search the kd-tree.
 /// Either way a score-range query at the lowered τ then finds the entrants.
 ///
-/// Every mutation reports the exact membership changes of the Φ sets as a
-/// list of TopKDelta records; FD-RMS consumes them to update the set
-/// system Σ and the dynamic set-cover solution.
+/// The Φ sets are kept as a flat SetSystem (elements = utilities, sets =
+/// tuple ids), so both Φ(u) and S(p) are contiguous to enumerate and a
+/// membership change costs a short scan and two swap-removes. Every
+/// mutation reports the exact membership changes as a list of TopKDelta
+/// records, whose order depends only on the Φ sets' contents (evictions in
+/// ascending id order); FD-RMS consumes them to update the set system Σ and
+/// the dynamic set-cover solution.
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "geometry/point.h"
 #include "index/conetree.h"
 #include "index/kdtree.h"
+#include "setcover/set_system.h"
 
 namespace fdrms {
 
@@ -66,9 +69,10 @@ class TopKMaintainer {
   const std::vector<Point>& utilities() const { return utilities_; }
   const KdTree& tree() const { return tree_; }
 
-  /// Current Φ_{k,ε}(u_i, P_t).
-  const std::unordered_set<int>& ApproxTopK(int utility) const {
-    return approx_[utility];
+  /// Current Φ_{k,ε}(u_i, P_t): its tuple ids, in unspecified order. The
+  /// range is a view, valid until the next Insert or Delete.
+  SetSystem::KeyRange ApproxTopK(int utility) const {
+    return phi_.SetsContaining(utility);
   }
 
   /// Current exact top-k list (best first) of utility i.
@@ -80,8 +84,9 @@ class TopKMaintainer {
   double OmegaK(int utility) const;
 
   /// Utilities whose Φ set currently contains tuple `id` — this is the set
-  /// S(p) of the paper's set system.
-  const std::unordered_set<int>& MemberOf(int id) const;
+  /// S(p) of the paper's set system — in unspecified order; a view, like
+  /// ApproxTopK.
+  SetSystem::KeyRange MemberOf(int id) const { return phi_.ElementsOf(id); }
 
   /// Checks the kd-tree's structure (KdTree::CheckInvariants), then
   /// recomputes every Φ set and exact top-k list (ids and scores) from
@@ -114,9 +119,8 @@ class TopKMaintainer {
   std::vector<ScoredId> ranked_scratch_;
   KdTree tree_;
   ConeTree cone_;
-  std::vector<std::vector<ScoredId>> topk_;            // per utility
-  std::vector<std::unordered_set<int>> approx_;        // per utility
-  std::unordered_map<int, std::unordered_set<int>> member_of_;  // S(p)
+  std::vector<std::vector<ScoredId>> topk_;  // per utility
+  SetSystem phi_;  // utility u ∈ S(p) ⟺ p ∈ Φ(u)
 };
 
 }  // namespace fdrms

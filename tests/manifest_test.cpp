@@ -26,6 +26,14 @@
 namespace fdrms {
 namespace {
 
+/// A Φ set or S(p) as an ascending vector, for set equality.
+template <typename Range>
+std::vector<int> Sorted(const Range& range) {
+  std::vector<int> ids(range.begin(), range.end());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 /// A per-test store prefix inside the test temp dir, wiped of any leftover
 /// constellation files from a previous run of the same binary.
 std::string CleanBase(const std::string& name) {
@@ -149,7 +157,8 @@ void ExpectSameInstance(const FdRms& resumed, const FdRms& loaded) {
   EXPECT_EQ(resumed.Result(), loaded.Result());
   ASSERT_EQ(resumed.topk().num_utilities(), loaded.topk().num_utilities());
   for (int i = 0; i < loaded.topk().num_utilities(); ++i) {
-    EXPECT_EQ(resumed.topk().ApproxTopK(i), loaded.topk().ApproxTopK(i))
+    EXPECT_EQ(Sorted(resumed.topk().ApproxTopK(i)),
+              Sorted(loaded.topk().ApproxTopK(i)))
         << "utility " << i;
   }
   Status valid = resumed.Validate();

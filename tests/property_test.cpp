@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "baselines/exact2d.h"
 #include "baselines/greedy.h"
@@ -98,6 +101,69 @@ TEST(SetCoverPropertyTest, StableSolutionWithinLogBoundOfGreedy) {
     EXPECT_LE(dynamic_size, bound)
         << "trial " << trial << ": dynamic " << dynamic_size << " greedy "
         << greedy_size;
+  }
+}
+
+TEST(SetCoverPropertyTest, SolutionIndependentOfIncidenceOrder) {
+  // Two covers receive the same memberships in different orders, then the
+  // same σ stream over scattered set ids (extremes included, ids re-added
+  // after RemoveSet). The solution depends only on the incidence, so both
+  // must agree on every assignment and level after every op, and both
+  // must satisfy CheckInvariants throughout.
+  const std::vector<int> ids = {INT_MIN, -65537, -3, 0, 5, 1 << 20, INT_MAX};
+  Rng rng(76);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int m = 20 + rng.UniformInt(40);
+    std::vector<std::pair<int, int>> memberships;
+    for (int e = 0; e < m; ++e) {
+      const int degree = 1 + rng.UniformInt(4);
+      for (int j = 0; j < degree; ++j) {
+        memberships.emplace_back(
+            e, ids[static_cast<size_t>(
+                   rng.UniformInt(static_cast<int>(ids.size())))]);
+      }
+    }
+    DynamicSetCover a(m), b(m);
+    for (const auto& [e, id] : memberships) a.AddMembership(e, id);
+    rng.Shuffle(&memberships);
+    for (const auto& [e, id] : memberships) b.AddMembership(e, id);
+    std::vector<int> universe;
+    for (int e = 0; e < m; ++e) {
+      if (rng.Uniform() < 0.8) universe.push_back(e);
+    }
+    a.InitializeGreedy(universe);
+    b.InitializeGreedy(universe);
+    for (int op = 0; op < 400; ++op) {
+      const int e = rng.UniformInt(m);
+      const int id = ids[static_cast<size_t>(
+          rng.UniformInt(static_cast<int>(ids.size())))];
+      const int kind = rng.UniformInt(12);
+      for (DynamicSetCover* cover : {&a, &b}) {
+        if (kind < 5) {
+          cover->AddMembership(e, id);
+        } else if (kind < 9) {
+          cover->RemoveMembership(e, id);
+        } else if (kind == 9) {
+          cover->AddToUniverse(e);
+        } else if (kind == 10) {
+          cover->RemoveFromUniverse(e);
+        } else {
+          cover->RemoveSet(id);
+        }
+        Status st = cover->CheckInvariants();
+        ASSERT_TRUE(st.ok()) << "trial " << trial << " op " << op << ": "
+                             << st.ToString();
+      }
+      ASSERT_EQ(a.CoverSetIds(), b.CoverSetIds())
+          << "trial " << trial << " op " << op;
+      for (int x = 0; x < m; ++x) {
+        ASSERT_EQ(a.AssignmentOf(x), b.AssignmentOf(x))
+            << "trial " << trial << " op " << op << " element " << x;
+      }
+      for (int set_id : a.CoverSetIds()) {
+        ASSERT_EQ(a.LevelOf(set_id), b.LevelOf(set_id));
+      }
+    }
   }
 }
 

@@ -429,6 +429,45 @@ TEST(ServeServiceTest, StartPublishesInitialSnapshot) {
   ASSERT_TRUE(service.Stop().ok());
 }
 
+TEST(ServeServiceTest, StartFromAdoptsTheInstanceAndChecksItsOptions) {
+  PointSet ps = GenerateIndep(160, 3, 2);
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 8;
+  sopt.algo.max_utilities = 128;
+  // An instance with history: P_0 plus inserts and deletes.
+  FdRms direct(3, sopt.algo);
+  ASSERT_TRUE(direct.Initialize(AsTuples(ps, 100)).ok());
+  for (int i = 100; i < 160; ++i) {
+    ASSERT_TRUE(direct.Insert(i, ps.Get(i)).ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(direct.Delete(i - 100).ok());
+    }
+  }
+  FdRmsService service(3, sopt);
+  ASSERT_TRUE(service.StartFrom(direct).ok());
+  EXPECT_EQ(service.StartFrom(direct).code(), StatusCode::kFailedPrecondition);
+  auto snap = service.Query();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->ids, direct.Result());
+  EXPECT_EQ(snap->sample_size_m, direct.current_m());
+  EXPECT_EQ(snap->live_tuples, direct.size());
+  // It keeps serving from the adopted state, in step with the original.
+  ASSERT_TRUE(service.SubmitDelete(1).ok());
+  ASSERT_TRUE(service.Flush().ok());
+  ASSERT_TRUE(service.Stop().ok());
+  ASSERT_TRUE(direct.Delete(1).ok());
+  EXPECT_EQ(service.algorithm().Result(), direct.Result());
+  EXPECT_TRUE(service.algorithm().Validate().ok());
+
+  // Another budget or dimension would misreport the guarantee: refuse.
+  FdRmsServiceOptions other = sopt;
+  other.algo.r = 9;
+  FdRmsService mismatched(3, other);
+  EXPECT_EQ(mismatched.StartFrom(direct).code(), StatusCode::kInvalidArgument);
+  FdRmsService wrong_dim(2, sopt);
+  EXPECT_EQ(wrong_dim.StartFrom(direct).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ServeServiceTest, SubmitBeforeStartOrAfterStopFails) {
   FdRmsServiceOptions sopt;
   sopt.algo.max_utilities = 32;
@@ -592,6 +631,9 @@ TEST(ServeServiceTest, ConcurrentChurnIsConsistentAndMatchesSequentialReplay) {
     std::string failure;  // first violation seen, empty if none
   };
   std::vector<ReaderLog> logs(kReaders);
+  // Submitting starts once every reader has queried, so each one reads
+  // while the writer churns however the threads are scheduled.
+  std::atomic<int> readers_started{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
@@ -601,7 +643,7 @@ TEST(ServeServiceTest, ConcurrentChurnIsConsistentAndMatchesSequentialReplay) {
       bool first = true;
       while (!stop_readers.load(std::memory_order_acquire)) {
         auto snap = service.Query();
-        ++log.queries;
+        if (log.queries++ == 0) readers_started.fetch_add(1);
         auto fail = [&](const std::string& what) {
           if (log.failure.empty()) log.failure = what;
         };
@@ -635,6 +677,7 @@ TEST(ServeServiceTest, ConcurrentChurnIsConsistentAndMatchesSequentialReplay) {
     });
   }
 
+  while (readers_started.load() < kReaders) std::this_thread::yield();
   const auto& ops = wl.operations();
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t) {

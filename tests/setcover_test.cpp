@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <set>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "setcover/dynamic_set_cover.h"
@@ -31,6 +35,164 @@ TEST(SetSystemTest, EmptySetDisappears) {
   EXPECT_EQ(sys.num_sets(), 0u);
   EXPECT_TRUE(sys.NonEmptySetIds().empty());
 }
+
+/// Set ids spread over the whole int range, extremes included.
+const std::vector<int> kScatteredIds = {INT_MIN, INT_MIN + 1, -1000003, -7, -1,
+                                        0,       1,           2,        97,
+                                        65536,   1 << 30,     INT_MAX - 1,
+                                        INT_MAX};
+
+template <typename Range>
+std::vector<int> Sorted(const Range& range) {
+  std::vector<int> v(range.begin(), range.end());
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// Checks both directions of `sys` against a reference (element, set id)
+/// incidence, and that slots map one to one onto the nonempty sets.
+void ExpectIncidenceEquals(const SetSystem& sys,
+                           const std::set<std::pair<int, int>>& ref,
+                           int num_elements) {
+  std::set<int> set_ids;
+  for (const auto& [e, id] : ref) set_ids.insert(id);
+  ASSERT_EQ(sys.num_sets(), set_ids.size());
+  EXPECT_EQ(Sorted(sys.NonEmptySetIds()),
+            std::vector<int>(set_ids.begin(), set_ids.end()));
+  for (int id : kScatteredIds) {
+    std::vector<int> expect;
+    for (int e = 0; e < num_elements; ++e) {
+      if (ref.count({e, id}) > 0) expect.push_back(e);
+    }
+    ASSERT_EQ(Sorted(sys.ElementsOf(id)), expect) << "set " << id;
+    const int slot = sys.SlotOf(id);
+    ASSERT_EQ(slot >= 0, !expect.empty()) << "set " << id;
+    if (slot >= 0) {
+      ASSERT_EQ(sys.SetIdOf(slot), id);
+      ASSERT_EQ(sys.SlotLinks(slot).size(), expect.size());
+    }
+  }
+  for (int e = 0; e < num_elements; ++e) {
+    std::vector<int> expect;
+    for (const auto& [re, id] : ref) {
+      if (re == e) expect.push_back(id);
+    }
+    std::sort(expect.begin(), expect.end());
+    ASSERT_EQ(Sorted(sys.SetsContaining(e)), expect) << "element " << e;
+    // Every link's mirror points back at it.
+    for (size_t i = 0; i < sys.ElementLinks(e).size(); ++i) {
+      const SetSystem::Link& link = sys.ElementLinks(e)[i];
+      const SetSystem::Link& back =
+          sys.SlotLinks(link.other)[static_cast<size_t>(link.mirror)];
+      ASSERT_EQ(back.other, e);
+      ASSERT_EQ(back.mirror, static_cast<int>(i));
+    }
+  }
+}
+
+TEST(SetSystemTest, ScatteredIdsMatchReferenceAndReuseSlots) {
+  const int kElements = 9;
+  Rng rng(31);
+  SetSystem sys(kElements);
+  std::set<std::pair<int, int>> ref;
+  for (int op = 0; op < 3000; ++op) {
+    const int e = rng.UniformInt(kElements);
+    const int id =
+        kScatteredIds[static_cast<size_t>(rng.UniformInt(
+            static_cast<int>(kScatteredIds.size())))];
+    const int kind = rng.UniformInt(10);
+    if (kind < 5) {
+      EXPECT_EQ(sys.AddMembership(e, id), ref.insert({e, id}).second);
+    } else if (kind < 9) {
+      EXPECT_EQ(sys.RemoveMembership(e, id), ref.erase({e, id}) > 0);
+    } else {
+      sys.RemoveSet(id);
+      for (int x = 0; x < kElements; ++x) ref.erase({x, id});
+    }
+    ASSERT_EQ(sys.Contains(e, id), ref.count({e, id}) > 0);
+    ASSERT_NO_FATAL_FAILURE(ExpectIncidenceEquals(sys, ref, kElements))
+        << "op " << op;
+    // Emptied sets give their slots back, so slots never outnumber the
+    // distinct ids.
+    ASSERT_LE(sys.slot_capacity(), static_cast<int>(kScatteredIds.size()));
+  }
+}
+
+struct ScatteredCoverParam {
+  int num_elements;
+  double add_share;  // chance that a membership op adds
+  uint64_t seed;
+};
+
+class ScatteredCoverTest
+    : public ::testing::TestWithParam<ScatteredCoverParam> {};
+
+TEST_P(ScatteredCoverTest, InvariantsHoldAfterEveryOp) {
+  // A σ stream over scattered set ids: sets empty and lose their slots,
+  // ids come back after RemoveSet, and CheckInvariants runs after every op.
+  const ScatteredCoverParam param = GetParam();
+  Rng rng(param.seed);
+  DynamicSetCover cover(param.num_elements);
+  std::set<std::pair<int, int>> ref;
+  auto random_id = [&] {
+    return kScatteredIds[static_cast<size_t>(
+        rng.UniformInt(static_cast<int>(kScatteredIds.size())))];
+  };
+  for (int i = 0; i < 2 * param.num_elements; ++i) {
+    const int e = rng.UniformInt(param.num_elements);
+    const int id = random_id();
+    cover.AddMembership(e, id);
+    ref.insert({e, id});
+  }
+  std::vector<int> universe;
+  for (int e = 0; e < param.num_elements; e += 2) universe.push_back(e);
+  cover.InitializeGreedy(universe);
+  ASSERT_TRUE(cover.CheckInvariants().ok());
+  for (int op = 0; op < 1500; ++op) {
+    const int e = rng.UniformInt(param.num_elements);
+    const int id = random_id();
+    const int kind = rng.UniformInt(20);
+    if (kind < 14) {
+      if (rng.Uniform() < param.add_share) {
+        cover.AddMembership(e, id);
+        ref.insert({e, id});
+      } else {
+        cover.RemoveMembership(e, id);
+        ref.erase({e, id});
+      }
+    } else if (kind < 16) {
+      cover.AddToUniverse(e);
+    } else if (kind < 18) {
+      cover.RemoveFromUniverse(e);
+    } else {
+      cover.RemoveSet(id);
+      for (int x = 0; x < param.num_elements; ++x) ref.erase({x, id});
+    }
+    Status st = cover.CheckInvariants();
+    ASSERT_TRUE(st.ok()) << "op " << op << " kind " << kind << ": "
+                         << st.ToString();
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectIncidenceEquals(cover.system(), ref, param.num_elements))
+        << "op " << op;
+    for (int x = 0; x < param.num_elements; ++x) {
+      const int set_id = cover.AssignmentOf(x);
+      if (set_id == DynamicSetCover::kUnassigned) continue;
+      ASSERT_GE(cover.LevelOf(set_id), 0);
+      const std::vector<int>& cov = cover.CoverSetOf(set_id);
+      ASSERT_NE(std::find(cov.begin(), cov.end(), x), cov.end());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ScatteredCoverTest,
+    ::testing::Values(ScatteredCoverParam{12, 0.5, 51},
+                      ScatteredCoverParam{40, 0.6, 52},
+                      ScatteredCoverParam{40, 0.35, 53}),
+    [](const auto& info) {
+      return "e" + std::to_string(info.param.num_elements) + "seed" +
+             std::to_string(info.param.seed);
+    });
 
 /// Builds a cover over `m` elements where set i covers a contiguous block.
 DynamicSetCover MakeBlockInstance(int m, int block, int overlap) {

@@ -13,6 +13,14 @@
 namespace fdrms {
 namespace {
 
+/// A Φ set or S(p) as an ascending vector, for set equality.
+template <typename Range>
+std::vector<int> Sorted(const Range& range) {
+  std::vector<int> ids(range.begin(), range.end());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 std::vector<std::pair<int, Point>> AsTuples(const PointSet& ps) {
   std::vector<std::pair<int, Point>> out;
   for (int i = 0; i < ps.size(); ++i) out.emplace_back(i, ps.Get(i));
@@ -47,7 +55,8 @@ TEST(SnapshotTest, RoundTripPreservesLogicalState) {
   ASSERT_TRUE(restored.Validate().ok());
   // Same utility sample (seeded) => identical Φ sets for every utility.
   for (int u = 0; u < restored.topk().num_utilities(); ++u) {
-    EXPECT_EQ(restored.topk().ApproxTopK(u), algo.topk().ApproxTopK(u))
+    EXPECT_EQ(Sorted(restored.topk().ApproxTopK(u)),
+              Sorted(algo.topk().ApproxTopK(u)))
         << "utility " << u;
   }
   // The restored instance keeps serving updates.

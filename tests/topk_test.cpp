@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/rng.h"
 #include "geometry/sampling.h"
@@ -9,6 +11,14 @@
 
 namespace fdrms {
 namespace {
+
+/// A Φ set or S(p) as an ascending vector, for set equality.
+template <typename Range>
+std::vector<int> Sorted(const Range& range) {
+  std::vector<int> ids(range.begin(), range.end());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 TEST(TopKMaintainerTest, SingleUtilityBasics) {
   std::vector<Point> utils{{1.0, 0.0}};
@@ -18,7 +28,7 @@ TEST(TopKMaintainerTest, SingleUtilityBasics) {
   ASSERT_TRUE(m.Insert(2, {0.85, 0.9}, nullptr).ok());
   // omega_1 = 0.9; threshold = 0.81: tuples 1 and 2 qualify.
   EXPECT_DOUBLE_EQ(m.OmegaK(0), 0.9);
-  EXPECT_EQ(m.ApproxTopK(0), (std::unordered_set<int>{1, 2}));
+  EXPECT_EQ(Sorted(m.ApproxTopK(0)), (std::vector<int>{1, 2}));
   EXPECT_TRUE(m.ValidateAgainstBruteForce().ok());
 }
 
@@ -63,8 +73,8 @@ TEST(TopKMaintainerTest, DeltasDescribeExactMembershipChanges) {
   EXPECT_TRUE(saw_add);
   EXPECT_TRUE(saw_remove);
   // MemberOf mirrors the sets.
-  EXPECT_EQ(m.MemberOf(0), (std::unordered_set<int>{1}));
-  EXPECT_EQ(m.MemberOf(1), (std::unordered_set<int>{0}));
+  EXPECT_EQ(Sorted(m.MemberOf(0)), (std::vector<int>{1}));
+  EXPECT_EQ(Sorted(m.MemberOf(1)), (std::vector<int>{0}));
 }
 
 TEST(TopKMaintainerTest, DeleteOfNonMemberTouchesNothing) {
@@ -75,7 +85,7 @@ TEST(TopKMaintainerTest, DeleteOfNonMemberTouchesNothing) {
   std::vector<TopKDelta> deltas;
   ASSERT_TRUE(m.Delete(1, &deltas).ok());
   EXPECT_TRUE(deltas.empty());
-  EXPECT_EQ(m.ApproxTopK(0), (std::unordered_set<int>{0}));
+  EXPECT_EQ(Sorted(m.ApproxTopK(0)), (std::vector<int>{0}));
 }
 
 TEST(TopKMaintainerTest, DeleteRepairBreaksScoreTiesByAscendingId) {
@@ -96,6 +106,45 @@ TEST(TopKMaintainerTest, DeleteMissingIdFails) {
   std::vector<Point> utils{{1.0, 0.0}};
   TopKMaintainer m(2, 1, 0.0, utils);
   EXPECT_EQ(m.Delete(3, nullptr).code(), StatusCode::kNotFound);
+}
+
+TEST(TopKMaintainerTest, ScatteredIdsChurnMatchesBruteForceAfterEveryOp) {
+  // Tuple ids spread over the whole int range; deleted ids come back with
+  // new points, so their slots are reused. After every op the state must
+  // equal a brute-force recomputation and S(p) must mirror the Φ sets.
+  const std::vector<int> ids = {INT_MIN, INT_MIN + 1, -1000003, -64, -1, 0,
+                                1,       3,           4096,     1 << 29,
+                                INT_MAX - 1, INT_MAX};
+  Rng rng(28);
+  auto utils = SampleUtilityVectors(24, 3, &rng);
+  TopKMaintainer m(3, /*k=*/2, /*eps=*/0.1, utils);
+  std::vector<bool> live(ids.size(), false);
+  for (int op = 0; op < 1500; ++op) {
+    const size_t i =
+        static_cast<size_t>(rng.UniformInt(static_cast<int>(ids.size())));
+    std::vector<TopKDelta> deltas;
+    if (live[i]) {
+      ASSERT_TRUE(m.Delete(ids[i], &deltas).ok());
+      EXPECT_TRUE(m.MemberOf(ids[i]).empty());
+    } else {
+      Point p{rng.Uniform(), rng.Uniform(), rng.Uniform()};
+      ASSERT_TRUE(m.Insert(ids[i], p, &deltas).ok());
+    }
+    live[i] = !live[i];
+    Status st = m.ValidateAgainstBruteForce();
+    ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
+    for (size_t j = 0; j < ids.size(); ++j) {
+      std::vector<int> expect;
+      for (int u = 0; u < m.num_utilities(); ++u) {
+        const auto phi = m.ApproxTopK(u);
+        if (std::find(phi.begin(), phi.end(), ids[j]) != phi.end()) {
+          expect.push_back(u);
+        }
+      }
+      ASSERT_EQ(Sorted(m.MemberOf(ids[j])), expect)
+          << "op " << op << " id " << ids[j];
+    }
+  }
 }
 
 struct ChurnParam {
@@ -172,7 +221,8 @@ TEST_P(TopKChurnTest, StateMatchesBruteForceAndDeltasAreConsistent) {
     if (op % 20 == 19) {
       ASSERT_TRUE(m.ValidateAgainstBruteForce().ok()) << "op " << op;
       for (int u = 0; u < param.num_utils; ++u) {
-        EXPECT_EQ(shadow[u], m.ApproxTopK(u)) << "delta stream diverged";
+        EXPECT_EQ(Sorted(shadow[u]), Sorted(m.ApproxTopK(u)))
+            << "delta stream diverged";
       }
     }
   }
