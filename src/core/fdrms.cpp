@@ -1,6 +1,8 @@
 #include "core/fdrms.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "geometry/sampling.h"
@@ -147,6 +149,14 @@ Status FdRms::ApplyBatch(const std::vector<BatchOp>& ops, size_t* num_applied) {
 
 Status FdRms::ApplyBatch(const std::vector<BatchOp>& ops, size_t begin,
                          size_t* num_applied) {
+  if (begin > ops.size()) {
+    *num_applied = 0;
+    std::string msg = "ApplyBatch begin ";
+    msg += std::to_string(begin);
+    msg += " is past the batch end ";
+    msg += std::to_string(ops.size());
+    return Status::Invalid(std::move(msg));
+  }
   for (size_t i = begin; i < ops.size(); ++i) {
     const BatchOp& op = ops[i];
     Status st;

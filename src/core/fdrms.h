@@ -80,7 +80,8 @@ class FdRms {
 
   /// Applies ops[begin..ops.size()); `*num_applied` counts from `begin`.
   /// Lets a caller resume past a failed operation without copying the
-  /// batch tail.
+  /// batch tail. `begin == ops.size()` applies nothing; `begin` past the
+  /// end is Invalid with `*num_applied` = 0.
   Status ApplyBatch(const std::vector<BatchOp>& ops, size_t begin,
                     size_t* num_applied);
 

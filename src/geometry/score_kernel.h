@@ -24,19 +24,29 @@
 /// also used on raw caller-owned blocks with no alignment promise — but on
 /// ScoreMatrix rows those loads never split a line.
 ///
-/// Numerical contract: every kernel — the scalar reference here and the
-/// runtime-dispatched AVX2/AVX-512/NEON tiers behind ScoreBlock/ScoreGather
-/// (geometry/simd_dispatch.h) — accumulates each row's sum in the same
-/// coordinate order as geometry/point.h `Dot`, so per-row results are
-/// bit-identical to the scalar path: blocking and vectorization happen
-/// *across* rows (one vector lane per row), never within a row, and no
-/// tier uses FMA (the build pins -ffp-contract=off to match). Swapping
-/// kernels or tiers can therefore never flip a threshold comparison
-/// relative to the reference implementation.
+/// Numerical contract for exact scores: every block and gather kernel —
+/// the scalar reference here and the runtime-dispatched AVX2/AVX-512/NEON
+/// tiers behind ScoreBlock/ScoreGather (geometry/simd_dispatch.h) —
+/// accumulates each row's sum in the same coordinate order as
+/// geometry/point.h `Dot`, so per-row results are bit-identical to the
+/// scalar path: blocking and vectorization happen *across* rows (one
+/// vector lane per row), never within a row, and none of them uses FMA
+/// (the build pins -ffp-contract=off to match). Swapping kernels or tiers
+/// can therefore never flip a threshold comparison relative to the
+/// reference implementation.
+///
+/// The reached prefilter (FilterReached) is outside that contract on
+/// purpose: it scores a float copy of the utilities, the AVX-512 tier with
+/// FMA, and only narrows the rows that the exact double rescoring looks at.
+/// It is conservative — no row whose exact score reaches its threshold is
+/// dropped on any tier — by the slack derived above PrepareReachedFilter.
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <new>
 #include <utility>
@@ -120,29 +130,100 @@ inline void ScoreGatherScalar(const double* base, size_t stride, int d,
   }
 }
 
-/// Scalar reference of the reached scan (contract in simd_dispatch.h):
-/// kScanLanes rows per step, each with its own accumulator, walking the
-/// columns in ascending order — auto-vectorization-friendly without
-/// changing any row's accumulation order.
-inline size_t ScanReachedScalar(const double* cols, size_t col_stride, int d,
-                                size_t count, const double* q,
-                                const double* tau, int* idx, double* scores) {
+/// Scalar reference of the reached prefilter (contract in
+/// simd_dispatch.h): kFilterLanes rows per step, each with its own float
+/// accumulator, walking the columns in ascending order, unfused.
+inline size_t ReachedFilterScalar(const float* cols, size_t col_stride, int d,
+                                  size_t count, const float* q, float slack,
+                                  const float* tau, int* idx) {
   size_t n = 0;
-  for (size_t i = 0; i < count; i += kScanLanes) {
-    double s[kScanLanes] = {};
+  for (size_t i = 0; i < count; i += kFilterLanes) {
+    float s[kFilterLanes] = {};
     for (int k = 0; k < d; ++k) {
-      const double* col = cols + static_cast<size_t>(k) * col_stride + i;
-      const double qk = q[k];
-      for (int l = 0; l < kScanLanes; ++l) s[l] += col[l] * qk;
+      const float* col = cols + static_cast<size_t>(k) * col_stride + i;
+      const float qk = q[k];
+      for (int l = 0; l < kFilterLanes; ++l) s[l] += col[l] * qk;
     }
-    // Branch-free pack: write every lane at n, advance n past the reached.
-    for (int l = 0; l < kScanLanes; ++l) {
+    // Branch-free pack: write every lane at n, advance n past the passes.
+    for (int l = 0; l < kFilterLanes; ++l) {
       idx[n] = static_cast<int>(i) + l;
-      scores[n] = s[l];
-      n += s[l] >= tau[i + l] ? 1 : 0;
+      n += s[l] + slack >= tau[i + l] ? 1 : 0;
     }
   }
   return n;
+}
+
+/// The largest float <= x (+inf stays +inf, a finite x above FLT_MAX maps
+/// to FLT_MAX, NaN stays NaN). The prefilter's thresholds: rounding one
+/// down never drops a row the double comparison would keep.
+inline float FloatAtMost(double x) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  if (x > kMax) return x == std::numeric_limits<double>::infinity()
+                           ? kInf
+                           : std::numeric_limits<float>::max();
+  if (x < -kMax) return -kInf;
+  float f = static_cast<float>(x);
+  if (static_cast<double>(f) > x) f = std::nextafter(f, -kInf);
+  return f;
+}
+
+/// Largest dimension and magnitude the prefilter accepts; beyond them
+/// PrepareReachedFilter refuses and every row is rescored exactly.
+inline constexpr int kFilterMaxDim = 256;
+inline constexpr double kFilterMaxMagnitude = 0x1p100;
+
+/// Prepares probe `p` (d coordinates) for FilterReached over utilities
+/// whose largest coordinate magnitude, floored at 2^-126, is `a` (A below):
+/// q[k] = p[k] rounded to float and *slack = sigma(p) rounded up to a
+/// float. Returns false, leaving q and slack unset, when the filter is not
+/// safe for this probe — a non-finite coordinate, d above kFilterMaxDim,
+/// or A, |p|_1 or A*|p|_1 above kFilterMaxMagnitude — and the caller must
+/// then rescore every row.
+///
+/// The slack. Let u = 2^-24 (float unit roundoff), eta = 2^-150 (float
+/// underflow error), S = sum_k u_k p_k the exact score of utility u
+/// against p, D = Dot(u, p) its double score and F its float score on any
+/// tier. While d <= 256 and A, |p|_1 and A*|p|_1 are all <= 2^100 (no
+/// float overflow anywhere):
+///  * converting u_k to float errs by <= u|u_k|, or by <= eta when u_k is
+///    float-subnormal; eta|p_k| <= u * 2^-126 |p_k|, so summed over k that
+///    is <= u*A*|p|_1 (this is why A is floored at 2^-126);
+///  * converting p_k errs by <= u|p_k| or eta, the latter costing
+///    <= eta * A(1+u) per coordinate;
+///  * the float product and the d float additions add relative error u
+///    each (an FMA skips the product rounding, so the unfused bound covers
+///    it), plus at most eta per product or fused step that lands in the
+///    subnormal range (a plain float addition of subnormals is exact);
+///  * D errs from S by <= d * 2^-53 * sum|u_k p_k| + d * 2^-1075.
+/// With sum|u_k p_k| <= A*|p|_1 and (1+u)^(d+3) - 1 <= (d+3)u(1 + 2^-12)
+/// for d <= 256, |F - S| + |D - S| <= (d+5)(1 + 2^-12) u A |p|_1 +
+/// eta (d A + 4d), which
+///   sigma(p) = (d+6) u A |p|_1 + (d+1)(A+1) 2^-126
+/// exceeds with room to spare for the double evaluation of sigma itself.
+/// So D >= tau implies F + sigma >= S - |F - S| + sigma >= tau >=
+/// FloatAtMost(tau), and since rounding to nearest is monotone and
+/// FloatAtMost(tau) is a float, the float sum fl(F + sigma) >=
+/// FloatAtMost(tau) too: the row passes.
+inline bool PrepareReachedFilter(const double* p, int d, double a, float* q,
+                                 float* slack) {
+  if (d > kFilterMaxDim || !(a <= kFilterMaxMagnitude)) return false;
+  double norm1 = 0.0;
+  for (int k = 0; k < d; ++k) norm1 += std::fabs(p[k]);
+  // NaN and inf coordinates fail these comparisons too.
+  if (!(norm1 <= kFilterMaxMagnitude) || !(a * norm1 <= kFilterMaxMagnitude)) {
+    return false;
+  }
+  for (int k = 0; k < d; ++k) q[k] = static_cast<float>(p[k]);
+  const double sigma =
+      (d + 6) * 0x1p-24 * a * norm1 + (d + 1) * (a + 1) * 0x1p-126;
+  *slack = static_cast<float>(sigma);
+  if (static_cast<double>(*slack) < sigma) {
+    // sigma is a positive normal float here: one ulp up is the next
+    // bit pattern.
+    *slack = std::bit_cast<float>(std::bit_cast<uint32_t>(*slack) + 1u);
+  }
+  return true;
 }
 
 /// Dispatched block kernel (see simd_dispatch.h for tier selection).
@@ -158,13 +239,34 @@ inline void ScoreGather(const double* base, size_t stride, int d,
   ActiveScoreKernels().gather(base, stride, d, idx, count, q, out);
 }
 
-/// Dispatched reached scan.
-inline size_t ScanReached(const double* cols, size_t col_stride, int d,
-                          size_t count, const double* q, const double* tau,
-                          int* idx, double* scores) {
-  return ActiveScoreKernels().reached(cols, col_stride, d, count, q, tau, idx,
-                                      scores);
+/// Dispatched reached prefilter.
+inline size_t FilterReached(const float* cols, size_t col_stride, int d,
+                            size_t count, const float* q, float slack,
+                            const float* tau, int* idx) {
+  return ActiveScoreKernels().filter(cols, col_stride, d, count, q, slack,
+                                     tau, idx);
 }
+
+/// Minimal allocator handing out kScoreSlabAlignmentBytes-aligned storage,
+/// so a std::vector slab (and every copy of it) starts on a cache line.
+template <class T>
+struct SlabAllocator {
+  using value_type = T;
+  SlabAllocator() = default;
+  template <class U>
+  SlabAllocator(const SlabAllocator<U>&) noexcept {}
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(
+        n * sizeof(T), std::align_val_t{kScoreSlabAlignmentBytes}));
+  }
+  void deallocate(T* p, size_t) noexcept {
+    ::operator delete(p, std::align_val_t{kScoreSlabAlignmentBytes});
+  }
+  template <class U>
+  bool operator==(const SlabAllocator<U>&) const noexcept {
+    return true;
+  }
+};
 
 /// A set of d-dimensional vectors in one contiguous, 64-byte-aligned slab.
 /// Rows keep their append order; the stride is padded to a multiple of four

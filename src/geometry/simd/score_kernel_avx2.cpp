@@ -7,12 +7,15 @@
 /// in exactly the scalar order, with separate multiply and add (no FMA).
 /// Loads are unaligned-safe (the ScoreBlock API carries no alignment
 /// promise); on 32-byte-aligned ScoreMatrix rows they never split a cache
-/// line. The reached scan reads a column-major slab, so each column load
-/// already holds one coordinate of four rows: no transpose at all.
+/// line. The reached prefilter reads a column-major float slab, so each
+/// column load already holds one coordinate of eight rows: no transpose,
+/// and separate multiply and add since this TU is built without -mfma.
 
 #include <immintrin.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "geometry/simd/score_kernels_simd.h"
 
@@ -61,20 +64,31 @@ inline __m256d Dot4(const double* r0, const double* r1, const double* r2,
   return acc;
 }
 
-/// Appends the rows of `hit` (lanes of the four rows starting at `first`)
-/// at idx/scores + n and returns the new n. Branch-free: every lane is
-/// written at n and n advances past the reached ones, so the writes stay
-/// below first + 4 <= the caller's `count`.
-inline size_t PackReached(size_t first, __m256d acc, int hit, int* idx,
-                          double* scores, size_t n) {
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (int l = 0; l < 4; ++l) {
-    idx[n] = static_cast<int>(first) + l;
-    scores[n] = lane[l];
-    n += static_cast<size_t>((hit >> l) & 1);
+/// kPassedLanes[m] lists the set bits of the 8-bit mask m, lowest first,
+/// one lane number per byte.
+constexpr std::array<uint64_t, 256> MakePassedLanes() {
+  std::array<uint64_t, 256> table{};
+  for (unsigned m = 0; m < 256; ++m) {
+    int n = 0;
+    for (unsigned b = 0; b < 8; ++b) {
+      if ((m >> b) & 1) table[m] |= static_cast<uint64_t>(b) << (8 * n++);
+    }
   }
-  return n;
+  return table;
+}
+constexpr std::array<uint64_t, 256> kPassedLanes = MakePassedLanes();
+
+/// Appends the rows set in `hit` (lanes of the eight rows starting at
+/// `first`) to idx + n and returns the new n. Stores all eight slots from
+/// the lane table: n <= first, so the tail writes stay inside the
+/// caller's `count` slots.
+inline size_t PackPassed(size_t first, unsigned hit, int* idx, size_t n) {
+  const __m256i lanes = _mm256_cvtepu8_epi32(
+      _mm_cvtsi64_si128(static_cast<long long>(kPassedLanes[hit])));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(idx + n),
+      _mm256_add_epi32(lanes, _mm256_set1_epi32(static_cast<int>(first))));
+  return n + static_cast<size_t>(__builtin_popcount(hit));
 }
 
 }  // namespace
@@ -106,45 +120,46 @@ void ScoreGatherAvx2(const double* base, size_t stride, int d, const int* idx,
   }
 }
 
-size_t ScanReachedAvx2(const double* cols, size_t col_stride, int d,
-                       size_t count, const double* q, const double* tau,
-                       int* idx, double* scores) {
+size_t ReachedFilterAvx2(const float* cols, size_t col_stride, int d,
+                         size_t count, const float* q, float slack,
+                         const float* tau, int* idx) {
+  const __m256 vslack = _mm256_set1_ps(slack);
   size_t n = 0;
   size_t i = 0;
-  // Four rows of four per step: one broadcast of q[k] feeds four
-  // independent accumulators, each still summing its lanes in k order.
-  for (; i + 16 <= count; i += 16) {
-    __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                      _mm256_setzero_pd(), _mm256_setzero_pd()};
+  // Four blocks of eight rows per step: one broadcast of q[k] feeds four
+  // independent accumulators.
+  for (; i + 32 <= count; i += 32) {
+    __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
+                     _mm256_setzero_ps(), _mm256_setzero_ps()};
     for (int k = 0; k < d; ++k) {
-      const double* col = cols + static_cast<size_t>(k) * col_stride + i;
-      const __m256d qk = _mm256_broadcast_sd(q + k);
+      const float* col = cols + static_cast<size_t>(k) * col_stride + i;
+      const __m256 qk = _mm256_broadcast_ss(q + k);
       for (int b = 0; b < 4; ++b) {
-        acc[b] = _mm256_add_pd(
-            acc[b], _mm256_mul_pd(_mm256_loadu_pd(col + 4 * b), qk));
+        acc[b] = _mm256_add_ps(
+            acc[b], _mm256_mul_ps(_mm256_loadu_ps(col + 8 * b), qk));
       }
     }
-    int hit[4];
+    unsigned hit[4];
     for (int b = 0; b < 4; ++b) {
-      hit[b] = _mm256_movemask_pd(_mm256_cmp_pd(
-          acc[b], _mm256_loadu_pd(tau + i + 4 * b), _CMP_GE_OQ));
+      hit[b] = static_cast<unsigned>(_mm256_movemask_ps(
+          _mm256_cmp_ps(_mm256_add_ps(acc[b], vslack),
+                        _mm256_loadu_ps(tau + i + 8 * b), _CMP_GE_OQ)));
     }
-    // The common case: none of the 16 reached.
+    // The common case: none of the 32 passes.
     if ((hit[0] | hit[1] | hit[2] | hit[3]) == 0) continue;
-    for (int b = 0; b < 4; ++b) {
-      n = PackReached(i + 4 * b, acc[b], hit[b], idx, scores, n);
-    }
+    for (int b = 0; b < 4; ++b) n = PackPassed(i + 8 * b, hit[b], idx, n);
   }
-  for (; i < count; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
+  for (; i < count; i += 8) {
+    __m256 acc = _mm256_setzero_ps();
     for (int k = 0; k < d; ++k) {
-      const __m256d col =
-          _mm256_loadu_pd(cols + static_cast<size_t>(k) * col_stride + i);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(col, _mm256_broadcast_sd(q + k)));
+      const __m256 col =
+          _mm256_loadu_ps(cols + static_cast<size_t>(k) * col_stride + i);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(col, _mm256_broadcast_ss(q + k)));
     }
-    const int hit = _mm256_movemask_pd(
-        _mm256_cmp_pd(acc, _mm256_loadu_pd(tau + i), _CMP_GE_OQ));
-    if (hit != 0) n = PackReached(i, acc, hit, idx, scores, n);
+    const unsigned hit = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_add_ps(acc, vslack), _mm256_loadu_ps(tau + i),
+                      _CMP_GE_OQ)));
+    if (hit != 0) n = PackPassed(i, hit, idx, n);
   }
   return n;
 }

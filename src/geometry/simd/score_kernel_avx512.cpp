@@ -6,8 +6,9 @@
 /// scalar order, separate multiply and add (no FMA). Row counts below
 /// eight fall to a 4-row AVX block and then scalar, so every row's result
 /// stays bit-identical regardless of where it lands in the blocking.
-/// The reached scan reads a column-major slab, so each column load already
-/// holds one coordinate of eight rows: no transpose at all.
+/// The reached prefilter reads a column-major float slab, so each column
+/// load already holds one coordinate of sixteen rows: no transpose, and it
+/// accumulates with FMA (it only has to be conservative, not exact).
 
 #include <immintrin.h>
 
@@ -178,20 +179,16 @@ void ScoreBlock4x4(const double* rows, size_t count, const double* q,
   for (; j < count; ++j) out[j] = Dot1(rows + j * 4, q, 4);
 }
 
-/// Appends the rows of `hit` (lanes of the eight rows starting at `first`)
-/// at idx/scores + n and returns the new n. Compresses the reached lanes to
-/// the front and stores all eight: n <= first, so the tail writes stay
-/// inside the caller's `count` slots.
-inline size_t PackReached(size_t first, __m512d acc, __mmask8 hit, int* idx,
-                          double* scores, size_t n) {
+/// Appends the rows set in `hit` (lanes of the sixteen rows starting at
+/// `first`) to idx + n and returns the new n. Compresses the passing lanes
+/// to the front and stores all sixteen: n <= first, so the tail writes
+/// stay inside the caller's `count` slots.
+inline size_t PackPassed(size_t first, __mmask16 hit, int* idx, size_t n) {
   const __m512i lanes =
       _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(first)),
-                       _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 0,
-                                         0, 0, 0, 0));
-  _mm256_storeu_si256(
-      reinterpret_cast<__m256i*>(idx + n),
-      _mm512_castsi512_si256(_mm512_maskz_compress_epi32(hit, lanes)));
-  _mm512_storeu_pd(scores + n, _mm512_maskz_compress_pd(hit, acc));
+                       _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                         12, 13, 14, 15));
+  _mm512_storeu_si512(idx + n, _mm512_maskz_compress_epi32(hit, lanes));
   return n + static_cast<size_t>(__builtin_popcount(hit));
 }
 
@@ -241,45 +238,44 @@ void ScoreGatherAvx512(const double* base, size_t stride, int d,
   }
 }
 
-size_t ScanReachedAvx512(const double* cols, size_t col_stride, int d,
-                         size_t count, const double* q, const double* tau,
-                         int* idx, double* scores) {
+size_t ReachedFilterAvx512(const float* cols, size_t col_stride, int d,
+                           size_t count, const float* q, float slack,
+                           const float* tau, int* idx) {
+  const __m512 vslack = _mm512_set1_ps(slack);
   size_t n = 0;
   size_t i = 0;
-  // Four rows of eight per step: one broadcast of q[k] feeds four
-  // independent accumulators, each still summing its lanes in k order.
-  for (; i + 32 <= count; i += 32) {
-    __m512d acc[4] = {_mm512_setzero_pd(), _mm512_setzero_pd(),
-                      _mm512_setzero_pd(), _mm512_setzero_pd()};
+  // Four blocks of sixteen rows per step: one broadcast of q[k] feeds four
+  // independent FMA chains.
+  for (; i + 64 <= count; i += 64) {
+    __m512 acc[4] = {_mm512_setzero_ps(), _mm512_setzero_ps(),
+                     _mm512_setzero_ps(), _mm512_setzero_ps()};
     for (int k = 0; k < d; ++k) {
-      const double* col = cols + static_cast<size_t>(k) * col_stride + i;
-      const __m512d qk = _mm512_set1_pd(q[k]);
+      const float* col = cols + static_cast<size_t>(k) * col_stride + i;
+      const __m512 qk = _mm512_set1_ps(q[k]);
       for (int b = 0; b < 4; ++b) {
-        acc[b] = _mm512_add_pd(
-            acc[b], _mm512_mul_pd(_mm512_loadu_pd(col + 8 * b), qk));
+        acc[b] = _mm512_fmadd_ps(_mm512_loadu_ps(col + 16 * b), qk, acc[b]);
       }
     }
-    __mmask8 hit[4];
+    __mmask16 hit[4];
     for (int b = 0; b < 4; ++b) {
-      hit[b] = _mm512_cmp_pd_mask(acc[b], _mm512_loadu_pd(tau + i + 8 * b),
+      hit[b] = _mm512_cmp_ps_mask(_mm512_add_ps(acc[b], vslack),
+                                  _mm512_loadu_ps(tau + i + 16 * b),
                                   _CMP_GE_OQ);
     }
-    // The common case: none of the 32 reached.
+    // The common case: none of the 64 passes.
     if ((hit[0] | hit[1] | hit[2] | hit[3]) == 0) continue;
-    for (int b = 0; b < 4; ++b) {
-      n = PackReached(i + 8 * b, acc[b], hit[b], idx, scores, n);
-    }
+    for (int b = 0; b < 4; ++b) n = PackPassed(i + 16 * b, hit[b], idx, n);
   }
-  for (; i < count; i += 8) {
-    __m512d acc = _mm512_setzero_pd();
+  for (; i < count; i += 16) {
+    __m512 acc = _mm512_setzero_ps();
     for (int k = 0; k < d; ++k) {
-      const __m512d col =
-          _mm512_loadu_pd(cols + static_cast<size_t>(k) * col_stride + i);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(col, _mm512_set1_pd(q[k])));
+      const __m512 col =
+          _mm512_loadu_ps(cols + static_cast<size_t>(k) * col_stride + i);
+      acc = _mm512_fmadd_ps(col, _mm512_set1_ps(q[k]), acc);
     }
-    const __mmask8 hit =
-        _mm512_cmp_pd_mask(acc, _mm512_loadu_pd(tau + i), _CMP_GE_OQ);
-    if (hit != 0) n = PackReached(i, acc, hit, idx, scores, n);
+    const __mmask16 hit = _mm512_cmp_ps_mask(
+        _mm512_add_ps(acc, vslack), _mm512_loadu_ps(tau + i), _CMP_GE_OQ);
+    if (hit != 0) n = PackPassed(i, hit, idx, n);
   }
   return n;
 }

@@ -17,24 +17,24 @@ namespace fdrms {
 namespace {
 
 constexpr ScoreKernels kScalarKernels{&ScoreBlockScalar, &ScoreGatherScalar,
-                                      &ScanReachedScalar, SimdTier::kScalar};
+                                      &ReachedFilterScalar, SimdTier::kScalar};
 #if defined(FDRMS_HAVE_AVX2_KERNEL)
 constexpr ScoreKernels kAvx2Kernels{&simd::ScoreBlockAvx2,
                                     &simd::ScoreGatherAvx2,
-                                    &simd::ScanReachedAvx2, SimdTier::kAvx2};
+                                    &simd::ReachedFilterAvx2, SimdTier::kAvx2};
 #endif
 #if defined(FDRMS_HAVE_AVX512_KERNEL)
 constexpr ScoreKernels kAvx512Kernels{&simd::ScoreBlockAvx512,
                                       &simd::ScoreGatherAvx512,
-                                      &simd::ScanReachedAvx512,
+                                      &simd::ReachedFilterAvx512,
                                       SimdTier::kAvx512};
 #endif
 #if defined(FDRMS_HAVE_NEON_KERNEL)
-// The reached scan has no NEON implementation yet: the tier reuses the
-// scalar one, which gives the same bits.
+// The reached prefilter has no NEON implementation yet: the tier reuses
+// the scalar one.
 constexpr ScoreKernels kNeonKernels{&simd::ScoreBlockNeon,
-                                    &simd::ScoreGatherNeon, &ScanReachedScalar,
-                                    SimdTier::kNeon};
+                                    &simd::ScoreGatherNeon,
+                                    &ReachedFilterScalar, SimdTier::kNeon};
 #endif
 
 const ScoreKernels* KernelsFor(SimdTier tier) {

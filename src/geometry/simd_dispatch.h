@@ -17,12 +17,18 @@
 ///    stderr and fall back to auto);
 ///  * tests and benchmarks can force a tier with SetSimdTier().
 ///
-/// Every tier accumulates each row's inner product in the same coordinate
-/// order as the scalar path (vector lanes run across *rows*, never within
-/// one), so switching tiers never changes a single output bit — the
-/// dispatch-matrix equivalence suite pins this down per tier. The reached
-/// scan, which reads a column-major slab, keeps the same contract: one lane
-/// per row, coordinates in ascending order.
+/// Exact scores: every tier accumulates each row's inner product in the
+/// same coordinate order as the scalar path (vector lanes run across
+/// *rows*, never within one) with separate multiply and add, so switching
+/// tiers never changes a single output bit of ScoreBlockFn/ScoreGatherFn —
+/// the dispatch-matrix equivalence suite pins this down per tier.
+///
+/// The reached prefilter (ReachedFilterFn) is the one kernel outside that
+/// contract: it scores in float, the AVX-512 tier with FMA, so its pass
+/// set may differ between tiers. It is only ever a conservative superset —
+/// every row whose exact double score reaches its threshold passes on
+/// every tier (slack derivation in geometry/score_kernel.h) — and callers
+/// decide with an exact rescoring, so no result depends on the tier.
 
 #include <cstddef>
 
@@ -49,25 +55,26 @@ using ScoreGatherFn = void (*)(const double* base, size_t stride, int d,
                                const int* idx, size_t count, const double* q,
                                double* out);
 
-/// Lane count of the widest tier; the reached scan's `count` must be a
-/// multiple of it.
-inline constexpr int kScanLanes = 8;
+/// Lane count of the reached prefilter's widest tier (16 floats, one
+/// 64-byte line); the filter's `count` must be a multiple of it.
+inline constexpr int kFilterLanes = 16;
 
-/// Fused score-and-compare over a column-major slab: coordinate k of row i
-/// sits at cols[k*col_stride + i]. Row i scores
-///   s_i = ((0 + c_0[i]*q[0]) + c_1[i]*q[1]) + ...   (separate mul and add)
-/// and is reached when s_i >= tau[i]. Writes the reached rows' offsets
-/// (ascending) to `idx` and their scores to `scores`, and returns how many.
-/// `count` is a multiple of kScanLanes; both outputs need room for `count`.
-using ScanReachedFn = size_t (*)(const double* cols, size_t col_stride, int d,
-                                 size_t count, const double* q,
-                                 const double* tau, int* idx, double* scores);
+/// Conservative float prefilter of the reached query over a column-major
+/// float slab: coordinate k of row i sits at cols[k*col_stride + i]. Row i
+/// scores s_i = sum_k cols[k][i] * q[k] in float, ascending k, fused or
+/// unfused depending on the tier, and passes when s_i + slack >= tau[i]
+/// (the float sum rounded to nearest). Writes the passing rows' offsets
+/// (ascending) to `idx` and returns how many. `count` is a multiple of
+/// kFilterLanes and `idx` needs room for `count`.
+using ReachedFilterFn = size_t (*)(const float* cols, size_t col_stride,
+                                   int d, size_t count, const float* q,
+                                   float slack, const float* tau, int* idx);
 
 /// One tier's kernel entry points.
 struct ScoreKernels {
   ScoreBlockFn block;
   ScoreGatherFn gather;
-  ScanReachedFn reached;
+  ReachedFilterFn filter;
   SimdTier tier;
 };
 

@@ -1,6 +1,7 @@
 #include "index/conetree.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -9,34 +10,46 @@ namespace fdrms {
 
 namespace {
 
-/// Rows per kernel call. The kernel writes into fixed stack buffers of this
-/// size, so a query allocates nothing beyond its output vectors.
-constexpr size_t kScanChunk = 512;
-static_assert(kScanChunk % kScanLanes == 0);
+/// Rows per filter call: M = 2048 (the repository benchmark's) is one
+/// call. Survivors land in fixed stack buffers of this size, so a query
+/// allocates nothing beyond its output vectors.
+constexpr size_t kScanChunk = 2048;
+static_assert(kScanChunk % kFilterLanes == 0);
 
 }  // namespace
 
 ConeTree::ConeTree(const std::vector<Point>& utilities)
-    : utilities_(utilities) {
-  if (utilities_.empty()) return;
-  dim_ = static_cast<int>(utilities_[0].size());
-  for (const Point& u : utilities_) {
-    FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
+    : rows_(utilities), tau_(utilities.size(), 0.0) {
+  if (utilities.empty()) return;
+  dim_ = rows_.dim();
+  const size_t m = utilities.size();
+  lanes_ = (m + kFilterLanes - 1) / kFilterLanes * kFilterLanes;
+  // rows_ checked every utility's dimension. A non-finite or oversized
+  // coordinate disables the prefilter for good: max_abs_ = inf.
+  max_abs_ = 0x1p-126;
+  for (const Point& u : utilities) {
+    for (double v : u) {
+      const double a = std::fabs(v);
+      max_abs_ = a <= kFilterMaxMagnitude
+                     ? std::max(max_abs_, a)
+                     : std::numeric_limits<double>::infinity();
+    }
   }
-  const size_t m = utilities_.size();
-  const size_t lanes = (m + kScanLanes - 1) / kScanLanes * kScanLanes;
-  slab_ = ScoreMatrix(static_cast<int>(lanes));
-  slab_.Reserve(dim_ + 1);
-  Point row(lanes, 0.0);
-  for (int j = 0; j < dim_; ++j) {
-    for (size_t i = 0; i < m; ++i) row[i] = utilities_[i][j];
-    slab_.AppendRow(row);
+  // Padding rows never pass: they score 0 against a +inf threshold. With
+  // the prefilter disabled (max_abs_ = inf) the float coordinates are
+  // never read, and zeros avoid converting out-of-range doubles.
+  cols_.assign((static_cast<size_t>(dim_) + 1) * lanes_, 0.0f);
+  if (max_abs_ <= kFilterMaxMagnitude) {
+    for (int j = 0; j < dim_; ++j) {
+      for (size_t i = 0; i < m; ++i) {
+        cols_[static_cast<size_t>(j) * lanes_ + i] =
+            static_cast<float>(utilities[i][static_cast<size_t>(j)]);
+      }
+    }
   }
-  // Padding rows never pass: they score 0 against a +inf threshold.
-  std::fill(row.begin(), row.begin() + m, 0.0);
-  std::fill(row.begin() + m, row.end(),
-            std::numeric_limits<double>::infinity());
-  slab_.AppendRow(row);
+  float* tau_row = cols_.data() + static_cast<size_t>(dim_) * lanes_;
+  std::fill(tau_row + m, tau_row + lanes_,
+            std::numeric_limits<float>::infinity());
 }
 
 std::vector<int> ConeTree::FindReached(const Point& p) const {
@@ -49,22 +62,40 @@ void ConeTree::FindReached(const Point& p, std::vector<int>* indices,
                            std::vector<double>* scores) const {
   indices->clear();
   if (scores != nullptr) scores->clear();
-  if (utilities_.empty()) return;
+  if (tau_.empty()) return;
   FDRMS_DCHECK(static_cast<int>(p.size()) == dim_);
-  const size_t lanes = static_cast<size_t>(slab_.dim());
-  const double* tau = slab_.row(dim_);
-  int chunk_idx[kScanChunk];
-  double chunk_scores[kScanChunk];
-  for (size_t first = 0; first < lanes; first += kScanChunk) {
-    const size_t count = std::min(kScanChunk, lanes - first);
-    const size_t n =
-        ScanReached(slab_.row(0) + first, slab_.stride(), dim_, count,
-                    p.data(), tau + first, chunk_idx, chunk_scores);
-    for (size_t r = 0; r < n; ++r) {
-      indices->push_back(static_cast<int>(first) + chunk_idx[r]);
+  float q[kFilterMaxDim];
+  float slack = 0.0f;
+  const bool filtered =
+      PrepareReachedFilter(p.data(), dim_, max_abs_, q, &slack);
+  const float* tau_row = cols_.data() + static_cast<size_t>(dim_) * lanes_;
+  int cand[kScanChunk];
+  double cand_scores[kScanChunk];
+  for (size_t first = 0; first < lanes_; first += kScanChunk) {
+    const size_t count = std::min(kScanChunk, lanes_ - first);
+    size_t n;
+    if (filtered) {
+      n = FilterReached(cols_.data() + first, lanes_, dim_, count, q, slack,
+                        tau_row + first, cand);
+      for (size_t r = 0; r < n; ++r) cand[r] += static_cast<int>(first);
+    } else {
+      // Unsafe probe: every utility of the chunk is a candidate.
+      n = std::min(count, tau_.size() - first);
+      for (size_t r = 0; r < n; ++r) cand[r] = static_cast<int>(first + r);
     }
+    if (n == 0) continue;
+    ScoreGather(rows_.row(0), rows_.stride(), dim_, cand, n, p.data(),
+                cand_scores);
+    // Branch-free pack of the reached candidates, then one append each.
+    size_t reached = 0;
+    for (size_t r = 0; r < n; ++r) {
+      cand[reached] = cand[r];
+      cand_scores[reached] = cand_scores[r];
+      reached += cand_scores[r] >= tau_[static_cast<size_t>(cand[r])] ? 1 : 0;
+    }
+    indices->insert(indices->end(), cand, cand + reached);
     if (scores != nullptr) {
-      scores->insert(scores->end(), chunk_scores, chunk_scores + n);
+      scores->insert(scores->end(), cand_scores, cand_scores + reached);
     }
   }
 }
@@ -72,7 +103,7 @@ void ConeTree::FindReached(const Point& p, std::vector<int>* indices,
 std::vector<int> ConeTree::FindReachedBruteForce(const Point& p) const {
   std::vector<int> out;
   for (int i = 0; i < size(); ++i) {
-    if (Dot(utilities_[i], p) >= GetThreshold(i)) out.push_back(i);
+    if (rows_.RowDot(i, p) >= GetThreshold(i)) out.push_back(i);
   }
   return out;
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "common/rng.h"
 #include "geometry/sampling.h"
 #include "index/conetree.h"
@@ -76,6 +79,60 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(info.param.dim);
       return name;
     });
+
+// FdRms copies its ConeTree (StartFrom, revive): a copy must deep-copy the
+// aligned float slab and the thresholds. After threshold churn, original
+// and copy answer identically; churning the original afterwards must not
+// reach the copy, and the copy must outlive the original.
+TEST(ConeTreeTest, CopyAnswersLikeTheOriginalAndStaysIndependent) {
+  Rng rng(21);
+  const int m = 300;
+  const int d = 5;
+  auto utils = SampleUtilityVectors(m, d, &rng);
+  auto original = std::make_unique<ConeTree>(utils);
+  for (int round = 0; round < 400; ++round) {
+    original->SetThreshold(rng.UniformInt(m), 0.3 + 0.7 * rng.Uniform());
+  }
+  ConeTree copy(*original);
+  ConeTree assigned(std::vector<Point>{});
+  assigned = *original;
+  std::vector<Point> probes;
+  for (int t = 0; t < 40; ++t) {
+    Point p(static_cast<size_t>(d));
+    for (double& v : p) v = 1.2 * rng.Uniform();
+    probes.push_back(p);
+  }
+  std::vector<std::vector<int>> answers;
+  for (const Point& p : probes) {
+    std::vector<int> idx;
+    std::vector<double> scores;
+    std::vector<int> copy_idx;
+    std::vector<double> copy_scores;
+    original->FindReached(p, &idx, &scores);
+    copy.FindReached(p, &copy_idx, &copy_scores);
+    EXPECT_EQ(copy_idx, idx);
+    EXPECT_EQ(copy_scores, scores);
+    EXPECT_EQ(assigned.FindReached(p), idx);
+    EXPECT_EQ(idx, original->FindReachedBruteForce(p));
+    answers.push_back(idx);
+  }
+  // Raise every threshold of the original: a copy that still read the
+  // original's float slab would now filter everything out.
+  for (int i = 0; i < m; ++i) {
+    original->SetThreshold(i, std::numeric_limits<double>::infinity());
+  }
+  EXPECT_TRUE(original->FindReached(probes[0]).empty());
+  for (size_t t = 0; t < probes.size(); ++t) {
+    EXPECT_EQ(copy.FindReached(probes[t]), answers[t]) << "probe " << t;
+    EXPECT_EQ(copy.FindReached(probes[t]),
+              copy.FindReachedBruteForce(probes[t]));
+    EXPECT_EQ(assigned.FindReached(probes[t]), answers[t]) << "probe " << t;
+  }
+  original.reset();
+  for (size_t t = 0; t < probes.size(); ++t) {
+    EXPECT_EQ(copy.FindReached(probes[t]), answers[t]) << "probe " << t;
+  }
+}
 
 TEST(ConeTreeTest, ThresholdGetterRoundTrips) {
   Rng rng(9);

@@ -56,6 +56,27 @@ TEST(FdRmsTest, MutationBeforeInitializeFails) {
   EXPECT_EQ(algo.Delete(0).code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(FdRmsTest, ApplyBatchRejectsBeginPastTheEnd) {
+  PointSet ps = GenerateIndep(60, 2, 3);
+  FdRms algo(2, Options(1, 5));
+  ASSERT_TRUE(algo.Initialize(AsTuples(ps)).ok());
+  const std::vector<int> before = algo.Result();
+  std::vector<FdRms::BatchOp> ops;
+  ops.push_back({FdRms::BatchOp::Kind::kInsert, 100, {0.9, 0.9}});
+  ops.push_back({FdRms::BatchOp::Kind::kDelete, 0, {}});
+  size_t applied = 12345;
+  EXPECT_EQ(algo.ApplyBatch(ops, /*begin=*/3, &applied).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(applied, 0u);
+  EXPECT_FALSE(algo.topk().tree().Contains(100));
+  EXPECT_EQ(algo.Result(), before);
+  // begin == size() is an empty suffix, not an error.
+  applied = 12345;
+  ASSERT_TRUE(algo.ApplyBatch(ops, /*begin=*/2, &applied).ok());
+  EXPECT_EQ(applied, 0u);
+  EXPECT_TRUE(algo.Validate().ok());
+}
+
 TEST(FdRmsTest, ResultCoversEveryUniverseUtility) {
   // Feasibility certificate: for every universe utility, some result tuple
   // is an ε-approximate top-k tuple.

@@ -303,75 +303,265 @@ TEST(SimdDispatchTest, ConeTreeFindReachedMatchesBruteForceOnEveryTier) {
   }
 }
 
-// The fused reached scan behind ConeTree per tier, over every lane tail
-// (M below, at and just past multiples of 4 and 8) and d = 1..17: the
-// indices must equal the scalar brute-force oracle and the scores must be
-// bit-equal to Dot. Thresholds cycle through 0, +inf, -inf, a random bar,
-// the probe's exact Dot score (which >= must reach) and the next double
-// above it (which must not).
+/// Random sign times 10^U(lo_exp, hi_exp).
+double SignedLogUniform(Rng* rng, double lo_exp, double hi_exp) {
+  const double mag = std::pow(10.0, rng->Uniform(lo_exp, hi_exp));
+  return rng->Uniform() < 0.5 ? -mag : mag;
+}
+
+// The two-stage reached query behind ConeTree per tier, over every lane
+// tail (M below, at and just past multiples of 8 and 16) and d = 1..17:
+// the indices must equal the scalar brute-force oracle and the scores must
+// be bit-equal to Dot. Utilities are unit nonnegative, mixed-sign with
+// magnitudes down to float-subnormal, or float-subnormal throughout.
+// Probes include float-unsafe ones (1e35, +-1e300, +-inf, NaN), which
+// must take the rescore-everything fallback, and float-subnormal ones.
+// Thresholds cycle through 0, +inf, -inf, a random bar, the probe's exact
+// Dot score (which >= must reach), the next double above it (which must
+// not) and +-1e39, beyond FLT_MAX.
 TEST(SimdDispatchTest, ConeTreeScanMatchesOracleBitForBitOnEveryTier) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (SimdTier tier : AvailableTiers()) {
+    ScopedSimdTier scoped(tier);
+    for (int d = 1; d <= 17; ++d) {
+      for (int m : {1, 7, 8, 9, 15, 16, 17, 31, 33, 2048}) {
+        for (int family = 0; family < 3; ++family) {
+          Rng rng(static_cast<uint64_t>(1000 + 64 * d + m + 7919 * family));
+          std::vector<Point> utils;
+          for (int i = 0; i < m; ++i) {
+            if (family == 0) {
+              utils.push_back(SampleUnitVectorNonneg(d, &rng));
+              continue;
+            }
+            // Family 2 is float-subnormal throughout (A < 2^-126).
+            Point u(static_cast<size_t>(d));
+            for (double& v : u) {
+              v = family == 1 ? SignedLogUniform(&rng, -45.0, 0.0)
+                              : SignedLogUniform(&rng, -44.0, -39.0);
+            }
+            utils.push_back(u);
+          }
+          ConeTree cone(utils);
+          std::vector<Point> probes;
+          auto add_probe = [&](auto coordinate) {
+            Point p(static_cast<size_t>(d));
+            for (int k = 0; k < d; ++k) {
+              p[static_cast<size_t>(k)] = coordinate(k);
+            }
+            probes.push_back(p);
+          };
+          add_probe([&](int) { return 1.5 * rng.Uniform(); });
+          add_probe([&](int) { return 2.0 * rng.Uniform() - 1.0; });
+          add_probe([&](int) { return 0.0; });
+          add_probe([&](int) { return SignedLogUniform(&rng, -42.0, -38.0); });
+          add_probe([&](int) { return SignedLogUniform(&rng, -40.0, 28.0); });
+          add_probe([&](int k) { return k == 0 ? 1e35 : rng.Uniform(); });
+          // Opposite huge coordinates: a finite Dot whose float score is
+          // inf - inf.
+          add_probe([&](int k) {
+            return k == 0 ? 1e300 : k == d - 1 ? -1e300 : rng.Uniform();
+          });
+          add_probe([&](int k) { return k == 0 ? inf : rng.Uniform(); });
+          add_probe([&](int k) { return k == d - 1 ? -inf : rng.Uniform(); });
+          add_probe([&](int k) { return k == d / 2 ? nan : rng.Uniform(); });
+          for (size_t probe = 0; probe < probes.size(); ++probe) {
+            const Point& p = probes[probe];
+            for (int i = 0; i < m; ++i) {
+              const double dot = Dot(utils[static_cast<size_t>(i)], p);
+              switch ((i + probe) % 8) {
+                case 0: cone.SetThreshold(i, 0.0); break;
+                case 1: cone.SetThreshold(i, inf); break;
+                case 2: cone.SetThreshold(i, -inf); break;
+                case 3: cone.SetThreshold(i, 1.2 * rng.Uniform()); break;
+                case 4: cone.SetThreshold(i, dot); break;
+                case 5: cone.SetThreshold(i, std::nextafter(dot, inf)); break;
+                case 6: cone.SetThreshold(i, 1e39); break;
+                default: cone.SetThreshold(i, -1e39); break;
+              }
+            }
+            std::vector<int> idx;
+            std::vector<double> scores;
+            cone.FindReached(p, &idx, &scores);
+            const std::string where = std::string(SimdTierName(tier)) +
+                                      " d=" + std::to_string(d) +
+                                      " m=" + std::to_string(m) +
+                                      " family=" + std::to_string(family) +
+                                      " probe=" + std::to_string(probe);
+            ASSERT_EQ(idx, cone.FindReachedBruteForce(p)) << where;
+            ASSERT_EQ(idx, cone.FindReached(p)) << where;
+            ASSERT_EQ(scores.size(), idx.size()) << where;
+            for (size_t j = 0; j < idx.size(); ++j) {
+              const double dot =
+                  Dot(utils[static_cast<size_t>(idx[j])], p);
+              EXPECT_EQ(std::bit_cast<uint64_t>(scores[j]),
+                        std::bit_cast<uint64_t>(dot))
+                  << where << " utility " << idx[j];
+            }
+            for (int i = 0; i < m; ++i) {
+              // Non-finite scores make "exactly at" and "just above"
+              // meaningless (inf >= inf, NaN >= nothing).
+              if (!std::isfinite(Dot(utils[static_cast<size_t>(i)], p))) {
+                continue;
+              }
+              const bool reached =
+                  std::binary_search(idx.begin(), idx.end(), i);
+              if ((i + probe) % 8 == 4) {
+                EXPECT_TRUE(reached) << where << " utility " << i;
+              }
+              if ((i + probe) % 8 == 5) {
+                EXPECT_FALSE(reached) << where << " utility " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The reached prefilter kernel itself, per tier: over random and
+// adversarial rows every row whose exact Dot reaches its threshold must
+// pass, thresholds equal to Dot included. Rows are mixed-sign with
+// magnitudes down to 1e-40 (float-subnormal), near-cancelling against the
+// probe (the exact score is tiny next to the float rounding error), or
+// tiny, with products in the float-subnormal range; probe coordinates
+// span 1e-40 .. 1e30 with both signs. Padding and +inf-threshold rows
+// must never pass, and passes come out ascending.
+TEST(SimdDispatchTest, ReachedFilterIsConservativeOnEveryTier) {
   const double inf = std::numeric_limits<double>::infinity();
   for (SimdTier tier : AvailableTiers()) {
     ScopedSimdTier scoped(tier);
     for (int d = 1; d <= 17; ++d) {
-      for (int m : {1, 7, 8, 9, 31, 33, 2048}) {
-        Rng rng(static_cast<uint64_t>(1000 + 64 * d + m));
-        std::vector<Point> utils;
-        for (int i = 0; i < m; ++i) {
-          utils.push_back(SampleUnitVectorNonneg(d, &rng));
-        }
-        ConeTree cone(utils);
-        Point positive(static_cast<size_t>(d));
-        Point mixed(static_cast<size_t>(d));
-        for (int k = 0; k < d; ++k) {
-          positive[static_cast<size_t>(k)] = 1.5 * rng.Uniform();
-          mixed[static_cast<size_t>(k)] = 2.0 * rng.Uniform() - 1.0;
-        }
-        const Point zero(static_cast<size_t>(d), 0.0);
-        int probe = 0;
-        for (const Point& p : {positive, mixed, zero}) {
+      for (int m : {1, 15, 16, 17, 2048}) {
+        Rng rng(static_cast<uint64_t>(31 * d + m));
+        const size_t lanes = static_cast<size_t>(
+            (m + kFilterLanes - 1) / kFilterLanes * kFilterLanes);
+        for (int probe = 0; probe < 4; ++probe) {
+          Point p(static_cast<size_t>(d));
+          for (int k = 0; k < d; ++k) {
+            p[static_cast<size_t>(k)] =
+                probe == 0   ? SignedLogUniform(&rng, -40.0, 28.0)
+                : probe == 1 ? (k == 0 ? 1e30
+                                      : SignedLogUniform(&rng, -40.0, 0.0))
+                : probe == 2 ? SignedLogUniform(&rng, -22.5, -21.0)
+                             : rng.Uniform();
+          }
+          size_t big = 0;  // the probe's largest coordinate
+          for (size_t k = 1; k < p.size(); ++k) {
+            if (std::fabs(p[k]) > std::fabs(p[big])) big = k;
+          }
+          std::vector<Point> utils;
+          for (int i = 0; i < m; ++i) {
+            Point u(static_cast<size_t>(d));
+            // Probe 2 meets only tiny rows: every product is below
+            // FLT_MIN, so the slack's underflow term is what keeps them.
+            for (double& v : u) {
+              v = probe == 2 || i % 4 == 2
+                      ? SignedLogUniform(&rng, -22.5, -21.0)
+                      : SignedLogUniform(&rng, -40.0, 0.0);
+            }
+            if (i % 4 == 1 && d > 1) {
+              // Near-cancelling row: solve <u, p> ~ 0 on the largest
+              // coordinate, then scale by a power of two (exact) into
+              // [-1, 1].
+              double rest = 0.0;
+              for (size_t k = 0; k < u.size(); ++k) {
+                if (k != big) rest += u[k] * p[k];
+              }
+              u[big] = -rest / p[big];
+              double top = 0.0;
+              for (double v : u) top = std::max(top, std::fabs(v));
+              if (top > 1.0) {
+                const double scale = std::exp2(-std::ceil(std::log2(top)));
+                for (double& v : u) v *= scale;
+              }
+            }
+            utils.push_back(u);
+          }
+          double a = 0x1p-126;
+          for (const Point& u : utils) {
+            for (double v : u) a = std::max(a, std::fabs(v));
+          }
+          std::vector<double> dots;
+          std::vector<double> tau;
           for (int i = 0; i < m; ++i) {
             const double dot = Dot(utils[static_cast<size_t>(i)], p);
-            switch ((i + probe) % 6) {
-              case 0: cone.SetThreshold(i, 0.0); break;
-              case 1: cone.SetThreshold(i, inf); break;
-              case 2: cone.SetThreshold(i, -inf); break;
-              case 3: cone.SetThreshold(i, 1.2 * rng.Uniform()); break;
-              case 4: cone.SetThreshold(i, dot); break;
-              default: cone.SetThreshold(i, std::nextafter(dot, inf)); break;
+            dots.push_back(dot);
+            switch (i % 5) {
+              case 0: tau.push_back(dot); break;
+              case 1: tau.push_back(std::nextafter(dot, -inf)); break;
+              case 2: tau.push_back(dot - std::fabs(dot) * 1e-3); break;
+              case 3: tau.push_back(inf); break;
+              default:
+                tau.push_back(dot + rng.Uniform(-1.0, 1.0) * std::fabs(dot));
+                break;
             }
           }
-          std::vector<int> idx;
-          std::vector<double> scores;
-          cone.FindReached(p, &idx, &scores);
+          std::vector<float, SlabAllocator<float>> cols(
+              (static_cast<size_t>(d) + 1) * lanes, 0.0f);
+          for (int k = 0; k < d; ++k) {
+            for (int i = 0; i < m; ++i) {
+              cols[static_cast<size_t>(k) * lanes + static_cast<size_t>(i)] =
+                  static_cast<float>(
+                      utils[static_cast<size_t>(i)][static_cast<size_t>(k)]);
+            }
+          }
+          float* tau_row = cols.data() + static_cast<size_t>(d) * lanes;
+          for (size_t i = 0; i < lanes; ++i) {
+            tau_row[i] = i < tau.size()
+                             ? FloatAtMost(tau[i])
+                             : std::numeric_limits<float>::infinity();
+          }
+          float q[kFilterMaxDim];
+          float slack = 0.0f;
+          ASSERT_TRUE(PrepareReachedFilter(p.data(), d, a, q, &slack));
+          std::vector<int> passed(lanes);
+          const size_t n = FilterReached(cols.data(), lanes, d, lanes, q,
+                                         slack, tau_row, passed.data());
+          passed.resize(n);
           const std::string where = std::string(SimdTierName(tier)) +
                                     " d=" + std::to_string(d) +
                                     " m=" + std::to_string(m) +
                                     " probe=" + std::to_string(probe);
-          ASSERT_EQ(idx, cone.FindReachedBruteForce(p)) << where;
-          ASSERT_EQ(idx, cone.FindReached(p)) << where;
-          ASSERT_EQ(scores.size(), idx.size()) << where;
-          for (size_t j = 0; j < idx.size(); ++j) {
-            const double dot =
-                Dot(utils[static_cast<size_t>(idx[j])], p);
-            EXPECT_EQ(std::bit_cast<uint64_t>(scores[j]),
-                      std::bit_cast<uint64_t>(dot))
-                << where << " utility " << idx[j];
+          ASSERT_TRUE(std::is_sorted(passed.begin(), passed.end())) << where;
+          for (int i : passed) {
+            ASSERT_LT(i, m) << where << " padding row passed";
+            EXPECT_NE(i % 5, 3) << where << " +inf threshold passed, row " << i;
           }
           for (int i = 0; i < m; ++i) {
-            const bool reached =
-                std::binary_search(idx.begin(), idx.end(), i);
-            if ((i + probe) % 6 == 4) {
-              EXPECT_TRUE(reached) << where << " utility " << i;
-            }
-            if ((i + probe) % 6 == 5) {
-              EXPECT_FALSE(reached) << where << " utility " << i;
+            if (dots[static_cast<size_t>(i)] >= tau[static_cast<size_t>(i)]) {
+              EXPECT_TRUE(std::binary_search(passed.begin(), passed.end(), i))
+                  << where << " row " << i << " dot "
+                  << dots[static_cast<size_t>(i)] << " tau "
+                  << tau[static_cast<size_t>(i)];
             }
           }
-          ++probe;
         }
       }
     }
+  }
+}
+
+// FloatAtMost is the largest float <= x, with the edges the prefilter's
+// thresholds rely on.
+TEST(SimdDispatchTest, FloatAtMostRoundsDown) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const float finf = std::numeric_limits<float>::infinity();
+  const float fmax = std::numeric_limits<float>::max();
+  EXPECT_EQ(FloatAtMost(inf), finf);
+  EXPECT_EQ(FloatAtMost(1e39), fmax);
+  EXPECT_EQ(FloatAtMost(-1e39), -finf);
+  EXPECT_EQ(FloatAtMost(-inf), -finf);
+  EXPECT_EQ(FloatAtMost(static_cast<double>(fmax)), fmax);
+  EXPECT_TRUE(
+      std::isnan(FloatAtMost(std::numeric_limits<double>::quiet_NaN())));
+  Rng rng(5);
+  for (int i = 0; i < 10000; ++i) {
+    const double x = SignedLogUniform(&rng, -46.0, 38.0);
+    const float f = FloatAtMost(x);
+    EXPECT_LE(static_cast<double>(f), x);
+    EXPECT_GT(static_cast<double>(std::nextafter(f, finf)), x);
   }
 }
 
