@@ -4,15 +4,15 @@
 /// plus a reader-heavy configuration. Reported per configuration: applied
 /// update ops/s, snapshot reads/s, the queue-backlog staleness readers
 /// actually observed (mean and max, in operations), publication latency
-/// quantiles, and the writer's batching telemetry (queue-depth p50/p99 and
-/// the final adaptive batch bound; --json additionally carries the full
-/// power-of-two batch-size histogram).
+/// quantiles, and the writer's batching telemetry (queue-depth p50/p99;
+/// --json additionally carries the full power-of-two batch-size
+/// histogram), all telemetry read from the final registry scrape.
 ///
 /// Shapes to expect: update throughput stays within one writer's budget
 /// regardless of reader count (readers are off the write path), query
 /// throughput scales with reader threads until the host runs out of cores,
-/// staleness stays bounded by the queue capacity, and the adaptive batch
-/// bound climbs toward max_batch whenever the submitters outrun the writer.
+/// staleness stays bounded by the queue capacity, and batches fill up to
+/// max_batch whenever the submitters outrun the writer.
 ///
 /// Flags: --json (write BENCH_bench_concurrent.json), --quick (single
 /// configuration, for smoke runs).
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"readers", "submitters", "update_ops/s", "reads/s",
                       "stale_mean", "stale_max", "pub_p50_us", "pub_p99_us",
-                      "depth_p50", "depth_p99", "eff_batch", "batches", "ok"});
+                      "depth_p50", "depth_p99", "batches", "ok"});
   bool all_consistent = true;
   for (const auto& [readers, submitters] : configs) {
     ServiceLoadOptions lopt;
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
     table.AddNumber(res.publish_p99_us, 0);
     table.AddNumber(res.queue_depth_p50, 0);
     table.AddNumber(res.queue_depth_p99, 0);
-    table.AddInt(static_cast<int>(res.effective_max_batch));
     table.AddInt(static_cast<int>(res.batches));
     table.AddCell(res.consistent ? "yes" : "NO");
     std::vector<std::pair<std::string, double>> metrics = {
@@ -85,12 +84,10 @@ int main(int argc, char** argv) {
         {"max_staleness_ops", res.max_staleness_ops},
         {"publish_p50_us", res.publish_p50_us},
         {"publish_p99_us", res.publish_p99_us},
-        // Registry-derived tails (cumulative latency histogram scrape).
         {"publish_p90_us", res.publish_p90_us},
         {"publish_p999_us", res.publish_p999_us},
         {"queue_depth_p50", res.queue_depth_p50},
         {"queue_depth_p99", res.queue_depth_p99},
-        {"effective_max_batch", static_cast<double>(res.effective_max_batch)},
         {"writer_busy_seconds", res.writer_busy_seconds},
         {"wall_seconds", res.wall_seconds},
         {"batches", static_cast<double>(res.batches)},

@@ -50,7 +50,7 @@ REQUIRED_SERIES = [
     "fdrms_queue_depth",
     "fdrms_queue_depth_pow2_bucket",
     "fdrms_batch_size_pow2_bucket",
-    "fdrms_effective_max_batch",
+    "fdrms_batch_bound",
     "fdrms_publish_latency_us_bucket",
     "fdrms_publish_latency_us_count",
     "fdrms_writer_drain_us_count",

@@ -140,11 +140,7 @@ Status FdRms::Update(int id, const Point& p) {
 
 Status FdRms::ApplyBatch(const std::vector<BatchOp>& ops) {
   size_t num_applied = 0;
-  return ApplyBatch(ops, &num_applied);
-}
-
-Status FdRms::ApplyBatch(const std::vector<BatchOp>& ops, size_t* num_applied) {
-  return ApplyBatch(ops, 0, num_applied);
+  return ApplyBatch(ops, 0, &num_applied);
 }
 
 Status FdRms::ApplyBatch(const std::vector<BatchOp>& ops, size_t begin,

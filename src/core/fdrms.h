@@ -72,16 +72,12 @@ class FdRms {
   /// failure. Convenience for replaying update streams.
   Status ApplyBatch(const std::vector<BatchOp>& ops);
 
-  /// As above, but additionally reports how many leading operations were
-  /// applied (all of them on success; the index of the failed operation
-  /// otherwise). The serving layer uses this to resume a drained batch past
-  /// a rejected operation instead of discarding its tail.
-  Status ApplyBatch(const std::vector<BatchOp>& ops, size_t* num_applied);
-
-  /// Applies ops[begin..ops.size()); `*num_applied` counts from `begin`.
-  /// Lets a caller resume past a failed operation without copying the
-  /// batch tail. `begin == ops.size()` applies nothing; `begin` past the
-  /// end is Invalid with `*num_applied` = 0.
+  /// Applies ops[begin..ops.size()), additionally reporting how many
+  /// operations were applied, counted from `begin` (all of them on success;
+  /// the offset of the failed operation otherwise). The serving layer uses
+  /// this to resume a drained batch past a rejected operation without
+  /// copying its tail. `begin == ops.size()` applies nothing; `begin` past
+  /// the end is Invalid with `*num_applied` = 0.
   Status ApplyBatch(const std::vector<BatchOp>& ops, size_t begin,
                     size_t* num_applied);
 

@@ -13,7 +13,6 @@
 #include "common/retry.h"
 #include "common/stopwatch.h"
 #include "obs/exporters.h"
-#include "obs/pow2_hist.h"
 #include "obs/registry.h"
 
 namespace fdrms {
@@ -223,13 +222,6 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
   result.batches = last->batches;
   result.wall_seconds = wall_seconds;
   result.writer_busy_seconds = last->writer_busy_seconds;
-  result.publish_p50_us = last->publish_p50_us;
-  result.publish_p99_us = last->publish_p99_us;
-  result.queue_depth_p50 = obs::Pow2HistQuantile(last->queue_depth_hist, 0.50);
-  result.queue_depth_p99 = obs::Pow2HistQuantile(last->queue_depth_hist, 0.99);
-  result.effective_max_batch = last->effective_max_batch;
-  result.queue_depth_hist = last->queue_depth_hist;
-  result.batch_size_hist = last->batch_size_hist;
   result.final_version = last->version;
   result.final_result_size = static_cast<int>(last->ids.size());
   result.final_m = last->sample_size_m;
@@ -256,10 +248,22 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
         staleness_sum / static_cast<double>(total_queries);
   }
   const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::Labels& labels = service.options().metrics_labels;
   if (const obs::MetricSnapshot* lat =
-          scrape.Find("fdrms_publish_latency_us")) {
+          scrape.Find("fdrms_publish_latency_us", labels)) {
+    result.publish_p50_us = lat->Quantile(0.50);
     result.publish_p90_us = lat->Quantile(0.90);
+    result.publish_p99_us = lat->Quantile(0.99);
     result.publish_p999_us = lat->Quantile(0.999);
+  }
+  if (const obs::MetricSnapshot* depth =
+          scrape.Find("fdrms_queue_depth_pow2", labels)) {
+    result.queue_depth_p50 = depth->Quantile(0.50);
+    result.queue_depth_p99 = depth->Quantile(0.99);
+  }
+  if (const obs::MetricSnapshot* sizes =
+          scrape.Find("fdrms_batch_size_pow2", labels)) {
+    result.batch_size_hist = sizes->buckets;
   }
   result.prometheus_text = obs::PrometheusText(scrape);
   result.json_text = obs::JsonText(scrape);
@@ -630,8 +634,6 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
   result.resumed = resumed;
   result.resume_epoch = resume_epoch;
   result.resume_num_shards = resume_num_shards;
-  result.publish_p50_us = last->publish_p50_us_max;
-  result.publish_p99_us = last->publish_p99_us_max;
   for (int s = 0; s < final_shards; ++s) {
     result.per_shard_applied.push_back(last->shards[s]->ops_applied);
     result.per_shard_busy_seconds.push_back(
@@ -686,6 +688,16 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
   result.merge_cache_hits = counter("fdrms_merge_cache_hits_total");
   result.merge_cache_misses = counter("fdrms_merge_cache_misses_total");
   result.merge_recovers = counter("fdrms_merge_recovers_total");
+  for (int s = 0; s < service.num_shards(); ++s) {
+    if (const obs::MetricSnapshot* lat =
+            scrape.Find("fdrms_publish_latency_us",
+                        service.shard(s).options().metrics_labels)) {
+      result.publish_p50_us = std::max(result.publish_p50_us,
+                                       lat->Quantile(0.50));
+      result.publish_p99_us = std::max(result.publish_p99_us,
+                                       lat->Quantile(0.99));
+    }
+  }
   if (opts.enable_slo_controller) {
     auto gauge = [&scrape](const char* name) -> double {
       const obs::MetricSnapshot* m = scrape.Find(name);

@@ -84,25 +84,21 @@ struct ServiceLoadResult {
   double mean_staleness_ops = 0.0;
   double max_staleness_ops = 0.0;
 
-  // Writer-side cost of the run: cumulative apply CPU seconds and the
-  // p50/p99 batch publication latency window at the end (µs).
+  // Writer-side cost of the run: cumulative apply CPU seconds, then batch
+  // publication latency quantiles (µs) interpolated from the service's
+  // fdrms_publish_latency_us histogram at the final scrape.
   double writer_busy_seconds = 0.0;
   double publish_p50_us = 0.0;
   double publish_p99_us = 0.0;
-
-  // Registry-derived tails of the same distribution (interpolated from the
-  // cumulative fdrms_publish_latency_us histogram at the final scrape).
   double publish_p90_us = 0.0;
   double publish_p999_us = 0.0;
 
-  // Batching telemetry from the final snapshot: queue-depth quantiles
-  // (operations, derived from the writer's power-of-two depth histogram),
-  // the adaptive batch bound in force at the end, and the raw cumulative
-  // histograms (see obs::Pow2HistBucket for the bucket scheme).
+  // Batching telemetry from the final scrape: queue-depth quantiles
+  // (operations, bucket floors of fdrms_queue_depth_pow2) and the
+  // cumulative fdrms_batch_size_pow2 histogram (see obs::Pow2HistBucket
+  // for the bucket scheme).
   double queue_depth_p50 = 0.0;
   double queue_depth_p99 = 0.0;
-  uint64_t effective_max_batch = 0;
-  std::vector<uint64_t> queue_depth_hist;
   std::vector<uint64_t> batch_size_hist;
 
   // Final state.
@@ -263,7 +259,7 @@ struct ShardedLoadResult {
   // Per-shard load balance and cost.
   std::vector<uint64_t> per_shard_applied;
   std::vector<double> per_shard_busy_seconds;
-  double publish_p50_us = 0.0;  ///< worst shard at the end
+  double publish_p50_us = 0.0;  ///< worst final shard, final scrape
   double publish_p99_us = 0.0;
 
   // Final merged state.

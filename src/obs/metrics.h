@@ -120,8 +120,8 @@ class Pow2Histogram {
         1, std::memory_order_relaxed);
   }
 
-  /// Per-bucket counts summed across stripes, in the same layout the
-  /// legacy ResultSnapshot vectors used.
+  /// Per-bucket counts summed across stripes (bucket b as in
+  /// Pow2HistBucket) — the layout a registry scrape carries.
   std::vector<uint64_t> BucketSums() const {
     std::vector<uint64_t> out(kPow2HistBuckets, 0);
     for (const auto& s : stripes_) {

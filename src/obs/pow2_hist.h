@@ -2,13 +2,11 @@
 #define FDRMS_OBS_POW2_HIST_H_
 
 /// \file pow2_hist.h
-/// Power-of-two bucketing vocabulary shared by the metric registry and the
-/// serving layer's telemetry vectors: bucket 0 counts the value 0, bucket
-/// i >= 1 counts values in [2^(i-1), 2^i), and the last bucket is
-/// open-ended (everything >= 2^(kPow2HistBuckets-2) saturates into it).
-/// Lived in serve/result_snapshot.h until the obs subsystem took ownership
-/// of all histogram plumbing; result_snapshot.h re-exports these names for
-/// its existing callers.
+/// Power-of-two bucketing vocabulary of the metric registry's integer
+/// histograms (queue depths, batch sizes) and of their scrapes: bucket 0
+/// counts the value 0, bucket i >= 1 counts values in [2^(i-1), 2^i), and
+/// the last bucket is open-ended (everything >= 2^(kPow2HistBuckets-2)
+/// saturates into it).
 
 #include <bit>
 #include <cstddef>
@@ -42,8 +40,7 @@ inline uint64_t Pow2HistBucketCeil(size_t b) {
 
 /// Quantile over a power-of-two histogram, reported as the lower bound of
 /// the bucket where the cumulative count crosses q * total. Coarse by
-/// construction — good enough to steer batching policy and spot
-/// regressions, cheap enough to ride every snapshot.
+/// construction — good enough to size a queue and spot regressions.
 ///
 /// Edge cases are pinned by tests/obs_test.cpp: an empty or all-zero
 /// histogram reports 0 (never a bucket floor), q is clamped into [0, 1],

@@ -24,11 +24,6 @@ FdRmsService::FdRmsService(int dim, const FdRmsServiceOptions& options)
       registry_(options.registry ? options.registry
                                  : std::make_shared<obs::MetricRegistry>()) {
   FDRMS_CHECK(options.max_batch > 0);
-  FDRMS_CHECK(options.min_batch > 0);
-  FDRMS_CHECK(options.min_batch <= options.max_batch)
-      << "min_batch must not exceed max_batch";
-  // Start small: latency-first until a burst shows up.
-  effective_batch_ = options.min_batch;
   RegisterMetrics();
   metrics_.batch_bound->Set(static_cast<double>(options.max_batch));
   metrics_.healthy->Set(1.0);
@@ -36,7 +31,7 @@ FdRmsService::FdRmsService(int dim, const FdRmsServiceOptions& options)
 
 size_t FdRmsService::SetBatchBound(size_t bound) {
   const size_t clamped =
-      std::min(std::max(bound, options_.min_batch), options_.max_batch);
+      std::min(std::max(bound, size_t{1}), options_.max_batch);
   batch_bound_.store(clamped, std::memory_order_relaxed);
   metrics_.batch_bound->Set(static_cast<double>(clamped));
   return clamped;
@@ -89,12 +84,10 @@ void FdRmsService::RegisterMetrics() {
   metrics_.queue_depth = r.GetGauge(
       "fdrms_queue_depth", "Queue depth observed at the last writer wakeup",
       l);
-  metrics_.effective_max_batch = r.GetGauge(
-      "fdrms_effective_max_batch", "Adaptive batch bound in force", l);
   metrics_.batch_bound = r.GetGauge(
       "fdrms_batch_bound",
-      "External batch ceiling set via SetBatchBound (== max_batch until the "
-      "controller moves it)",
+      "Most ops the writer drains per batch, set via SetBatchBound "
+      "(== max_batch until the controller moves it)",
       l);
   metrics_.writer_busy_seconds = r.GetGauge(
       "fdrms_writer_busy_seconds",
@@ -415,23 +408,17 @@ void FdRmsService::WriterLoop() {
     metrics_.heartbeat->Set(static_cast<double>(
         heartbeat_.fetch_add(1, std::memory_order_relaxed) + 1));
     RunPendingInspections();
-    // Observe the backlog before draining and steer the effective batch
-    // bound: double while the burst runs at least two bounds deep, halve
-    // once the queue runs near-empty, hold inside the hysteresis band.
     const size_t depth = queue_.size();
     metrics_.queue_depth->Set(static_cast<double>(depth));
     metrics_.queue_depth_pow2->Record(depth);
-    // The external ceiling (SetBatchBound) caps whatever the policy below
-    // decides; already clamped into [min_batch, max_batch] at the setter.
-    const size_t ceiling = batch_bound_.load(std::memory_order_relaxed);
-    effective_batch_ = std::min(effective_batch_, ceiling);
-    if (depth >= 2 * effective_batch_) {
-      effective_batch_ = std::min(2 * effective_batch_, ceiling);
-    } else if (depth * 4 <= effective_batch_) {
-      effective_batch_ = std::max(effective_batch_ / 2, options_.min_batch);
-    }
+    // Drain min(backlog, bound), so a near-idle queue still publishes
+    // small, prompt batches. SetBatchBound keeps the bound in
+    // [1, max_batch].
     Stopwatch drain_watch;
-    if (!queue_.PopBatch(effective_batch_, &batch)) break;
+    if (!queue_.PopBatch(batch_bound_.load(std::memory_order_relaxed),
+                         &batch)) {
+      break;
+    }
     // An empty batch is a Kick() wakeup: loop back for the control work.
     if (!batch.empty()) {
       // Drain time only counts when ops arrived: an idle writer parked in
@@ -546,9 +533,8 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
     consumed_published_ = applied_total_ + rejected_total_;
   }
   flush_cv_.notify_all();
-  // This batch's drain→publish latency feeds the histogram the *next*
-  // publication reports (its own snapshot was built before the duration
-  // was known).
+  // This batch's drain→publish latency, known only once its publication
+  // completed.
   const double latency_us = batch_watch.ElapsedMicros();
   metrics_.publish_latency_us->Record(latency_us);
   registry_->trace().Record("writer.batch", batch_start_us,
@@ -638,14 +624,12 @@ Status FdRmsService::PersistNow() {
 }
 
 void FdRmsService::PublishSnapshot() {
-  // The snapshot's stat fields are views over the registry: every value
-  // below reads back out of the same metrics a scrape exports, so a
-  // ResultSnapshot and a concurrent PrometheusText() can never disagree
-  // about what this service has done.
+  // The snapshot's counters read back out of the same metrics a scrape
+  // exports, so a ResultSnapshot and a concurrent PrometheusText() can
+  // never disagree about what this service has done.
   metrics_.version->Set(static_cast<double>(version_));
   metrics_.sample_size_m->Set(static_cast<double>(algo_.current_m()));
   metrics_.live_tuples->Set(static_cast<double>(algo_.size()));
-  metrics_.effective_max_batch->Set(static_cast<double>(effective_batch_));
   auto snap = std::make_shared<ResultSnapshot>();
   snap->version = version_;
   snap->ops_applied = metrics_.ops_applied->Value();
@@ -654,12 +638,7 @@ void FdRmsService::PublishSnapshot() {
   snap->sample_size_m = algo_.current_m();
   snap->live_tuples = algo_.size();
   snap->writer_busy_seconds = busy_seconds_;
-  snap->publish_p50_us = metrics_.publish_latency_us->Quantile(0.50);
-  snap->publish_p99_us = metrics_.publish_latency_us->Quantile(0.99);
   snap->persisted = metrics_.persists->Value();
-  snap->effective_max_batch = effective_batch_;
-  snap->queue_depth_hist = metrics_.queue_depth_pow2->BucketSums();
-  snap->batch_size_hist = metrics_.batch_size_pow2->BucketSums();
   std::vector<FdRms::ResultEntry> entries = algo_.ResolvedResult();
   snap->ids.reserve(entries.size());
   snap->points.reserve(entries.size());
@@ -697,8 +676,6 @@ std::string FdRmsService::DebugString() const {
       << " publications=" << metrics_.publications->Value() << "\n";
   out << "  queue_depth=" << static_cast<uint64_t>(
              metrics_.queue_depth->Value())
-      << " effective_max_batch=" << static_cast<uint64_t>(
-             metrics_.effective_max_batch->Value())
       << " writer_busy_s=" << metrics_.writer_busy_seconds->Value() << "\n";
   char quant[160];
   std::snprintf(quant, sizeof(quant),

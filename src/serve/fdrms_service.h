@@ -8,10 +8,9 @@
 /// mutation rewrites the dual-tree and the stable set-cover state — so the
 /// service gives it a dedicated writer thread and keeps everyone else off
 /// it. Producers submit mutations into a bounded lock-free MPSC ring
-/// queue (serve/mpsc_ring_queue.h); the writer drains the queue in
-/// batches whose bound adapts to the observed queue depth, coalesces each
-/// drain into one FdRms::ApplyBatch call, and after every batch publishes
-/// an immutable ResultSnapshot through
+/// queue (serve/mpsc_ring_queue.h); each wakeup the writer drains whatever
+/// is queued, up to the batch bound, into one FdRms::ApplyBatch call, and
+/// after every batch publishes an immutable ResultSnapshot through
 /// std::atomic<std::shared_ptr<const ResultSnapshot>>. Query() is a single
 /// atomic shared_ptr load: readers never touch the queue, never wait for
 /// the writer, and keep their snapshot alive for as long as they hold the
@@ -29,7 +28,9 @@
 /// exact FD-RMS state after some batch prefix of the applied operation
 /// sequence) and versions are strictly monotone, but reads are *stale* by
 /// up to the queue backlog plus one in-flight batch. ResultSnapshot carries
-/// the counters a reader needs to bound that staleness.
+/// the result and the counters a reader needs to bound that staleness;
+/// every other stat (publication latency, queue depth, batch sizes) lives
+/// only in the metric registry (registry()).
 
 #include <atomic>
 #include <condition_variable>
@@ -68,18 +69,13 @@ struct FdRmsServiceOptions {
   /// Bound of the MPSC update queue (operations, not batches).
   size_t queue_capacity = 4096;
 
-  /// Bounds on the operations the writer drains into one ApplyBatch and
-  /// publication. Batching is adaptive: each wakeup the writer observes
-  /// the queue depth and steers its effective batch bound within
-  /// [min_batch, max_batch]. The bound doubles while the backlog runs at
-  /// least two bounds deep (burst: amortize publication cost) and halves
-  /// when the backlog falls to a quarter of it (idle: publish small
-  /// batches promptly for low publish_p50_us). The bound in force, plus
-  /// the depth and batch-size histograms backing the decision, ride every
-  /// ResultSnapshot. `min_batch == max_batch` pins the bound (fixed-size
-  /// batching).
+  /// Most operations the writer drains into one ApplyBatch and
+  /// publication. Each wakeup it takes min(queue depth, batch bound), so a
+  /// near-idle queue still publishes small batches promptly while a burst
+  /// amortizes publication cost over up to `max_batch` ops. The bound
+  /// starts here; SetBatchBound (the SLO controller) lowers or raises it
+  /// within [1, max_batch].
   size_t max_batch = 256;
-  size_t min_batch = 1;
 
   /// What a submitter experiences when the queue is full: kBlock parks the
   /// caller until the writer frees room; kReject returns kResourceExhausted
@@ -268,15 +264,14 @@ class FdRmsService {
     return snapshot_.load(std::memory_order_acquire);
   }
 
-  /// Control surface for an external policy (the SLO controller): caps the
-  /// batch ceiling the writer steers under. `bound` is clamped into
-  /// [options.min_batch, options.max_batch]; the clamped value in force is
-  /// returned and takes effect at the writer's next wakeup; the adaptive
-  /// policy keeps running inside [min_batch, bound].
-  /// Safe from any thread; exported as the fdrms_batch_bound gauge.
+  /// Control surface for an external policy (the SLO controller): sets the
+  /// most operations the writer drains per batch. `bound` is clamped into
+  /// [1, options.max_batch]; the clamped value in force is returned and
+  /// takes effect at the writer's next wakeup. Safe from any thread;
+  /// exported as the fdrms_batch_bound gauge.
   size_t SetBatchBound(size_t bound);
 
-  /// The batch ceiling currently in force (== options.max_batch until the
+  /// The batch bound currently in force (== options.max_batch until the
   /// first SetBatchBound call).
   size_t batch_bound() const {
     return batch_bound_.load(std::memory_order_relaxed);
@@ -411,9 +406,8 @@ class FdRmsService {
   FdRms algo_;
 
   MpscRingQueue<FdRms::BatchOp> queue_;
-  /// External batch ceiling (SetBatchBound); always within
-  /// [options.min_batch, options.max_batch]. Read by the writer each
-  /// wakeup, written by any controlling thread.
+  /// Batch bound (SetBatchBound); always within [1, options.max_batch].
+  /// Read by the writer each wakeup, written by any controlling thread.
   std::atomic<size_t> batch_bound_;
   std::thread writer_;
   std::atomic<State> state_{State::kNew};
@@ -432,13 +426,15 @@ class FdRmsService {
 
   std::atomic<std::shared_ptr<const ResultSnapshot>> snapshot_;
 
-  /// Every stat below lives here; ResultSnapshot fields are views over it.
+  /// Every stat below lives here; ResultSnapshot's counters are read back
+  /// out of it at publication.
   std::shared_ptr<obs::MetricRegistry> registry_;
 
   /// Handles into registry_, stable for the service's lifetime. Counters
   /// and pow2/latency histograms are multi-writer-safe (striped relaxed
-  /// atomics); the gauges are only Set from the writer thread (queue_depth,
-  /// live_tuples, ...) or Stop/Start (none currently).
+  /// atomics); the gauges are Set from the writer thread (queue_depth,
+  /// live_tuples, ...), except batch_bound, which SetBatchBound sets from
+  /// any thread.
   struct Metrics {
     obs::Counter* ops_submitted;     ///< accepted pushes (telemetry; the
                                      ///< authoritative count stays in the
@@ -457,7 +453,6 @@ class FdRmsService {
     obs::Gauge* live_tuples;
     obs::Gauge* sample_size_m;
     obs::Gauge* queue_depth;
-    obs::Gauge* effective_max_batch;
     obs::Gauge* batch_bound;
     obs::Gauge* writer_busy_seconds;
     obs::Pow2Histogram* queue_depth_pow2;
@@ -478,7 +473,6 @@ class FdRmsService {
   bool ever_persisted_ = false;     ///< any successful save this run
   long long persist_gen_ = 0;       ///< last persist generation handed out
   double busy_seconds_ = 0.0;
-  size_t effective_batch_ = 0;  ///< adaptive batching bound in force
   uint64_t applied_total_ = 0;   ///< ops this instance applied
   uint64_t rejected_total_ = 0;  ///< ops this instance rejected
 

@@ -212,7 +212,7 @@ class MpscRingQueue {
   }
 
   /// Elements currently queued (racy snapshot, exact when quiescent). Also
-  /// the writer's queue-depth signal for adaptive batching.
+  /// the queue depth the writer records at each wakeup.
   size_t size() const {
     uint64_t tail = dequeue_pos_.load(std::memory_order_acquire);
     uint64_t head = enqueue_pos_.load(std::memory_order_acquire);

@@ -17,7 +17,9 @@
 namespace fdrms {
 
 /// One published view of the maintained result Q_t plus enough bookkeeping
-/// for a reader to reason about staleness.
+/// for a reader to reason about staleness. Telemetry (latency quantiles,
+/// queue-depth and batch-size histograms) is not copied here: it lives in
+/// the service's metric registry, which every scrape reads.
 struct ResultSnapshot {
   /// Publication counter, strictly increasing across snapshots of one
   /// service instance. version 0 is the initial (post-Initialize) state.
@@ -47,29 +49,9 @@ struct ResultSnapshot {
   /// sharded wider.
   double writer_busy_seconds = 0.0;
 
-  /// p50/p99 batch publication latency in microseconds — the time from a
-  /// batch leaving the queue to its snapshot being published — interpolated
-  /// from the service's cumulative fdrms_publish_latency_us histogram over
-  /// the batches published before this snapshot (a batch's own latency is
-  /// only known once its publication completes, so each publication reports
-  /// the distribution up to its predecessor). 0 until the second batch.
-  double publish_p50_us = 0.0;
-  double publish_p99_us = 0.0;
-
   /// Background persistence runs completed so far (0 unless
   /// FdRmsServiceOptions::persist_every_batches is set).
   uint64_t persisted = 0;
-
-  /// The adaptive batching policy's state and evidence. effective_max_batch
-  /// is the batch bound in force when this snapshot's batch was drained
-  /// (== options.max_batch when adaptive batching is off); the histograms
-  /// count, per writer wakeup, the queue depth observed before draining
-  /// and the sizes of the batches actually applied (power-of-two buckets,
-  /// see obs::Pow2HistBucket). Both are cumulative over the service's
-  /// lifetime.
-  uint64_t effective_max_batch = 0;
-  std::vector<uint64_t> queue_depth_hist;
-  std::vector<uint64_t> batch_size_hist;
 
   /// Q_t tuple ids, ascending; |ids| <= r.
   std::vector<int> ids;

@@ -82,19 +82,6 @@ struct MergedSnapshot {
   double writer_busy_seconds_max = 0.0;
   double writer_busy_seconds_sum = 0.0;
 
-  /// Worst per-shard publication latency quantiles (µs).
-  double publish_p50_us_max = 0.0;
-  double publish_p99_us_max = 0.0;
-
-  /// Batching telemetry across shards: the largest adaptive batch bound
-  /// any shard is running at, plus the per-shard queue-depth and
-  /// batch-size histograms summed bucket-wise (see obs::Pow2HistBucket) — the
-  /// constellation-wide ingestion profile an operator sizes max_batch and
-  /// queue_capacity from.
-  uint64_t effective_max_batch_max = 0;
-  std::vector<uint64_t> queue_depth_hist;
-  std::vector<uint64_t> batch_size_hist;
-
   /// The composed per-shard snapshots, index-aligned with `versions`.
   std::vector<std::shared_ptr<const ResultSnapshot>> shards;
 };

@@ -300,8 +300,7 @@ size_t ShardedFdRmsService::SetBatchBound(size_t bound) {
   // (MakeShard reads batch_bound_) can never miss both the fan-out below
   // and the seeded value.
   size_t in_force =
-      std::min(std::max(bound, options_.shard.min_batch),
-               options_.shard.max_batch);
+      std::min(std::max(bound, size_t{1}), options_.shard.max_batch);
   batch_bound_.store(in_force, std::memory_order_relaxed);
   std::shared_ptr<const Topology> topo = topology();
   for (const auto& shard : topo->shards) {
@@ -1454,24 +1453,6 @@ std::shared_ptr<const MergedSnapshot> ShardedFdRmsService::BuildMerged(
     merged->writer_busy_seconds_max =
         std::max(merged->writer_busy_seconds_max, snap.writer_busy_seconds);
     merged->writer_busy_seconds_sum += snap.writer_busy_seconds;
-    merged->publish_p50_us_max =
-        std::max(merged->publish_p50_us_max, snap.publish_p50_us);
-    merged->publish_p99_us_max =
-        std::max(merged->publish_p99_us_max, snap.publish_p99_us);
-    merged->effective_max_batch_max =
-        std::max(merged->effective_max_batch_max, snap.effective_max_batch);
-    if (merged->queue_depth_hist.size() < snap.queue_depth_hist.size()) {
-      merged->queue_depth_hist.resize(snap.queue_depth_hist.size(), 0);
-    }
-    for (size_t b = 0; b < snap.queue_depth_hist.size(); ++b) {
-      merged->queue_depth_hist[b] += snap.queue_depth_hist[b];
-    }
-    if (merged->batch_size_hist.size() < snap.batch_size_hist.size()) {
-      merged->batch_size_hist.resize(snap.batch_size_hist.size(), 0);
-    }
-    for (size_t b = 0; b < snap.batch_size_hist.size(); ++b) {
-      merged->batch_size_hist[b] += snap.batch_size_hist[b];
-    }
     for (size_t i = 0; i < snap.ids.size(); ++i) {
       ids.push_back(snap.ids[i]);
       points.push_back(&snap.points[i]);

@@ -286,8 +286,9 @@ class ShardedFdRmsService {
 
   /// Fans FdRmsService::SetBatchBound out to every live shard and remembers
   /// the override so shards created later (AddShard, rebirths) inherit it.
-  /// Returns the clamped value in force (identical on every shard — they
-  /// share one options template). Safe from any thread.
+  /// Returns the value in force, `bound` clamped into
+  /// [1, options.shard.max_batch] (identical on every shard — they share
+  /// one options template). Safe from any thread.
   size_t SetBatchBound(size_t bound);
 
   /// The constellation-wide batch ceiling (options.shard.max_batch until

@@ -50,7 +50,7 @@ class FakeActuator : public control::SloActuator {
   }
   size_t SetBatchBound(size_t bound) override {
     ++set_bound_calls_;
-    bound_ = std::min(std::max(bound, min_batch_), max_batch_);
+    bound_ = std::min(std::max(bound, size_t{1}), max_batch_);
     return bound_;
   }
   size_t batch_bound() const override { return bound_; }
@@ -64,7 +64,6 @@ class FakeActuator : public control::SloActuator {
   int remove_calls_ = 0;
   int set_bound_calls_ = 0;
   size_t bound_ = 64;
-  size_t min_batch_ = 1;
   size_t max_batch_ = 64;
   size_t queue_capacity_ = 1024;
   uint64_t stamp_ = 0;  ///< fabricated external-migration timestamp
@@ -401,7 +400,6 @@ TEST(ControlTickTest, BatchLowerAtTheFloorIsNotAnAdjustment) {
   auto reg = std::make_shared<obs::MetricRegistry>();
   FakeActuator act;
   act.bound_ = 1;
-  act.min_batch_ = 1;
   SloControllerOptions opt = TestOptions();
   opt.enable_topology = false;
   SloController ctl(reg, &act, opt);
@@ -508,7 +506,6 @@ TEST(ControlShardPlumbingTest, BatchBoundFansOutAndSurvivesAddShard) {
   sopt.num_shards = 2;
   sopt.shard.algo.r = 8;
   sopt.shard.algo.max_utilities = 64;
-  sopt.shard.min_batch = 1;
   sopt.shard.max_batch = 64;
   ShardedFdRmsService service(3, sopt);
   std::vector<std::pair<int, Point>> initial;
@@ -533,7 +530,7 @@ TEST(ControlShardPlumbingTest, BatchBoundFansOutAndSurvivesAddShard) {
   }
   EXPECT_EQ(bound_series, 3);  // one per live shard
 
-  // Out-of-range asks clamp into [min_batch, max_batch].
+  // Out-of-range asks clamp into [1, max_batch].
   EXPECT_EQ(service.SetBatchBound(0), 1u);
   EXPECT_EQ(service.SetBatchBound(1 << 20), 64u);
   ASSERT_TRUE(service.Stop().ok());

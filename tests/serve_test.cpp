@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "eval/service_driver.h"
 #include "eval/workload.h"
 #include "obs/pow2_hist.h"
+#include "obs/registry.h"
 #include "serve/fdrms_service.h"
 #include "serve/mpsc_ring_queue.h"
 
@@ -923,17 +925,60 @@ TEST(ServePersistTest, PersistenceWithoutVersionPathFailsStart) {
   EXPECT_FALSE(service.running());
 }
 
-TEST(ServeBatchingTest, AdaptiveBoundStaysInRangeAndHistogramsAccount) {
+/// Parks the service's writer inside Inspect until Release(), so a test can
+/// queue a backlog the writer has not drained any of yet.
+class WriterHold {
+ public:
+  explicit WriterHold(FdRmsService* service)
+      : thread_([this, service] {
+          bool ran = false;
+          status_ = service->Inspect([&](const FdRms&) {
+            ran = true;
+            entered_.set_value();
+            released_.wait();
+          });
+          if (!ran) entered_.set_value();  // Inspect refused: don't hang
+        }) {
+    entered_future_.wait();
+  }
+  ~WriterHold() { (void)Release(); }
+  WriterHold(const WriterHold&) = delete;
+  WriterHold& operator=(const WriterHold&) = delete;
+
+  Status Release() {
+    if (thread_.joinable()) {
+      release_.set_value();
+      thread_.join();
+    }
+    return status_;
+  }
+
+ private:
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::future<void> released_ = release_.get_future();
+  Status status_;
+  std::thread thread_;  ///< last: its lambda uses the members above
+};
+
+/// Records the size of every batch the writer applies. Read the sizes only
+/// after Stop() joined the writer.
+void RecordBatchSizes(FdRmsServiceOptions* sopt, std::vector<size_t>* sizes) {
+  sopt->on_apply = [sizes](const std::vector<FdRms::BatchOp>& batch) {
+    sizes->push_back(batch.size());
+  };
+}
+
+TEST(ServeBatchingTest, BatchesStayInBoundAndHistogramsAccount) {
   PointSet ps = GenerateIndep(400, 2, 21);
   FdRmsServiceOptions sopt;
   sopt.algo.r = 4;
   sopt.algo.max_utilities = 32;
-  sopt.min_batch = 2;
   sopt.max_batch = 32;
   FdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
-  // Burst phase: push far more than max_batch so the backlog drives the
-  // bound up; then idle flushes let it decay.
+  // Burst phase: push far more than max_batch; then one-op batches.
   for (int i = 100; i < 400; ++i) {
     ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
   }
@@ -942,38 +987,31 @@ TEST(ServeBatchingTest, AdaptiveBoundStaysInRangeAndHistogramsAccount) {
     ASSERT_TRUE(service.SubmitDelete(i).ok());
     ASSERT_TRUE(service.Flush().ok());  // one-op batches: observed depth ~ 1
   }
-  auto snap = service.Query();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_GE(snap->effective_max_batch, sopt.min_batch);
-  EXPECT_LE(snap->effective_max_batch, sopt.max_batch);
-  ASSERT_EQ(snap->queue_depth_hist.size(), obs::kPow2HistBuckets);
-  ASSERT_EQ(snap->batch_size_hist.size(), obs::kPow2HistBuckets);
-  // Every applied batch was histogrammed, no batch exceeded the cap, and
-  // the writer observed at least one depth beyond min_batch during the
-  // burst (otherwise the bound could never have moved).
-  uint64_t batches_counted = 0;
-  for (size_t b = 0; b < snap->batch_size_hist.size(); ++b) {
-    batches_counted += snap->batch_size_hist[b];
-    if (snap->batch_size_hist[b] > 0) {
+  EXPECT_EQ(service.batch_bound(), sopt.max_batch);
+  const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::MetricSnapshot* sizes = scrape.Find("fdrms_batch_size_pow2");
+  const obs::MetricSnapshot* depths = scrape.Find("fdrms_queue_depth_pow2");
+  ASSERT_NE(sizes, nullptr);
+  ASSERT_NE(depths, nullptr);
+  ASSERT_EQ(sizes->buckets.size(), obs::kPow2HistBuckets);
+  ASSERT_EQ(depths->buckets.size(), obs::kPow2HistBuckets);
+  // Every applied batch was histogrammed and no batch exceeded the bound.
+  for (size_t b = 0; b < sizes->buckets.size(); ++b) {
+    if (sizes->buckets[b] > 0) {
       EXPECT_LE(obs::Pow2HistBucketFloor(b), sopt.max_batch);
     }
   }
-  EXPECT_EQ(batches_counted, snap->batches);
-  EXPECT_EQ(snap->batch_size_hist[0], 0u);  // batch size 0 is never applied
-  double depth_observations = 0;
-  for (uint64_t c : snap->queue_depth_hist) {
-    depth_observations += static_cast<double>(c);
-  }
-  EXPECT_GT(depth_observations, 0.0);
+  EXPECT_EQ(sizes->count, service.Query()->batches);
+  EXPECT_EQ(sizes->buckets[0], 0u);  // batch size 0 is never applied
+  EXPECT_GT(depths->count, 0u);
   ASSERT_TRUE(service.Stop().ok());
 }
 
-TEST(ServeBatchingTest, FixedModeKeepsTheConfiguredBound) {
+TEST(ServeBatchingTest, ConfiguredBoundIsInForceAndCapsBatches) {
   PointSet ps = GenerateIndep(200, 2, 22);
   FdRmsServiceOptions sopt;
   sopt.algo.r = 4;
   sopt.algo.max_utilities = 32;
-  sopt.min_batch = 16;  // min == max pins the adaptive bound
   sopt.max_batch = 16;
   FdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
@@ -981,14 +1019,76 @@ TEST(ServeBatchingTest, FixedModeKeepsTheConfiguredBound) {
     ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
   }
   ASSERT_TRUE(service.Flush().ok());
-  auto snap = service.Query();
-  EXPECT_EQ(snap->effective_max_batch, 16u);
-  for (size_t b = 0; b < snap->batch_size_hist.size(); ++b) {
-    if (snap->batch_size_hist[b] > 0) {
+  const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::MetricSnapshot* bound = scrape.Find("fdrms_batch_bound");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(bound->gauge_value, 16.0);
+  const obs::MetricSnapshot* sizes = scrape.Find("fdrms_batch_size_pow2");
+  ASSERT_NE(sizes, nullptr);
+  for (size_t b = 0; b < sizes->buckets.size(); ++b) {
+    if (sizes->buckets[b] > 0) {
       EXPECT_LE(obs::Pow2HistBucketFloor(b), 16u);
     }
   }
   ASSERT_TRUE(service.Stop().ok());
+}
+
+// A backlog that is already queued when the writer wakes drains in full
+// max_batch batches from the first one: there is no warm-up ramp.
+TEST(ServeBatchingTest, QueuedBacklogDrainsInMaxBatchBatches) {
+  PointSet ps = GenerateIndep(164, 2, 23);
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 4;
+  sopt.algo.max_utilities = 32;
+  sopt.max_batch = 32;
+  std::vector<size_t> batch_sizes;
+  RecordBatchSizes(&sopt, &batch_sizes);
+  FdRmsService service(2, sopt);
+  ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
+  WriterHold hold(&service);
+  for (int i = 100; i < 164; ++i) {
+    ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
+  }
+  ASSERT_TRUE(hold.Release().ok());
+  ASSERT_TRUE(service.Flush().ok());
+  ASSERT_TRUE(service.Stop().ok());
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{32, 32}));
+  const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::MetricSnapshot* sizes = scrape.Find("fdrms_batch_size_pow2");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count, 2u);
+  EXPECT_EQ(sizes->buckets[obs::Pow2HistBucket(32)], 2u);
+  EXPECT_EQ(service.Query()->ops_applied, 64u);
+}
+
+TEST(ServeBatchingTest, SetBatchBoundCapsEveryLaterBatch) {
+  PointSet ps = GenerateIndep(140, 2, 24);
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 4;
+  sopt.algo.max_utilities = 32;
+  sopt.max_batch = 32;
+  std::vector<size_t> batch_sizes;
+  RecordBatchSizes(&sopt, &batch_sizes);
+  FdRmsService service(2, sopt);
+  ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
+  // Out-of-range asks clamp into [1, max_batch].
+  EXPECT_EQ(service.SetBatchBound(0), 1u);
+  EXPECT_EQ(service.SetBatchBound(1000), 32u);
+  EXPECT_EQ(service.SetBatchBound(4), 4u);
+  EXPECT_EQ(service.batch_bound(), 4u);
+  WriterHold hold(&service);
+  for (int i = 100; i < 140; ++i) {
+    ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
+  }
+  ASSERT_TRUE(hold.Release().ok());
+  ASSERT_TRUE(service.Flush().ok());
+  ASSERT_TRUE(service.Stop().ok());
+  ASSERT_EQ(batch_sizes.size(), 10u);  // 40 queued ops, 4 per batch
+  for (size_t size : batch_sizes) EXPECT_EQ(size, 4u);
+  const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::MetricSnapshot* bound = scrape.Find("fdrms_batch_bound");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(bound->gauge_value, 4.0);
 }
 
 TEST(ServeLatencyTest, SnapshotCarriesPublicationLatencyQuantiles) {
@@ -1000,9 +1100,15 @@ TEST(ServeLatencyTest, SnapshotCarriesPublicationLatencyQuantiles) {
   sopt.batch_delay_us_for_test = 1000;  // every batch takes >= 1ms
   FdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 80)).ok());
-  auto initial = service.Query();
-  EXPECT_EQ(initial->publish_p50_us, 0.0);  // no batch completed yet
-  EXPECT_EQ(initial->writer_busy_seconds, 0.0);
+  // The registry snapshot carries the latency histogram; ResultSnapshot
+  // carries only the result and its counters.
+  const obs::RegistrySnapshot initial = service.registry()->Snapshot();
+  const obs::MetricSnapshot* initial_lat =
+      initial.Find("fdrms_publish_latency_us");
+  ASSERT_NE(initial_lat, nullptr);
+  EXPECT_EQ(initial_lat->count, 0u);  // no batch completed yet
+  EXPECT_EQ(initial_lat->Quantile(0.50), 0.0);
+  EXPECT_EQ(service.Query()->writer_busy_seconds, 0.0);
   for (int i = 80; i < 160; ++i) {
     ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
     if (i % 4 == 3) {
@@ -1010,13 +1116,14 @@ TEST(ServeLatencyTest, SnapshotCarriesPublicationLatencyQuantiles) {
     }
   }
   ASSERT_TRUE(service.Flush().ok());
-  // At least one Flush-separated batch completed before the last published
-  // batch, so the window is populated and reflects the injected delay.
-  auto snap = service.Query();
-  EXPECT_GE(snap->publish_p50_us, 1000.0);
-  EXPECT_GE(snap->publish_p99_us, snap->publish_p50_us);
-  EXPECT_GT(snap->writer_busy_seconds, 0.0);
-  ASSERT_TRUE(service.Stop().ok());
+  ASSERT_TRUE(service.Stop().ok());  // every batch's latency is recorded
+  const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::MetricSnapshot* lat = scrape.Find("fdrms_publish_latency_us");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count, service.Query()->batches);
+  EXPECT_GE(lat->Quantile(0.50), 1000.0);
+  EXPECT_GE(lat->Quantile(0.99), lat->Quantile(0.50));
+  EXPECT_GT(service.Query()->writer_busy_seconds, 0.0);
 }
 
 TEST(ServeDriverTest, LoadRunDrainsWorkloadAndStaysConsistent) {

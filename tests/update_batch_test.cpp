@@ -143,7 +143,7 @@ TEST_F(UpdateTest, ApplyBatchReportsAppliedCountAndResumesFromOffset) {
   ops.push_back({FdRms::BatchOp::Kind::kInsert, 305, {0.3, 0.3, 0.3}});
   ops.push_back({FdRms::BatchOp::Kind::kDelete, 3, {}});
   size_t applied = 0;
-  Status s = algo_->ApplyBatch(ops, &applied);
+  Status s = algo_->ApplyBatch(ops, /*begin=*/0, &applied);
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(applied, 1u);  // index of the failed op
   // Resume past the offender: counts are relative to `begin`.
