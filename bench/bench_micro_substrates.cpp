@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -20,10 +22,12 @@
 #include "index/conetree.h"
 #include "index/kdtree.h"
 #include "lp/simplex.h"
+#include "serve/fdrms_service.h"
 #include "serve/mpsc_ring_queue.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "setcover/dynamic_set_cover.h"
+#include "shard/sharded_service.h"
 #include "skyline/skyline.h"
 #include "topk/topk_maintainer.h"
 
@@ -445,6 +449,61 @@ void BM_SetCoverMembershipChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SetCoverMembershipChurn)->Arg(256)->Arg(1024)->Arg(4096);
+
+// ---------------------------------------------------------------------------
+// Read path: a cache-hit merged Query() on a started S-shard constellation
+// with no writes in flight, against one FdRmsService::Query() (a single
+// atomic shared_ptr load, the path S=1 deployments take). CI gates the
+// ratio (see bench/baselines/micro_kernel_smoke.json): a hit must stay a
+// handful of atomic loads, not a per-shard snapshot load plus allocations.
+// ---------------------------------------------------------------------------
+
+ShardedServiceOptions QueryBenchOptions(int shards) {
+  ShardedServiceOptions opt;
+  opt.num_shards = shards;
+  opt.shard.algo.r = 10;
+  opt.shard.algo.max_utilities = 256;
+  opt.health_poll_every_ms = 0;
+  opt.manifest_commit_every_ms = 0;
+  return opt;
+}
+
+std::vector<std::pair<int, Point>> QueryBenchTuples() {
+  PointSet ps = GenerateIndep(2000, 4, 5);
+  std::vector<std::pair<int, Point>> out;
+  for (int i = 0; i < ps.size(); ++i) out.emplace_back(i, ps.Get(i));
+  return out;
+}
+
+void BM_ServiceQueryReference(benchmark::State& state) {
+  FdRmsService service(4, QueryBenchOptions(1).shard);
+  if (!service.Start(QueryBenchTuples()).ok()) {
+    state.SkipWithError("Start failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.Query());
+  }
+  state.SetItemsProcessed(state.iterations());
+  (void)service.Stop();
+}
+BENCHMARK(BM_ServiceQueryReference);
+
+void BM_ShardedQueryHit(benchmark::State& state) {
+  ShardedFdRmsService service(
+      4, QueryBenchOptions(static_cast<int>(state.range(0))));
+  if (!service.Start(QueryBenchTuples()).ok() || !service.Flush().ok() ||
+      service.Query() == nullptr) {
+    state.SkipWithError("Start failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.Query());
+  }
+  state.SetItemsProcessed(state.iterations());
+  (void)service.Stop();
+}
+BENCHMARK(BM_ShardedQueryHit)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // ---------------------------------------------------------------------------
 // Observability substrate: hot-path instrumentation cost. The serving layer

@@ -20,12 +20,10 @@ the outage left the durable marks a *real* drill must leave:
   * the fleet ended healed: fdrms_shards_unhealthy == 0 and every
     per-shard fdrms_shard_healthy gauge is back to 1,
   * with --max-p99-us > 0, the whole-run publish p99 stayed under the
-    bound (a post-recovery latency sanity check, not an SLO claim).
-
-The kill and revive are also expected as "shard.unhealthy" /
-"shard.revive" trace events; the trace ring is bounded and a busy tail
-can evict them, so a miss is a warning — the counters above are the
-durable record.
+    bound (a post-recovery latency sanity check, not an SLO claim),
+  * the kill and the revive are in the dump's trace as "shard.unhealthy"
+    and "shard.revive" events. They live in the registry's lifecycle ring,
+    which per-batch events cannot evict, so a miss fails the gate.
 """
 
 import argparse
@@ -109,8 +107,8 @@ def main():
     trace_names = {event.get("name") for event in doc.get("trace", [])}
     for name in ("shard.unhealthy", "shard.revive"):
         if name not in trace_names:
-            print(f"fault-smoke warning: {name} not in the trace ring "
-                  "(evicted by later events?)", file=sys.stderr)
+            errors.append(f"{name} missing from the dump's trace (the "
+                          "lifecycle ring must keep every death and revive)")
 
     print(f"fault-smoke: deaths={deaths:g} restarts={restarts:g} "
           f"degraded_reads={degraded:g} unhealthy_at_exit={unhealthy:g} "

@@ -15,12 +15,10 @@ final registry JSON dump and checks that the SLO controller
   * and recovered: the last non-empty control window's publish p99
     (control_publish_p99_window_us) is back under the SLO. The driver stops
     the controller after the submitters drain, so that window covers the
-    post-burst baseline tail — real served traffic, not silence.
-
-The scale-up is also expected as a "control.scale_up" trace event; because
-the trace ring is bounded and a busy tail can evict an early decision, a
-missing event is reported as a warning, not a failure (the counters are
-the durable record).
+    post-burst baseline tail — real served traffic, not silence,
+  * and left a "control.scale_up" event in the dump's trace. Scale
+    decisions live in the registry's lifecycle ring, which per-batch
+    events cannot evict, so a missing event fails the gate.
 """
 
 import argparse
@@ -81,8 +79,8 @@ def main():
     trace_names = {event.get("name") for event in doc.get("trace", [])}
     traced = "control.scale_up" in trace_names
     if not traced:
-        print("slo-smoke warning: control.scale_up not in the trace ring "
-              "(evicted by later events?)", file=sys.stderr)
+        errors.append("control.scale_up missing from the dump's trace (the "
+                      "lifecycle ring must keep every scale decision)")
 
     print(f"slo-smoke: ticks={ticks:g} scale_ups={scale_ups:g} "
           f"scale_downs={value('control_scale_downs_total'):g} "

@@ -161,9 +161,9 @@ SloDecision SloController::Tick(const obs::RegistrySnapshot& snap,
   d.unhealthy_shards = actuator_->num_unhealthy();
   metrics_.unhealthy_shards->Set(static_cast<double>(d.unhealthy_shards));
   if (d.unhealthy_shards > 0) {
-    registry_->trace().Record("control.shard_unhealthy", now_us, 0,
-                              static_cast<uint64_t>(d.unhealthy_shards),
-                              static_cast<uint64_t>(d.num_shards));
+    registry_->lifecycle().Record("control.shard_unhealthy", now_us, 0,
+                                  static_cast<uint64_t>(d.unhealthy_shards),
+                                  static_cast<uint64_t>(d.num_shards));
     high_streak_ = 0;
     low_streak_ = 0;
     if (options_.revive_unhealthy) {
@@ -173,9 +173,9 @@ SloDecision SloController::Tick(const obs::RegistrySnapshot& snap,
         metrics_.revives->Increment(static_cast<uint64_t>(revived));
         own_last_action_us_ = now_us;
         acted = true;
-        registry_->trace().Record("control.revive", now_us, 0,
-                                  static_cast<uint64_t>(revived),
-                                  static_cast<uint64_t>(d.unhealthy_shards));
+        registry_->lifecycle().Record(
+            "control.revive", now_us, 0, static_cast<uint64_t>(revived),
+            static_cast<uint64_t>(d.unhealthy_shards));
       }
     }
   }
@@ -190,14 +190,14 @@ SloDecision SloController::Tick(const obs::RegistrySnapshot& snap,
       if (st.ok()) {
         d.scaled_up = true;
         metrics_.scale_ups->Increment();
-        registry_->trace().Record(
+        registry_->lifecycle().Record(
             "control.scale_up", now_us, 0,
             static_cast<uint64_t>(actuator_->num_shards()),
             static_cast<uint64_t>(d.max_utilization * 1000.0));
       } else {
         d.scale_failed = true;
         metrics_.scale_failures->Increment();
-        registry_->trace().Record(
+        registry_->lifecycle().Record(
             "control.scale_fail", now_us, 0,
             static_cast<uint64_t>(d.num_shards),
             static_cast<uint64_t>(d.max_utilization * 1000.0));
@@ -211,14 +211,14 @@ SloDecision SloController::Tick(const obs::RegistrySnapshot& snap,
       if (st.ok()) {
         d.scaled_down = true;
         metrics_.scale_downs->Increment();
-        registry_->trace().Record(
+        registry_->lifecycle().Record(
             "control.scale_down", now_us, 0,
             static_cast<uint64_t>(actuator_->num_shards()),
             static_cast<uint64_t>(d.max_utilization * 1000.0));
       } else {
         d.scale_failed = true;
         metrics_.scale_failures->Increment();
-        registry_->trace().Record(
+        registry_->lifecycle().Record(
             "control.scale_fail", now_us, 0,
             static_cast<uint64_t>(d.num_shards),
             static_cast<uint64_t>(d.max_utilization * 1000.0));

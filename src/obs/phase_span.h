@@ -6,7 +6,8 @@
 /// at phase entry, and on destruction the measured duration lands in a
 /// latency histogram and (optionally) as a trace event in the registry's
 /// ring. The phase name must be a string literal (the trace ring stores the
-/// pointer).
+/// pointer). Lifecycle phases (a migration's steps) pass
+/// `lifecycle = true` to land in the registry's lifecycle ring.
 ///
 ///   {
 ///     obs::PhaseSpan span(registry, metrics_.apply_us, "writer.apply");
@@ -28,10 +29,11 @@ class PhaseSpan {
   /// `registry` may be null (histogram only, no trace event) and `hist`
   /// may be null (trace event only); both null makes the span inert.
   PhaseSpan(MetricRegistry* registry, LatencyHistogram* hist,
-            const char* trace_name)
+            const char* trace_name, bool lifecycle = false)
       : registry_(registry),
         hist_(hist),
         trace_name_(trace_name),
+        lifecycle_(lifecycle),
         start_us_(registry ? registry->NowMicros() : 0) {}
 
   PhaseSpan(const PhaseSpan&) = delete;
@@ -54,9 +56,10 @@ class PhaseSpan {
     elapsed_us_ = watch_.ElapsedMicros();
     if (hist_ != nullptr) hist_->Record(elapsed_us_);
     if (registry_ != nullptr && trace_name_ != nullptr) {
-      registry_->trace().Record(trace_name_, start_us_,
-                                static_cast<uint64_t>(elapsed_us_), arg0_,
-                                arg1_);
+      TraceRing& ring =
+          lifecycle_ ? registry_->lifecycle() : registry_->trace();
+      ring.Record(trace_name_, start_us_, static_cast<uint64_t>(elapsed_us_),
+                  arg0_, arg1_);
     }
     return elapsed_us_;
   }
@@ -65,6 +68,7 @@ class PhaseSpan {
   MetricRegistry* registry_;
   LatencyHistogram* hist_;
   const char* trace_name_;
+  bool lifecycle_;
   uint64_t start_us_;
   uint64_t arg0_ = 0;
   uint64_t arg1_ = 0;

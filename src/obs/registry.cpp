@@ -1,5 +1,7 @@
 #include "obs/registry.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -202,7 +204,14 @@ RegistrySnapshot MetricRegistry::Snapshot() const {
               if (a.name != b.name) return a.name < b.name;
               return a.labels < b.labels;
             });
-  snap.trace = trace_.Collect();
+  snap.trace = lifecycle_.Collect();
+  std::vector<TraceEvent> events = trace_.Collect();
+  snap.trace.insert(snap.trace.end(), std::make_move_iterator(events.begin()),
+                    std::make_move_iterator(events.end()));
+  std::stable_sort(snap.trace.begin(), snap.trace.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.start_us < b.start_us;
+                   });
   return snap;
 }
 

@@ -50,6 +50,7 @@ struct RegistrySnapshot {
   /// Sorted by (name, labels) so same-name series are contiguous — the
   /// Prometheus exporter relies on this to emit one TYPE block per family.
   std::vector<MetricSnapshot> metrics;
+  /// Both trace rings (lifecycle and high-rate), ordered by start time.
   std::vector<TraceEvent> trace;
 
   /// First series matching name (+ labels if given); nullptr if absent.
@@ -82,8 +83,15 @@ class MetricRegistry {
                                         const Labels& labels = {},
                                         std::vector<double> bounds_us = {});
 
+  /// High-rate events (per batch, per merge, per manifest tick); the
+  /// oldest are overwritten first.
   TraceRing& trace() { return trace_; }
   const TraceRing& trace() const { return trace_; }
+
+  /// Lifecycle events: migration phases, scale decisions, shard deaths and
+  /// revives. A ring of their own, so no amount of per-batch tracing can
+  /// evict the record of a topology or health change from a scrape.
+  TraceRing& lifecycle() { return lifecycle_; }
 
   /// Microseconds since registry construction, on the steady clock — the
   /// timestamp base for every trace event in this registry.
@@ -107,6 +115,7 @@ class MetricRegistry {
   std::unordered_map<std::string, size_t> index_;  // series key -> entries_
   std::unordered_map<std::string, MetricType> types_by_name_;  // family type
   TraceRing trace_;
+  TraceRing lifecycle_{1024};
   Stopwatch uptime_;
 };
 

@@ -647,6 +647,7 @@ void FdRmsService::PublishSnapshot() {
     snap->points.push_back(std::move(e.point));
   }
   std::shared_ptr<const ResultSnapshot> published = std::move(snap);
+  published_version_.store(version_, std::memory_order_release);
   snapshot_.store(published, std::memory_order_release);
   metrics_.publications->Increment();
   if (options_.on_publish) options_.on_publish(*published);

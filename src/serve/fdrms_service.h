@@ -264,6 +264,15 @@ class FdRmsService {
     return snapshot_.load(std::memory_order_acquire);
   }
 
+  /// Version of the newest snapshot published or being published: stored
+  /// before the snapshot itself, so it is never behind the version of any
+  /// snapshot a reader can load (0 before Start). A reader holding a view
+  /// of version v knows it is current when this still reads v, without
+  /// loading the snapshot.
+  uint64_t published_version() const {
+    return published_version_.load(std::memory_order_acquire);
+  }
+
   /// Control surface for an external policy (the SLO controller): sets the
   /// most operations the writer drains per batch. `bound` is clamped into
   /// [1, options.max_batch]; the clamped value in force is returned and
@@ -425,6 +434,7 @@ class FdRmsService {
   std::vector<FdRms::BatchOp> dead_letter_;
 
   std::atomic<std::shared_ptr<const ResultSnapshot>> snapshot_;
+  std::atomic<uint64_t> published_version_{0};  ///< see published_version()
 
   /// Every stat below lives here; ResultSnapshot's counters are read back
   /// out of it at publication.

@@ -15,6 +15,15 @@
 /// versions. Because the tuple space is id-partitioned, every tuple's
 /// history still lives on one shard, so no merged view ever shows a tuple
 /// in two states at once.
+///
+/// Readers share merged views: ShardedFdRmsService::Query() returns its
+/// cached view while, for every shard, the shard's published_version()
+/// equals versions[s] and its health still matches degraded[s], and no
+/// topology swap happened since the view's topology was loaded. A shard
+/// stores its published version before the snapshot itself, so that
+/// version is never behind any snapshot a reader has already loaded: a
+/// view that matches it is never older, component by component, than what
+/// that reader saw before.
 
 #include <cstdint>
 #include <memory>

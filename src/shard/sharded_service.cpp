@@ -322,9 +322,8 @@ void ShardedFdRmsService::ResetTopology() {
   // the manifest: the persisted shard count, not options_.num_shards, is
   // authoritative there.
   router_ = std::make_unique<EpochShardRouter>(initial_table_);
-  merged_cache_.store(nullptr, std::memory_order_release);
   UpdateTopologyGauges(initial_table_->epoch(), topo->shards.size());
-  topology_.store(std::move(topo), std::memory_order_release);
+  PublishTopology(std::move(topo));
 }
 
 Status ShardedFdRmsService::Start(
@@ -502,7 +501,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
   auto state = std::make_shared<MigrationState>(plan);
   {
     obs::PhaseSpan freeze(registry_.get(), metrics_.migration_freeze_us,
-                          "migration.freeze");
+                          "migration.freeze", /*lifecycle=*/true);
     freeze.set_args(next->epoch());
     std::unique_lock<std::shared_mutex> lock(route_mutex_);
     migration_.store(state, std::memory_order_release);
@@ -522,7 +521,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
     // An aborted drain still records its span (partial duration) — the
     // trace then shows a freeze with no matching replay/cutover.
     obs::PhaseSpan drain(registry_.get(), metrics_.migration_drain_us,
-                         "migration.drain");
+                         "migration.drain", /*lifecycle=*/true);
     drain.set_args(next->epoch());
     Status injected = ControlFaultSite("migration.drain", "pre");
     if (!injected.ok()) {
@@ -582,7 +581,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
       return injected;
     }
     obs::PhaseSpan replay(registry_.get(), metrics_.migration_replay_us,
-                          "migration.replay");
+                          "migration.replay", /*lifecycle=*/true);
     replay.set_args(next->epoch(), moved.size());
     for (const MovedTuple& m : moved) {
       note(SubmitWithRetry(topo->shards[static_cast<size_t>(m.target)].get(),
@@ -608,7 +607,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
     // the cutover unfreezes the range.
     note(ControlFaultSite("migration.cutover", "pre"));
     obs::PhaseSpan cutover(registry_.get(), metrics_.migration_cutover_us,
-                           "migration.cutover");
+                           "migration.cutover", /*lifecycle=*/true);
     uint64_t drained = 0;
     for (int round = 0; round < 4; ++round) {
       std::vector<FdRms::BatchOp> chunk;
@@ -641,7 +640,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
       auto cut = std::make_shared<Topology>(*topo);
       cut->table = next;
       UpdateTopologyGauges(next->epoch(), cut->shards.size());
-      topology_.store(std::move(cut), std::memory_order_release);
+      PublishTopology(std::move(cut));
       migration_.store(nullptr, std::memory_order_release);
       metrics_.migration_side_buffer_depth->Set(0.0);
     }
@@ -713,7 +712,7 @@ Status ShardedFdRmsService::AddShard() {
     next->shards.push_back(std::move(fresh));
     router_->Publish(grown);
     UpdateTopologyGauges(grown->epoch(), next->shards.size());
-    topology_.store(std::move(next), std::memory_order_release);
+    PublishTopology(std::move(next));
   }
 
   // Slot-balanced plan: hand the newcomer its even share, drawn one slot
@@ -761,7 +760,7 @@ Status ShardedFdRmsService::AddShard() {
         next->shards.pop_back();
         router_->Publish(*shrunk_or);
         UpdateTopologyGauges((*shrunk_or)->epoch(), next->shards.size());
-        topology_.store(std::move(next), std::memory_order_release);
+        PublishTopology(std::move(next));
       }
       (void)newcomer->Stop(FdRmsService::StopPolicy::kAbort);
     }
@@ -820,7 +819,7 @@ Status ShardedFdRmsService::RemoveShard() {
     next->retired.push_back(victim_shard);
     router_->Publish(shrunk);
     UpdateTopologyGauges(shrunk->epoch(), next->shards.size());
-    topology_.store(std::move(next), std::memory_order_release);
+    PublishTopology(std::move(next));
   }
   Status stopped = victim_shard->Stop(FdRmsService::StopPolicy::kDrain);
   // Retire the victim from the durable constellation: drop its ledger row
@@ -937,8 +936,7 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
     auto next = std::make_shared<Topology>(*now);
     next->retired.push_back(next->shards[static_cast<size_t>(s)]);
     next->shards[static_cast<size_t>(s)] = fresh;
-    topology_.store(std::move(next), std::memory_order_release);
-    merged_cache_.store(nullptr, std::memory_order_release);
+    PublishTopology(std::move(next));
   }
 
   // Replay the dead writer's acknowledged-but-unapplied ops, in submission
@@ -953,8 +951,9 @@ Status ShardedFdRmsService::ReviveShardLocked(int s) {
   if (!flushed.ok() && first.ok()) first = flushed;
 
   metrics_.writer_restarts->Increment();
-  registry_->trace().Record("shard.revive", t0, registry_->NowMicros() - t0,
-                            static_cast<uint64_t>(s), backlog.size());
+  registry_->lifecycle().Record("shard.revive", t0,
+                                registry_->NowMicros() - t0,
+                                static_cast<uint64_t>(s), backlog.size());
   if (versioned_persist_) {
     // Bind the successor's state into the durable constellation (forces
     // its first save): a crash after the revive must resume post-replay.
@@ -1002,10 +1001,10 @@ void ShardedFdRmsService::StartHealthTrackerLocked() {
             ++dead;
             if (traced.insert(shard).second) {
               metrics_.shard_deaths->Increment();
-              registry_->trace().Record("shard.unhealthy",
-                                        registry_->NowMicros(), 0,
-                                        static_cast<uint64_t>(s),
-                                        shard->writer_heartbeat());
+              registry_->lifecycle().Record("shard.unhealthy",
+                                            registry_->NowMicros(), 0,
+                                            static_cast<uint64_t>(s),
+                                            shard->writer_heartbeat());
             }
           }
         }
@@ -1215,9 +1214,8 @@ Status ShardedFdRmsService::BuildResumedTopologyLocked() {
       topo->shards.push_back(MakeShard(s, /*resume_file=*/""));
     }
     router_ = std::make_unique<EpochShardRouter>(initial_table_);
-    merged_cache_.store(nullptr, std::memory_order_release);
     UpdateTopologyGauges(initial_table_->epoch(), topo->shards.size());
-    topology_.store(std::move(topo), std::memory_order_release);
+    PublishTopology(std::move(topo));
     return Status::OK();
   }
   const LoadedManifest& loaded = loaded_or.value();
@@ -1302,9 +1300,8 @@ Status ShardedFdRmsService::BuildResumedTopologyLocked() {
     topo->shards.push_back(MakeShard(s, resume_files[static_cast<size_t>(s)]));
   }
   router_ = std::make_unique<EpochShardRouter>(table);
-  merged_cache_.store(nullptr, std::memory_order_release);
   UpdateTopologyGauges(table->epoch(), topo->shards.size());
-  topology_.store(std::move(topo), std::memory_order_release);
+  PublishTopology(std::move(topo));
 
   manifest_generation_ = m.generation;
   manifest_epoch_ = -1;  // force the Start-end commit to write a new one
@@ -1371,17 +1368,52 @@ bool ShardedFdRmsService::running() const {
   return started_.load();
 }
 
+void ShardedFdRmsService::PublishTopology(
+    std::shared_ptr<const Topology> topo) {
+  topology_generation_.fetch_add(1, std::memory_order_acq_rel);
+  topology_.store(std::move(topo), std::memory_order_release);
+  topology_generation_.fetch_add(1, std::memory_order_release);
+}
+
 std::shared_ptr<const MergedSnapshot> ShardedFdRmsService::Query() const {
   metrics_.reads->Increment();
+  // Hit rule: an entry carries the generation that the reader who merged it
+  // read before loading its topology, so it was built from the topology
+  // published at that generation or a later one. A reader that saw anything
+  // of a later topology (through an entry or its own load) also sees the
+  // odd bump that preceded that topology's store, so it never matches an
+  // older entry: epochs never go back. Within the generation, each shard's
+  // published_version() is stored before its snapshot, so it is never
+  // behind a version this reader has seen; an entry whose versions equal it
+  // is at least as new as anything the reader saw. A death flips health(),
+  // a revive or re-route bumps the generation; either fails the check.
+  const uint64_t generation =
+      topology_generation_.load(std::memory_order_acquire);
+  std::shared_ptr<const MergedCacheEntry> cached =
+      merged_cache_.load(std::memory_order_acquire);
+  if (cached != nullptr && cached->generation == generation) {
+    const MergedSnapshot& view = *cached->merged;
+    const auto& shards = cached->topology->shards;
+    bool current = true;
+    for (size_t s = 0; s < shards.size() && current; ++s) {
+      current = shards[s]->published_version() == view.versions[s] &&
+                (shards[s]->health() == FdRmsService::Health::kDead) ==
+                    view.degraded[s];
+    }
+    if (current) {
+      metrics_.merge_cache_hits->Increment();
+      if (view.degraded_shards > 0) metrics_.degraded_reads->Increment();
+      return cached->merged;
+    }
+  }
+
   std::shared_ptr<const Topology> topo = topology();
   const size_t num_shards = topo->shards.size();
   if (num_shards == 0) return nullptr;  // resume-deferred, Start not yet run
   const uint64_t epoch = topo->table->epoch();
   std::vector<std::shared_ptr<const ResultSnapshot>> parts(num_shards);
   // A dead shard's last published snapshot keeps serving — reads degrade,
-  // they do not fail — but the merged view must say so: the degraded bits
-  // join the cache key, so a death (or revive) transition invalidates any
-  // cached merge even though the frozen component's version is unchanged.
+  // they do not fail — but the merged view must say so.
   std::vector<bool> degraded(num_shards, false);
   int num_degraded = 0;
   for (size_t s = 0; s < num_shards; ++s) {
@@ -1390,23 +1422,6 @@ std::shared_ptr<const MergedSnapshot> ShardedFdRmsService::Query() const {
     if (topo->shards[s]->health() == FdRmsService::Health::kDead) {
       degraded[s] = true;
       ++num_degraded;
-    }
-  }
-  std::shared_ptr<const MergedSnapshot> cached =
-      merged_cache_.load(std::memory_order_acquire);
-  if (cached != nullptr && cached->epoch == epoch &&
-      cached->versions.size() == num_shards && cached->degraded == degraded) {
-    bool fresh = true;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (cached->versions[s] != parts[s]->version) {
-        fresh = false;
-        break;
-      }
-    }
-    if (fresh) {
-      metrics_.merge_cache_hits->Increment();
-      if (num_degraded > 0) metrics_.degraded_reads->Increment();
-      return cached;
     }
   }
   metrics_.merge_cache_misses->Increment();
@@ -1419,10 +1434,16 @@ std::shared_ptr<const MergedSnapshot> ShardedFdRmsService::Query() const {
                          num_degraded);
   }
   if (num_degraded > 0) metrics_.degraded_reads->Increment();
-  // Racing readers may each publish their own merge; every candidate is
-  // internally consistent and version-keyed, so last-writer-wins is safe —
-  // a reader that loads a "stale" cache entry just rebuilds.
-  merged_cache_.store(merged, std::memory_order_release);
+  // An odd generation means a topology swap is in flight: the topology
+  // just loaded may be either side of it, so the merge is not cached.
+  // Racing readers may each cache their own merge; last-writer-wins is
+  // safe because every entry is checked against live versions before use.
+  if (generation % 2 == 0) {
+    merged_cache_.store(std::make_shared<const MergedCacheEntry>(
+                            MergedCacheEntry{merged, std::move(topo),
+                                             generation}),
+                        std::memory_order_release);
+  }
   return merged;
 }
 

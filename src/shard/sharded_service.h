@@ -24,10 +24,15 @@
 ///
 /// Reads compose the S independently published ResultSnapshots into one
 /// MergedSnapshot (see merged_snapshot.h for the version-vector consistency
-/// model). The merge is cached behind an atomic shared_ptr keyed on the
-/// routing epoch and version vector: while no shard publishes, Query()
-/// costs S+2 atomic loads and a vector compare; after a publication the
-/// first reader rebuilds the merge and every later reader hits the cache.
+/// model). The merge is cached together with the topology it was built
+/// from and the topology generation read before that topology was loaded.
+/// A cached merge is current — Query() returns it — when the generation
+/// still matches and every shard of its topology reports the cached
+/// version as its published_version() and the cached degraded bit as its
+/// health. That costs two atomic loads plus two per shard, no topology
+/// load, no snapshot load and no allocation. Any publication, death,
+/// revive or topology swap fails the check, and that reader rebuilds the
+/// merge from freshly loaded snapshots; every later reader hits again.
 ///
 /// Merge policy: the per-shard result sets are unioned (ids are disjoint by
 /// routing). Every shard keeps its own budget of r, so the union can reach
@@ -306,8 +311,9 @@ class ShardedFdRmsService {
   }
 
   /// The latest merged view, or nullptr before every shard has published
-  /// its version-0 snapshot. Wait-free when no shard published since the
-  /// last merge (cache hit); the first reader after a publication pays the
+  /// its version-0 snapshot. A cache hit (nothing published, died, revived
+  /// or re-routed since the last merge) reads 2S+2 atomics and allocates
+  /// nothing; the first reader after a change pays the
   /// O(S·r log(S·r) + re-cover) merge. Never blocks on migrations.
   std::shared_ptr<const MergedSnapshot> Query() const;
 
@@ -396,9 +402,23 @@ class ShardedFdRmsService {
   /// into `buffered` instead of routing them.
   struct MigrationState;
 
+  /// A merged view plus what Query() needs to prove it current without
+  /// loading anything else. Private, so no caller can keep a topology (and
+  /// with it the shard writers) alive past the service.
+  struct MergedCacheEntry {
+    std::shared_ptr<const MergedSnapshot> merged;
+    std::shared_ptr<const Topology> topology;  ///< merged was built from it
+    uint64_t generation;  ///< topology_generation_ read before loading it
+  };
+
   std::shared_ptr<const Topology> topology() const {
     return topology_.load(std::memory_order_acquire);
   }
+
+  /// The only writer of topology_: swaps in `topo` bracketed by two
+  /// generation bumps (odd while the swap is in flight, even once it
+  /// landed; see Query() for why both are needed).
+  void PublishTopology(std::shared_ptr<const Topology> topo);
 
   /// Builds one shard service (publication hook, versioned persist wiring,
   /// optional resume file) for slot `index`. `resume_file` is the exact
@@ -606,12 +626,14 @@ class ShardedFdRmsService {
 
   std::atomic<std::shared_ptr<MigrationState>> migration_;
 
-  mutable std::atomic<std::shared_ptr<const MergedSnapshot>> merged_cache_;
+  /// Bumped twice around every topology_ store (PublishTopology).
+  std::atomic<uint64_t> topology_generation_{0};
 
-  // Declared last: destroyed first, so shard writer threads (joined in
-  // FdRmsService's destructor when the topology releases them) can never
-  // observe the members above gone.
+  // Declared last, so destroyed first: shard writer threads (joined in
+  // FdRmsService's destructor when the last topology holding them goes,
+  // the cache entry's included) can never observe the members above gone.
   std::atomic<std::shared_ptr<const Topology>> topology_;
+  mutable std::atomic<std::shared_ptr<const MergedCacheEntry>> merged_cache_;
 };
 
 }  // namespace fdrms

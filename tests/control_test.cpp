@@ -225,8 +225,12 @@ TEST(ControlTickTest, CooldownSuppressesTheSecondScaleUp) {
         ctl.Tick(UniformLoad(static_cast<double>(t), act.shards_, 1.0), Us(t));
     if (d.scaled_up) {
       ++scale_ups;
-      if (scale_ups == 1) EXPECT_EQ(t, 3);
-      if (scale_ups == 2) EXPECT_EQ(t, 8);
+      if (scale_ups == 1) {
+        EXPECT_EQ(t, 3);
+      }
+      if (scale_ups == 2) {
+        EXPECT_EQ(t, 8);
+      }
     } else if (t > 3 && scale_ups == 1 && t < 8) {
       EXPECT_TRUE(d.in_cooldown) << "t=" << t;
     }
@@ -340,7 +344,9 @@ TEST(ControlTickTest, FailedScaleUpCountsAndEntersCooldown) {
   for (int t = 1; t <= 7; ++t) {
     const SloDecision d =
         ctl.Tick(UniformLoad(static_cast<double>(t), 2, 1.0), Us(t));
-    if (t == 3) EXPECT_TRUE(d.scale_failed);
+    if (t == 3) {
+      EXPECT_TRUE(d.scale_failed);
+    }
   }
   // One attempt at t=3; the failure itself anchors the cooldown, so the
   // controller must not hammer a failing actuator every tick.

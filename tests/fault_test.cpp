@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/fault_point.h"
+#include "common/rng.h"
 #include "common/retry.h"
 #include "common/status.h"
 #include "control/slo_controller.h"
@@ -771,6 +772,100 @@ TEST_F(FaultShardedTest, DeadShardDegradesReadsFailsFastAndRevivesByHarvest) {
   EXPECT_EQ(after->ids, ref_snap->ids);
   ASSERT_TRUE(svc.Stop().ok());
   ASSERT_TRUE(ref.Stop().ok());
+}
+
+TEST_F(FaultShardedTest, ConcurrentReadsStayCoherentThroughDeathReviveAndAddShard) {
+  // Readers hammer Query() while a random stream runs, one shard writer
+  // dies and is revived, and the constellation grows 2 -> 4. Every reader
+  // must see epochs that never go back and, within an epoch, versions that
+  // never go back component-wise.
+  PointSet ps = GenerateIndep(1200, 3, 91);
+  ShardedFdRmsService svc(3, TwoShardOptions());
+  ASSERT_TRUE(svc.Start(AsTuples(ps, 300)).ok());
+
+  std::atomic<bool> stop_stream{false};
+  std::atomic<bool> stop_readers{false};
+  std::atomic<uint64_t> incoherent{0};
+  std::atomic<uint64_t> reads{0};
+  std::thread submitter([&] {
+    Rng rng(17);
+    for (int n = 1; !stop_stream.load(); ++n) {
+      if (n % 32 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const int id = rng.UniformInt(ps.size());
+      FdRms::BatchOp op{FdRms::BatchOp::Kind::kInsert, id, ps.Get(id)};
+      const int coin = rng.UniformInt(3);
+      if (coin == 1) op = {FdRms::BatchOp::Kind::kDelete, id, Point{}};
+      if (coin == 2) op.kind = FdRms::BatchOp::Kind::kUpdate;
+      (void)svc.Submit(std::move(op));  // kUnavailable while a shard is dead
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::shared_ptr<const MergedSnapshot> prev = svc.Query();
+      while (!stop_readers.load()) {
+        std::shared_ptr<const MergedSnapshot> cur = svc.Query();
+        reads.fetch_add(1);
+        bool ok = cur != nullptr && cur->epoch >= prev->epoch;
+        if (ok && cur->epoch == prev->epoch) {
+          ok = cur->versions.size() == prev->versions.size();
+          for (size_t s = 0; ok && s < cur->versions.size(); ++s) {
+            ok = cur->versions[s] >= prev->versions[s];
+          }
+        }
+        if (!ok) {
+          incoherent.fetch_add(1);
+          if (cur == nullptr) continue;
+        }
+        prev = std::move(cur);
+      }
+    });
+  }
+
+  // Kill whichever writer applies next; the read after the death is seen
+  // must flag it.
+  FaultSpec die;
+  die.kind = FaultKind::kDie;
+  FaultPoints::Arm("writer.apply.pre", die);
+  int victim = -1;
+  ASSERT_TRUE(WaitFor([&] {
+    for (int s = 0; s < svc.num_shards(); ++s) {
+      if (svc.shard(s).health() == FdRmsService::Health::kDead) victim = s;
+    }
+    return victim >= 0;
+  }));
+  auto degraded = svc.Query();
+  ASSERT_NE(degraded, nullptr);
+  EXPECT_TRUE(degraded->degraded[static_cast<size_t>(victim)]);
+  EXPECT_EQ(degraded->degraded_shards, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(svc.ReviveShard(victim).ok());
+  EXPECT_EQ(svc.Query()->degraded_shards, 0);
+
+  ASSERT_TRUE(svc.AddShard().ok());
+  ASSERT_TRUE(svc.AddShard().ok());
+  EXPECT_EQ(svc.num_shards(), 4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  stop_stream.store(true);
+  submitter.join();
+  ASSERT_TRUE(svc.Flush().ok());
+  // Flushed and quiescent: the merged view is every shard's newest.
+  auto last = svc.Query();
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->epoch, svc.epoch());
+  ASSERT_EQ(last->versions.size(), 4u);
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(last->versions[static_cast<size_t>(s)],
+              svc.shard(s).published_version()) << s;
+    EXPECT_EQ(last->versions[static_cast<size_t>(s)],
+              svc.shard(s).Query()->version) << s;
+  }
+  stop_readers.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(incoherent.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  ASSERT_TRUE(svc.Stop().ok());
 }
 
 TEST_F(FaultShardedTest, ReviveUnderPersistenceMatchesAnUnfaultedRun) {

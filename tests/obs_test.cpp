@@ -813,6 +813,26 @@ TEST(ObsSnapshotDelta, Pow2HistQuantileUsesBucketFloors) {
   EXPECT_EQ(delta.HistQuantile("fdrms_queue_depth_hist", 0.5), 64.0);
 }
 
+TEST(ObsRegistry, LifecycleEventsOutliveAFloodOfBatchEvents) {
+  MetricRegistry reg;
+  reg.lifecycle().Record("control.scale_up", 0, 0, 2, 0);
+  { PhaseSpan span(&reg, nullptr, "migration.cutover", /*lifecycle=*/true); }
+  for (size_t i = 0; i < 4 * reg.trace().capacity(); ++i) {
+    reg.trace().Record("writer.batch", 10 + i, 1);
+  }
+  RegistrySnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.trace.size(), reg.trace().capacity() + 2);
+  EXPECT_EQ(snap.trace[0].name, "control.scale_up");  // oldest start first
+  int cutovers = 0;
+  for (size_t i = 0; i < snap.trace.size(); ++i) {
+    if (snap.trace[i].name == "migration.cutover") ++cutovers;
+    if (i > 0) {
+      EXPECT_LE(snap.trace[i - 1].start_us, snap.trace[i].start_us);
+    }
+  }
+  EXPECT_EQ(cutovers, 1);
+}
+
 TEST(ObsRegistry, SnapshotSynthesizesProcessSeries) {
   MetricRegistry reg;
   reg.GetCounter("fdrms_ops_total", "ops");

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/fault_point.h"
 #include "data/generators.h"
 #include "eval/service_driver.h"
 #include "eval/workload.h"
@@ -424,11 +426,13 @@ TEST(ShardedServiceTest, TopUpReCoverRespectsGlobalBudget) {
 }
 
 TEST(ShardedServiceTest, QueryCachesMergeUntilAShardPublishes) {
+  FaultPoints::Reset();
   PointSet ps = GenerateIndep(150, 2, 19);
   ShardedServiceOptions sopt;
   sopt.num_shards = 2;
   sopt.shard.algo.r = 4;
   sopt.shard.algo.max_utilities = 64;
+  sopt.health_poll_every_ms = 0;
   ShardedFdRmsService service(2, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 100)).ok());
   auto a = service.Query();
@@ -439,6 +443,41 @@ TEST(ShardedServiceTest, QueryCachesMergeUntilAShardPublishes) {
   auto c = service.Query();
   EXPECT_NE(a.get(), c.get());
   EXPECT_GE(c->versions[service.router().Route(120)], 1u);
+
+  // A writer death publishes nothing, yet the next read must re-merge to
+  // flag the dead component.
+  const int victim = service.router().Route(121);
+  FaultSpec die;
+  die.kind = FaultKind::kDie;
+  FaultPoints::Arm("writer.apply.pre", die);
+  ASSERT_TRUE(service.SubmitInsert(121, ps.Get(121)).ok());
+  for (int i = 0; i < 10000 && service.shard(victim).health() !=
+                                   FdRmsService::Health::kDead;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FaultPoints::Reset();
+  ASSERT_EQ(service.shard(victim).health(), FdRmsService::Health::kDead);
+  auto d = service.Query();
+  EXPECT_NE(d.get(), c.get());
+  EXPECT_EQ(d->versions, c->versions);
+  EXPECT_TRUE(d->degraded[static_cast<size_t>(victim)]);
+  EXPECT_EQ(service.Query().get(), d.get());  // the degraded merge is cached
+
+  ASSERT_TRUE(service.ReviveShard(victim).ok());
+  ASSERT_TRUE(service.Flush().ok());
+  auto e = service.Query();
+  EXPECT_EQ(e->degraded_shards, 0);
+
+  // So does a topology change: migrating an id range that holds no tuple
+  // moves nothing and publishes nothing but the next epoch.
+  ASSERT_TRUE(
+      service.Migrate(MigrationPlan::IdRange(1000, 1010, 1 - victim)).ok());
+  auto f = service.Query();
+  EXPECT_NE(f.get(), e.get());
+  EXPECT_EQ(f->versions, e->versions);
+  EXPECT_EQ(f->epoch, e->epoch + 1);
+  EXPECT_EQ(service.Query().get(), f.get());
   ASSERT_TRUE(service.Stop().ok());
 }
 
