@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
   mopt.service.shard.queue_capacity = 4096;
   mopt.service.shard.max_batch = 64;
   using Event = ShardedLoadOptions::MigrationEvent;
-  mopt.migrations.push_back({Event::Kind::kAddShard, 0.33, {}});
-  mopt.migrations.push_back({Event::Kind::kAddShard, 0.66, {}});
+  mopt.migrations.push_back({Event::Kind::kAddShard, 0.33});
+  mopt.migrations.push_back({Event::Kind::kAddShard, 0.66});
   ShardedLoadResult mres = RunShardedLoad(wl, mopt);
   const double dip_ratio =
       mres.update_throughput > 0.0

@@ -57,8 +57,8 @@ int main() {
     std::fprintf(stderr, "Start failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("service up: %d items over %d shards (router: %s)\n", kCatalog,
-              service.num_shards(), service.router().name());
+  std::printf("service up: %d items over %d shards (%d hash slots)\n",
+              kCatalog, service.num_shards(), fdrms::kNumHashSlots);
 
   // Two ingest threads stream 800 catalog changes each.
   const int kIngestThreads = 2;

@@ -529,9 +529,6 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
           case Kind::kRemoveShard:
             st = service.RemoveShard();
             break;
-          case Kind::kPlan:
-            st = service.Migrate(event.plan);
-            break;
         }
         const double seconds = timer.ElapsedSeconds();
         std::shared_ptr<const MergedSnapshot> after = service.Query();

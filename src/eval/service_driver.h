@@ -134,14 +134,13 @@ struct ShardedLoadOptions {
 
   /// One topology event fired while the load runs: when the submitters
   /// have pushed `at_fraction` of the workload's operations, the driver's
-  /// controller thread calls AddShard, RemoveShard, or Migrate(plan) on
-  /// the live service. Events fire in the given order (sort fractions
-  /// ascending for sane timings).
+  /// controller thread calls AddShard or RemoveShard on the live service.
+  /// Events fire in the given order (sort fractions ascending for sane
+  /// timings).
   struct MigrationEvent {
-    enum class Kind { kAddShard, kRemoveShard, kPlan };
+    enum class Kind { kAddShard, kRemoveShard };
     Kind kind = Kind::kAddShard;
     double at_fraction = 0.5;
-    MigrationPlan plan;  ///< kPlan only
   };
   std::vector<MigrationEvent> migrations;
 

@@ -14,7 +14,7 @@
 ///   --r INT            FD-RMS result-size bound (default 20; larger makes
 ///                      each update heavier — the smoke's knob for pushing
 ///                      a writer to saturation at modest arrival rates)
-///   --shards INT       initial shard count (default 2)
+///   --shards INT       initial shard count, 1..256 (default 2)
 ///   --readers INT      merged-Query() threads (default 2)
 ///   --submitters INT   submitter threads (default 2)
 ///   --migrate          fire AddShard at 50% of the op stream (default on;
@@ -162,6 +162,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (shards < 1 || shards > kNumHashSlots) {
+    std::cerr << "--shards must be in [1, " << kNumHashSlots << "]\n";
+    return 2;
+  }
+
   PointSet ps = GenerateIndep(n, dim, 909);
   Workload wl(&ps, 2024);
 
@@ -189,7 +194,7 @@ int main(int argc, char** argv) {
   }
   if (migrate) {
     opts.migrations.push_back(
-        {ShardedLoadOptions::MigrationEvent::Kind::kAddShard, 0.5, {}});
+        {ShardedLoadOptions::MigrationEvent::Kind::kAddShard, 0.5});
   }
   if (scenario == "flash") {
     opts.arrival = FlashCrowdArrival(base_rate, burst, burst_frac);

@@ -237,7 +237,7 @@ class FdRmsService {
   /// prefix. Blocks the caller until `fn` returns; fails without running
   /// it when the service is not running (or the writer exits first). `fn`
   /// must not call back into the service. This is the hook the shard
-  /// layer's live migration uses to read a frozen id range out of a
+  /// layer's live migration uses to read frozen hash slots out of a
   /// running shard without stopping its writer.
   Status Inspect(const std::function<void(const FdRms&)>& fn);
 

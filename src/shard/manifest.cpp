@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/durable_io.h"
+#include "shard/shard_router.h"
 
 namespace fdrms {
 
@@ -165,6 +166,13 @@ Result<ConstellationManifest> DecodeManifest(const std::string& text) {
   }
   if (!saw_generation || !saw_epoch || !saw_count || !saw_routing) {
     return Status::Internal("manifest: missing required row");
+  }
+  // Resume builds a routing table over exactly this many shards, and a
+  // table spans one shard up to one shard per hash slot.
+  if (m.shard_count < 1 || m.shard_count > kNumHashSlots) {
+    return Status::Internal("manifest: shard_count " +
+                            std::to_string(m.shard_count) + " outside [1, " +
+                            std::to_string(kNumHashSlots) + "]");
   }
   if (static_cast<int>(m.shards.size()) != m.shard_count) {
     return Status::Internal("manifest: shard rows != shard_count");

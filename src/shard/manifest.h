@@ -66,9 +66,10 @@ struct ConstellationManifest {
 /// Serializes to the checksummed text format above.
 std::string EncodeManifest(const ConstellationManifest& m);
 
-/// Parses + verifies. Internal on bad magic, malformed rows, shard-count
-/// mismatch, or checksum mismatch (a torn slot decodes as Internal, which
-/// is what triggers the fall-back-to-other-slot path in LoadNewestManifest).
+/// Parses + verifies. Internal on bad magic, malformed rows, a shard_count
+/// outside [1, kNumHashSlots], shard-count mismatch, or checksum mismatch
+/// (a torn slot decodes as Internal, which is what triggers the
+/// fall-back-to-other-slot path in LoadNewestManifest).
 Result<ConstellationManifest> DecodeManifest(const std::string& text);
 
 /// `<base>.manifest.a` for slot 0, `<base>.manifest.b` for slot 1.

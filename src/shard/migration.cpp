@@ -6,39 +6,25 @@
 namespace fdrms {
 
 namespace {
-constexpr char kMagic[] = "FDRMS-ROUTING-v1";
+// v2 dropped v1's rule count from the parameter line and its rule lines. A
+// v1 file read as v2 would shift every slot owner by one field, so the
+// magic changed and Load rejects v1 outright.
+constexpr char kMagic[] = "FDRMS-ROUTING-v2";
 }  // namespace
 
 std::shared_ptr<const RoutingTable> RoutingTable::Slotted(int num_shards) {
-  FDRMS_CHECK(num_shards >= 1);
+  FDRMS_CHECK(num_shards >= 1 && num_shards <= kNumHashSlots)
+      << "shard count " << num_shards << " outside [1, " << kNumHashSlots
+      << "]";
   auto table = std::shared_ptr<RoutingTable>(new RoutingTable());
   table->num_shards_ = num_shards;
-  table->slot_to_shard_.resize(kNumHashSlots);
   for (int slot = 0; slot < kNumHashSlots; ++slot) {
-    table->slot_to_shard_[slot] = slot % num_shards;
+    table->slot_to_shard_[static_cast<size_t>(slot)] = slot % num_shards;
   }
   return table;
-}
-
-std::shared_ptr<const RoutingTable> RoutingTable::Delegating(
-    std::shared_ptr<const ShardRouter> base) {
-  FDRMS_CHECK(base != nullptr);
-  auto table = std::shared_ptr<RoutingTable>(new RoutingTable());
-  table->num_shards_ = base->num_shards();
-  table->base_ = std::move(base);
-  return table;
-}
-
-int RoutingTable::Route(int id) const {
-  for (auto it = id_rules_.rbegin(); it != id_rules_.rend(); ++it) {
-    if (id >= it->begin && id < it->end) return it->target;
-  }
-  if (slotted()) return slot_to_shard_[static_cast<size_t>(HashSlotOf(id))];
-  return base_->Route(id);
 }
 
 std::vector<int> RoutingTable::SlotsOwnedBy(int shard) const {
-  FDRMS_CHECK(slotted());
   std::vector<int> owned;
   for (int slot = 0; slot < kNumHashSlots; ++slot) {
     if (slot_to_shard_[static_cast<size_t>(slot)] == shard) {
@@ -49,12 +35,16 @@ std::vector<int> RoutingTable::SlotsOwnedBy(int shard) const {
 }
 
 std::vector<int> RoutingTable::SlotLoad() const {
-  FDRMS_CHECK(slotted());
   std::vector<int> load(static_cast<size_t>(num_shards_), 0);
-  for (int owner : slot_to_shard_) {
-    if (owner >= 0 && owner < num_shards_) ++load[static_cast<size_t>(owner)];
-  }
+  for (int owner : slot_to_shard_) ++load[static_cast<size_t>(owner)];
   return load;
+}
+
+std::shared_ptr<RoutingTable> RoutingTable::Next(int num_shards) const {
+  auto next = std::shared_ptr<RoutingTable>(new RoutingTable(*this));
+  next->epoch_ = epoch_ + 1;
+  next->num_shards_ = num_shards;
+  return next;
 }
 
 Result<std::shared_ptr<const RoutingTable>> RoutingTable::Apply(
@@ -62,14 +52,11 @@ Result<std::shared_ptr<const RoutingTable>> RoutingTable::Apply(
   if (plan.empty()) {
     return Status::Invalid("migration plan moves nothing");
   }
-  if (new_num_shards < num_shards_) {
-    return Status::Invalid("Apply cannot shrink the shard space (use "
-                           "WithoutLastShard after migrating ownership away)");
-  }
-  if (!plan.slot_moves.empty() && !slotted()) {
-    return Status::FailedPrecondition(
-        "slot moves require the default slot-mapped router; this "
-        "constellation routes through a custom ShardRouter");
+  if (new_num_shards < num_shards_ || new_num_shards > kNumHashSlots) {
+    return Status::Invalid("Apply keeps the shard count in [current, " +
+                           std::to_string(kNumHashSlots) +
+                           "] (use WithoutLastShard after migrating "
+                           "ownership away)");
   }
   for (const MigrationPlan::SlotMove& move : plan.slot_moves) {
     if (move.slot < 0 || move.slot >= kNumHashSlots) {
@@ -81,49 +68,18 @@ Result<std::shared_ptr<const RoutingTable>> RoutingTable::Apply(
                              " out of range");
     }
   }
-  if (plan.has_range() &&
-      (plan.id_target < 0 || plan.id_target >= new_num_shards)) {
-    return Status::Invalid("range target " + std::to_string(plan.id_target) +
-                           " out of range");
-  }
-
-  auto next = std::shared_ptr<RoutingTable>(new RoutingTable());
-  next->epoch_ = epoch_ + 1;
-  next->num_shards_ = new_num_shards;
-  next->slot_to_shard_ = slot_to_shard_;
-  next->base_ = base_;
-  next->id_rules_ = id_rules_;
+  std::shared_ptr<RoutingTable> next = Next(new_num_shards);
   for (const MigrationPlan::SlotMove& move : plan.slot_moves) {
     next->slot_to_shard_[static_cast<size_t>(move.slot)] = move.target;
-  }
-  if (plan.has_range()) {
-    // Replace an exact-range rule in place so repeated re-targeting of the
-    // same range does not grow the rule list without bound.
-    bool replaced = false;
-    for (IdRangeRule& rule : next->id_rules_) {
-      if (rule.begin == plan.id_begin && rule.end == plan.id_end) {
-        rule.target = plan.id_target;
-        replaced = true;
-      }
-    }
-    if (!replaced) {
-      next->id_rules_.push_back({plan.id_begin, plan.id_end, plan.id_target});
-    }
   }
   return std::shared_ptr<const RoutingTable>(std::move(next));
 }
 
 std::shared_ptr<const RoutingTable> RoutingTable::WithNumShards(
     int num_shards) const {
-  FDRMS_CHECK(num_shards >= num_shards_)
-      << "WithNumShards cannot shrink the shard space";
-  auto next = std::shared_ptr<RoutingTable>(new RoutingTable());
-  next->epoch_ = epoch_ + 1;
-  next->num_shards_ = num_shards;
-  next->slot_to_shard_ = slot_to_shard_;
-  next->base_ = base_;
-  next->id_rules_ = id_rules_;
-  return next;
+  FDRMS_CHECK(num_shards >= num_shards_ && num_shards <= kNumHashSlots)
+      << "WithNumShards keeps the shard count in [current, kNumHashSlots]";
+  return Next(num_shards);
 }
 
 Result<std::shared_ptr<const RoutingTable>> RoutingTable::WithoutLastShard()
@@ -132,45 +88,23 @@ Result<std::shared_ptr<const RoutingTable>> RoutingTable::WithoutLastShard()
     return Status::FailedPrecondition("cannot remove the only shard");
   }
   const int victim = num_shards_ - 1;
-  for (int owner : slot_to_shard_) {
-    if (owner == victim) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(victim) +
-          " still owns slots; migrate them away first");
-    }
+  if (std::find(slot_to_shard_.begin(), slot_to_shard_.end(), victim) !=
+      slot_to_shard_.end()) {
+    return Status::FailedPrecondition(
+        "shard " + std::to_string(victim) +
+        " still owns slots; migrate them away first");
   }
-  for (const IdRangeRule& rule : id_rules_) {
-    if (rule.target == victim) {
-      return Status::FailedPrecondition(
-          "an id-range rule still targets shard " + std::to_string(victim) +
-          "; re-target it first");
-    }
-  }
-  auto next = std::shared_ptr<RoutingTable>(new RoutingTable());
-  next->epoch_ = epoch_ + 1;
-  next->num_shards_ = num_shards_ - 1;
-  next->slot_to_shard_ = slot_to_shard_;
-  next->base_ = base_;
-  next->id_rules_ = id_rules_;
-  return std::shared_ptr<const RoutingTable>(std::move(next));
+  return std::shared_ptr<const RoutingTable>(Next(victim));
 }
 
 Status RoutingTable::Save(std::ostream* os) const {
   if (os == nullptr) return Status::Invalid("null output stream");
-  if (!slotted()) {
-    return Status::FailedPrecondition(
-        "only slot-mapped routing tables serialize (custom ShardRouters "
-        "cannot round-trip)");
-  }
   *os << kMagic << "\n";
-  *os << epoch_ << " " << num_shards_ << " " << id_rules_.size() << "\n";
+  *os << epoch_ << " " << num_shards_ << "\n";
   for (int slot = 0; slot < kNumHashSlots; ++slot) {
     *os << (slot ? " " : "") << slot_to_shard_[static_cast<size_t>(slot)];
   }
   *os << "\n";
-  for (const IdRangeRule& rule : id_rules_) {
-    *os << rule.begin << " " << rule.end << " " << rule.target << "\n";
-  }
   if (!os->good()) return Status::Internal("stream write failed");
   return Status::OK();
 }
@@ -184,15 +118,13 @@ Result<std::shared_ptr<const RoutingTable>> RoutingTable::Load(
   }
   uint64_t epoch = 0;
   int num_shards = 0;
-  size_t num_rules = 0;
-  *is >> epoch >> num_shards >> num_rules;
-  if (!is->good() || num_shards < 1 || num_rules > 1u << 20) {
-    return Status::Invalid("bad routing table parameter block");
+  *is >> epoch >> num_shards;
+  if (!is->good() || num_shards < 1 || num_shards > kNumHashSlots) {
+    return Status::Invalid("bad routing table parameter line");
   }
   auto table = std::shared_ptr<RoutingTable>(new RoutingTable());
   table->epoch_ = epoch;
   table->num_shards_ = num_shards;
-  table->slot_to_shard_.resize(kNumHashSlots);
   for (int slot = 0; slot < kNumHashSlots; ++slot) {
     int owner = -1;
     *is >> owner;
@@ -201,15 +133,8 @@ Result<std::shared_ptr<const RoutingTable>> RoutingTable::Load(
     }
     table->slot_to_shard_[static_cast<size_t>(slot)] = owner;
   }
-  for (size_t i = 0; i < num_rules; ++i) {
-    IdRangeRule rule{};
-    *is >> rule.begin >> rule.end >> rule.target;
-    if (is->fail() || rule.end <= rule.begin || rule.target < 0 ||
-        rule.target >= num_shards) {
-      return Status::Invalid("bad id-range rule " + std::to_string(i));
-    }
-    table->id_rules_.push_back(rule);
-  }
+  *is >> std::ws;
+  if (!is->eof()) return Status::Invalid("trailing bytes after slot owners");
   return std::shared_ptr<const RoutingTable>(std::move(table));
 }
 

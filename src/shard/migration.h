@@ -4,46 +4,45 @@
 /// \file migration.h
 /// Routing-table epochs and migration plans for live shard rebalancing.
 ///
-/// The sharded layer (sharded_service.h) fixes nothing about *which* shard
-/// owns which ids beyond "routing is a pure function of the id". This file
-/// makes that function versioned and movable:
+/// Routing is a pure function of the tuple id through its hash slot
+/// (shard_router.h). This file makes the slot→shard map versioned and
+/// movable:
 ///
-///  - A MigrationPlan names a moving range — a set of hash slots
-///    (shard_router.h) each with a target shard, and/or a contiguous id
-///    range with a target — without saying anything about timing.
+///  - A MigrationPlan names the moving slots, each with a target shard,
+///    without saying anything about timing.
 ///  - A RoutingTable is one immutable epoch of the routing function: a full
-///    slot→shard array (or a delegating wrapper around a custom ShardRouter)
-///    plus the id-range rules layered on top. Applying a plan to a table
-///    yields the next epoch; the table itself never mutates, so readers can
-///    hold an epoch across a cutover.
-///  - An EpochShardRouter is the ShardRouter the sharded service actually
-///    routes through: an atomic pointer to the current table, swapped in one
-///    release store at migration cutover. Route() at any instant is the pure
-///    function of exactly one epoch.
+///    slot→shard array. Applying a plan to a table yields the next epoch;
+///    the table itself never mutates, so readers can hold an epoch across a
+///    cutover.
+///  - An EpochShardRouter is what the sharded service routes through: an
+///    atomic pointer to the current table, swapped in one release store at
+///    migration cutover. Route() at any instant is the pure function of
+///    exactly one epoch.
 ///
-/// Because every id maps to exactly one slot and every slot (and range rule)
-/// names exactly one target, every id routes to exactly one shard at every
-/// epoch — the property tests/migration_test.cpp exercises across random
-/// plan sequences and across save/restore (tables serialize to a versioned
-/// text format so a persisted constellation can resume with its migrated
-/// routing intact).
+/// Because every id maps to exactly one slot and every slot names exactly
+/// one owner in [0, num_shards), every id routes to exactly one shard at
+/// every epoch — the property tests/migration_test.cpp exercises across
+/// random plan sequences and across save/restore (tables serialize to a
+/// versioned text format so a persisted constellation can resume with its
+/// migrated routing intact).
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "shard/shard_router.h"
 
 namespace fdrms {
 
-/// One rebalancing step: which ids move, and where each of them goes.
+/// One rebalancing step: which hash slots move, and where each goes.
 /// Declarative only — ShardedFdRmsService::Migrate supplies the freeze/
-/// drain/replay/cutover mechanics. Slot moves require a slot-mapped routing
-/// table (the default hash router); an id range works over any router.
+/// drain/replay/cutover mechanics.
 struct MigrationPlan {
   struct SlotMove {
     int slot;    ///< hash slot in [0, kNumHashSlots)
@@ -51,16 +50,7 @@ struct MigrationPlan {
   };
   std::vector<SlotMove> slot_moves;
 
-  /// Id-range form, active when id_end > id_begin: every id in
-  /// [id_begin, id_end) moves to id_target. Range rules are layered on top
-  /// of slot routing and later rules win, so a plan's range overrides any
-  /// earlier epoch's rule for the same ids.
-  int id_begin = 0;
-  int id_end = 0;
-  int id_target = -1;
-
-  bool has_range() const { return id_end > id_begin; }
-  bool empty() const { return slot_moves.empty() && !has_range(); }
+  bool empty() const { return slot_moves.empty(); }
 
   /// Every listed slot to one target shard.
   static MigrationPlan Slots(const std::vector<int>& slots, int target) {
@@ -69,65 +59,38 @@ struct MigrationPlan {
     for (int slot : slots) plan.slot_moves.push_back({slot, target});
     return plan;
   }
-
-  /// Every id in [begin, end) to one target shard.
-  static MigrationPlan IdRange(int begin, int end, int target) {
-    MigrationPlan plan;
-    plan.id_begin = begin;
-    plan.id_end = end;
-    plan.id_target = target;
-    return plan;
-  }
 };
 
-/// One immutable epoch of the routing function. Constructed via the static
-/// builders or by Apply(); never mutated afterwards, so concurrent readers
-/// need no synchronization beyond acquiring the pointer.
+/// One immutable epoch of the routing function. Constructed via Slotted(),
+/// Load() or the epoch-advancing builders; never mutated afterwards, so
+/// concurrent readers need no synchronization beyond acquiring the
+/// pointer. Every slot owner is in [0, num_shards()) and num_shards() is
+/// in [1, kNumHashSlots].
 class RoutingTable {
  public:
-  /// An id-range rule layered over slot routing; later rules win.
-  struct IdRangeRule {
-    int begin;
-    int end;  ///< exclusive
-    int target;
-  };
-
-  /// Epoch 0 of the default router: slot t owned by shard t mod S (exactly
-  /// HashShardRouter's map).
+  /// Epoch 0: slot t owned by shard t mod S. Requires 1 <= S <=
+  /// kNumHashSlots.
   static std::shared_ptr<const RoutingTable> Slotted(int num_shards);
 
-  /// Epoch 0 over a custom router: ids route through `base` unless an
-  /// id-range rule claims them. Slot moves are rejected on delegating
-  /// tables (a custom router's id→shard map need not be slot-expressible).
-  static std::shared_ptr<const RoutingTable> Delegating(
-      std::shared_ptr<const ShardRouter> base);
-
-  /// The owning shard of `id` at this epoch: the latest matching id-range
-  /// rule, else the slot owner (or the base router's choice). A delegating
-  /// table forwards the base router's value unchecked, so like any custom
-  /// ShardRouter it may return out of range; slotted tables never do.
-  int Route(int id) const;
+  /// The owning shard of `id` at this epoch: its slot's owner.
+  int Route(int id) const {
+    return slot_to_shard_[static_cast<size_t>(HashSlotOf(id))];
+  }
 
   uint64_t epoch() const { return epoch_; }
   int num_shards() const { return num_shards_; }
 
-  /// True when the table carries a full slot→shard array (default router);
-  /// false for delegating tables.
-  bool slotted() const { return !slot_to_shard_.empty(); }
-  const std::vector<int>& slot_to_shard() const { return slot_to_shard_; }
-  const std::vector<IdRangeRule>& id_rules() const { return id_rules_; }
-
-  /// Slots owned by `shard`, ascending (slotted tables only).
+  /// Slots owned by `shard`, ascending.
   std::vector<int> SlotsOwnedBy(int shard) const;
 
-  /// Owned-slot count per shard (slotted tables only) — the balance signal
-  /// AddShard/RemoveShard plan against.
+  /// Owned-slot count per shard — the balance signal AddShard/RemoveShard
+  /// plan against.
   std::vector<int> SlotLoad() const;
 
   /// The next epoch with `plan` applied. Validates the plan against this
-  /// table: targets must be in [0, new_num_shards), slots in range and only
-  /// on slotted tables. `new_num_shards` >= num_shards() lets AddShard
-  /// grow the shard space in the same step. Nothing is mutated on error.
+  /// table: slots in range, targets in [0, new_num_shards).
+  /// `new_num_shards` >= num_shards() lets AddShard grow the shard space in
+  /// the same step. Nothing is mutated on error.
   Result<std::shared_ptr<const RoutingTable>> Apply(const MigrationPlan& plan,
                                                     int new_num_shards) const;
 
@@ -136,44 +99,42 @@ class RoutingTable {
   /// any slots move onto it).
   std::shared_ptr<const RoutingTable> WithNumShards(int num_shards) const;
 
-  /// The next epoch with the last shard removed. Fails if any slot or
-  /// id-range rule still routes to it — migrate its ownership away first.
+  /// The next epoch with the last shard removed. Fails if any slot still
+  /// routes to it — migrate its slots away first.
   Result<std::shared_ptr<const RoutingTable>> WithoutLastShard() const;
 
-  /// Serializes the table (slotted tables only — a delegating table's base
-  /// is an arbitrary ShardRouter and cannot round-trip). Byte-exact for
-  /// identical tables.
+  /// Serializes the table. Byte-exact for identical tables.
   Status Save(std::ostream* os) const;
 
   /// Rebuilds a table from Save()'s output; routes identically to the
-  /// saved instance.
+  /// saved instance. Any other input (including a file in an older format)
+  /// yields a Status, never a table that could route out of range.
   static Result<std::shared_ptr<const RoutingTable>> Load(std::istream* is);
 
  private:
   RoutingTable() = default;
 
+  /// A copy at the next epoch over `num_shards` shards.
+  std::shared_ptr<RoutingTable> Next(int num_shards) const;
+
   uint64_t epoch_ = 0;
   int num_shards_ = 0;
-  std::vector<int> slot_to_shard_;           ///< size kNumHashSlots, or empty
-  std::shared_ptr<const ShardRouter> base_;  ///< used only when not slotted
-  std::vector<IdRangeRule> id_rules_;        ///< later entries win
+  std::array<int, kNumHashSlots> slot_to_shard_{};
 };
 
-/// The ShardRouter the sharded service routes through: an atomic pointer to
-/// the current RoutingTable. Route()/num_shards() read one coherent epoch;
-/// Publish() is the single release store that makes a migration's cutover
-/// visible to every submitter.
-class EpochShardRouter final : public ShardRouter {
+/// What the sharded service routes through: an atomic pointer to the
+/// current RoutingTable. Route()/num_shards() read one coherent epoch with
+/// a single atomic load; Publish() is the single release store that makes
+/// a migration's cutover visible to every submitter.
+class EpochShardRouter {
  public:
   explicit EpochShardRouter(std::shared_ptr<const RoutingTable> initial)
       : table_(std::move(initial)) {
     FDRMS_CHECK(table_.load() != nullptr);
   }
 
-  int num_shards() const override { return table()->num_shards(); }
-  int Route(int id) const override { return table()->Route(id); }
-  const char* name() const override { return "epoch"; }
-
+  int num_shards() const { return table()->num_shards(); }
+  int Route(int id) const { return table()->Route(id); }
   uint64_t epoch() const { return table()->epoch(); }
 
   std::shared_ptr<const RoutingTable> table() const {

@@ -4,34 +4,27 @@
 /// \file shard_router.h
 /// Tuple-space partitioning for the sharded serving layer.
 ///
-/// A ShardRouter maps a tuple id to the shard that owns it. Routing must be
-/// a pure function of the id: every mutation of a tuple has to land on the
-/// same single-writer FdRmsService instance, or the per-shard FD-RMS states
-/// diverge from the operation stream. Routers are read concurrently from
-/// every submitter thread and must therefore be immutable after
-/// construction.
-///
-/// HashShardRouter is the default: a 64-bit finalizer hash of the id mapped
-/// onto kNumHashSlots fixed hash slots, each slot owned by one shard. The
-/// slot indirection balances adversarial id ranges (sequential ids, id
+/// Routing must be a pure function of the tuple id: every mutation of a
+/// tuple has to land on the same single-writer FdRmsService instance, or
+/// the per-shard FD-RMS states diverge from the operation stream. The id
+/// space is cut into kNumHashSlots fixed hash slots (HashSlotOf), and a
+/// RoutingTable (shard/migration.h) names the owning shard of every slot.
+/// The slot indirection balances adversarial id ranges (sequential ids, id
 /// ranges per tenant) without any data statistics, and gives live
-/// rebalancing (shard/migration.h) a finite, enumerable unit of ownership:
-/// a migration moves whole slots between shards, so routing stays a pure
-/// function of the id at every epoch. Skyline-aware routing — placing
-/// likely-skyline tuples so per-shard result sets stay small — can slot in
-/// behind the same interface once the workload justifies it.
+/// rebalancing a finite, enumerable unit of ownership: a migration moves
+/// whole slots between shards, so routing stays a pure function of the id
+/// at every epoch.
 
 #include <cstdint>
-
-#include "common/check.h"
 
 namespace fdrms {
 
 /// Number of fixed hash slots the id space is divided into. Every id maps
-/// to exactly one slot (HashSlotOf); routers and routing tables map slots
-/// to shards. 256 slots keep per-slot load near 0.4% of the id space —
-/// fine-grained enough for balanced rebalancing, small enough to enumerate
-/// and serialize.
+/// to exactly one slot (HashSlotOf); routing tables map slots to shards,
+/// so this is also the largest shard count a constellation can have.
+/// 256 slots keep per-slot load near 0.4% of the id space — fine-grained
+/// enough for balanced rebalancing, small enough to enumerate and
+/// serialize.
 inline constexpr int kNumHashSlots = 256;
 
 /// The hash slot of `id`: splitmix64 finalizer over the id, modulo the slot
@@ -44,46 +37,6 @@ inline int HashSlotOf(int id) {
   x ^= x >> 31;
   return static_cast<int>(x % static_cast<uint64_t>(kNumHashSlots));
 }
-
-/// Maps tuple ids to shard indices in [0, num_shards). Implementations
-/// must be deterministic, stateless after construction, and thread-safe.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-
-  /// Number of shards this router partitions across.
-  virtual int num_shards() const = 0;
-
-  /// The owning shard of `id`; must be in [0, num_shards()) and identical
-  /// for every call with the same id.
-  virtual int Route(int id) const = 0;
-
-  /// Short routing-policy name for logs and bench output.
-  virtual const char* name() const = 0;
-};
-
-/// Default router: the id's hash slot modulo the shard count. Uniform over
-/// any id distribution, no coordination, O(1). Slot-mapped on purpose:
-/// shard s owns exactly the slots {t : t ≡ s (mod S)}, which is the
-/// epoch-0 routing table live rebalancing starts from (see
-/// shard/migration.h).
-class HashShardRouter final : public ShardRouter {
- public:
-  explicit HashShardRouter(int num_shards) : num_shards_(num_shards) {
-    FDRMS_CHECK(num_shards >= 1);
-  }
-
-  int num_shards() const override { return num_shards_; }
-
-  int Route(int id) const override {
-    return HashSlotOf(id) % num_shards_;
-  }
-
-  const char* name() const override { return "hash"; }
-
- private:
-  const int num_shards_;
-};
 
 }  // namespace fdrms
 

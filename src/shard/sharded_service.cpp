@@ -56,6 +56,14 @@ Status SubmitWithRetry(FdRmsService* shard, FdRms::BatchOp op) {
   }
 }
 
+/// Greedy re-cover of the merged view (GreedyReCover): a direction counts
+/// as covered once a selected tuple scores >= (1 - kMergeEps) of the
+/// union's best, over kMergeDirections utility directions sampled once at
+/// construction from kMergeSeed.
+constexpr double kMergeEps = 0.05;
+constexpr int kMergeDirections = 512;
+constexpr uint64_t kMergeSeed = 4242;
+
 /// Consults a control-plane fault site (common/fault_point.h). kDie is not
 /// meaningful off the writer thread, so it acts like kError here: the
 /// surrounding operation fails with the injected status.
@@ -68,64 +76,45 @@ Status ControlFaultSite(const char* prefix, const char* step) {
 }  // namespace
 
 /// The freeze interposer of one in-flight migration: Submit diverts every
-/// operation whose id matches the moving range into `buffered` (in
+/// operation whose id hashes to a moving slot into `buffered` (in
 /// submission order); the migration drains the buffer into the targets
 /// before the cutover epoch publishes.
 struct ShardedFdRmsService::MigrationState {
   explicit MigrationState(const MigrationPlan& plan) {
     for (const MigrationPlan::SlotMove& move : plan.slot_moves) {
       slot_moved[static_cast<size_t>(move.slot)] = true;
-      any_slot = true;
-    }
-    if (plan.has_range()) {
-      id_begin = plan.id_begin;
-      id_end = plan.id_end;
     }
   }
 
   bool Matches(int id) const {
-    if (id_begin < id_end && id >= id_begin && id < id_end) return true;
-    return any_slot && slot_moved[static_cast<size_t>(HashSlotOf(id))];
+    return slot_moved[static_cast<size_t>(HashSlotOf(id))];
   }
 
   std::array<bool, kNumHashSlots> slot_moved{};
-  bool any_slot = false;
-  int id_begin = 0;
-  int id_end = 0;
 
   std::mutex mu;
   std::vector<FdRms::BatchOp> buffered;
 };
 
 ShardedFdRmsService::ShardedFdRmsService(int dim,
-                                         const ShardedServiceOptions& options,
-                                         std::unique_ptr<ShardRouter> router)
+                                         const ShardedServiceOptions& options)
     : dim_(dim),
       options_(options),
+      initial_table_(RoutingTable::Slotted(options.num_shards)),
       batch_bound_(options.shard.max_batch),
       registry_(options.registry ? options.registry
                                  : std::make_shared<obs::MetricRegistry>()) {
-  FDRMS_CHECK(options.num_shards >= 1);
   versioned_persist_ = options_.shard.persist_every_batches > 0 &&
                        !options_.shard.persist_path.empty();
   // With a resume path the manifest decides the topology, so shard
   // construction waits for Start (keeps non-resume behavior bit-identical).
   defer_topology_ = !options_.shard.resume_path.empty();
   RegisterMetrics();
-  if (router != nullptr) {
-    FDRMS_CHECK(router->num_shards() == options.num_shards)
-        << "router partitions " << router->num_shards()
-        << " shards, service has " << options.num_shards;
-    initial_table_ = RoutingTable::Delegating(std::move(router));
-  } else {
-    initial_table_ = RoutingTable::Slotted(options.num_shards);
-  }
   if (options_.merged_budget_r > 0) {
-    FDRMS_CHECK(options_.merge_directions > 0);
-    Rng rng(options_.merge_seed);
-    merge_directions_.reserve(static_cast<size_t>(options_.merge_directions));
-    for (int i = 0; i < options_.merge_directions; ++i) {
-      merge_directions_.push_back(SampleUnitVectorNonneg(dim, &rng));
+    Rng rng(kMergeSeed);
+    recover_directions_.reserve(static_cast<size_t>(kMergeDirections));
+    for (int i = 0; i < kMergeDirections; ++i) {
+      recover_directions_.push_back(SampleUnitVectorNonneg(dim, &rng));
     }
   }
   ResetTopology();
@@ -349,13 +338,8 @@ Status ShardedFdRmsService::Start(
 
   std::vector<std::vector<std::pair<int, Point>>> partitions(num_shards);
   for (const auto& [id, point] : initial) {
-    const int s = topo->table->Route(id);
-    if (s < 0 || s >= static_cast<int>(num_shards)) {
-      started_.store(false);  // no shard started yet: plain retryable failure
-      return Status::Internal("router sent id " + std::to_string(id) +
-                              " to out-of-range shard " + std::to_string(s));
-    }
-    partitions[static_cast<size_t>(s)].emplace_back(id, point);
+    const size_t s = static_cast<size_t>(topo->table->Route(id));
+    partitions[s].emplace_back(id, point);
   }
   std::vector<Status> statuses(num_shards);
   ForEachShardConcurrently(num_shards, [&](size_t s) {
@@ -444,10 +428,6 @@ Status ShardedFdRmsService::Submit(FdRms::BatchOp op) {
     return Status::FailedPrecondition("sharded service never started");
   }
   const int s = topo->table->Route(op.id);
-  if (s < 0 || s >= static_cast<int>(topo->shards.size())) {
-    return Status::Internal("router sent id " + std::to_string(op.id) +
-                            " to out-of-range shard " + std::to_string(s));
-  }
   return topo->shards[static_cast<size_t>(s)]->Submit(std::move(op));
 }
 
@@ -495,7 +475,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
   // Nothing installed yet: an injected freeze failure is a clean reject.
   FDRMS_RETURN_NOT_OK(ControlFaultSite("migration.freeze", "pre"));
 
-  // (1) Freeze: divert new mutations of the moving range into the side
+  // (1) Freeze: divert new mutations of the moving slots into the side
   // buffer. The exclusive section is only the pointer swap, so no submit
   // can be mid-route across the freeze.
   auto state = std::make_shared<MigrationState>(plan);
@@ -508,7 +488,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
   }
 
   // (2) Drain: once every queue is flushed, each source's applied state
-  // holds every pre-freeze mutation of the range, and the range can no
+  // holds every pre-freeze mutation of the moving slots, and they can no
   // longer change there (new matching mutations sit in the buffer).
   struct MovedTuple {
     int source;
@@ -536,7 +516,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
       }
     }
 
-    // Read the frozen range out of its sources (drain-range hook; runs on
+    // Read the frozen slots out of their sources (drain-range hook; runs on
     // each shard's writer thread against a consistent cut).
     for (int s = 0; s < num_shards; ++s) {
       std::vector<std::pair<int, Point>> in_range;
@@ -548,11 +528,6 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
       }
       for (auto& [id, point] : in_range) {
         const int target = next->Route(id);
-        if (target < 0 || target >= num_shards) {
-          AbortFreeze(state, *topo);
-          return Status::Internal("post-migration route of id " +
-                                  std::to_string(id) + " is out of range");
-        }
         if (target != s) moved.push_back({s, target, id, std::move(point)});
       }
     }
@@ -567,14 +542,14 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
   // merge. Failures past this point are not rolled back — they are
   // unreachable through the public API (Stop serializes behind the
   // migration) — the first error is reported after the cutover unfreezes
-  // the range.
+  // the slots.
   Status first_error = Status::OK();
   auto note = [&first_error](Status st) {
     if (!st.ok() && first_error.ok()) first_error = std::move(st);
   };
   {
     // Still nothing moved: an injected replay failure aborts cleanly (the
-    // sources keep the range, the side buffer replays to them).
+    // sources keep the slots, the side buffer replays to them).
     Status injected = ControlFaultSite("migration.replay", "pre");
     if (!injected.ok()) {
       AbortFreeze(state, *topo);
@@ -588,7 +563,7 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
                            {FdRms::BatchOp::Kind::kInsert, m.id, m.point}));
     }
     for (int s = 0; s < num_shards; ++s) {
-      note(topo->shards[s]->Flush());  // the targets now hold the range
+      note(topo->shards[s]->Flush());  // the targets now hold the tuples
     }
     for (const MovedTuple& m : moved) {
       note(SubmitWithRetry(topo->shards[static_cast<size_t>(m.source)].get(),
@@ -602,9 +577,9 @@ Status ShardedFdRmsService::MigrateLockedImpl(const MigrationPlan& plan) {
   // Buffer order is preserved, and every buffered op follows the replayed
   // inserts already flushed into its target, so per-id order holds.
   {
-    // Tuples have moved; aborting now would strand the range. Like any
+    // Tuples have moved; aborting now would strand them. Like any
     // post-replay failure the injected error is noted and reported after
-    // the cutover unfreezes the range.
+    // the cutover unfreezes the slots.
     note(ControlFaultSite("migration.cutover", "pre"));
     obs::PhaseSpan cutover(registry_.get(), metrics_.migration_cutover_us,
                            "migration.cutover", /*lifecycle=*/true);
@@ -674,7 +649,7 @@ void ShardedFdRmsService::AbortFreeze(
   }
   migration_.store(nullptr, std::memory_order_release);
   metrics_.migration_side_buffer_depth->Set(0.0);
-  // Nothing has moved yet: the pre-migration table still owns the range,
+  // Nothing has moved yet: the pre-migration table still owns the slots,
   // so the buffer replays to the old owners. These operations were already
   // acknowledged to their submitters, so backpressure is absorbed (retry on
   // kResourceExhausted) rather than shedding them; only a shard that has
@@ -682,10 +657,8 @@ void ShardedFdRmsService::AbortFreeze(
   // constellation is down and Migrate is returning the underlying error.
   for (FdRms::BatchOp& op : leftover) {
     const int s = topo.table->Route(op.id);
-    if (s >= 0 && s < static_cast<int>(topo.shards.size())) {
-      (void)SubmitWithRetry(topo.shards[static_cast<size_t>(s)].get(),
-                            std::move(op));
-    }
+    (void)SubmitWithRetry(topo.shards[static_cast<size_t>(s)].get(),
+                          std::move(op));
   }
 }
 
@@ -695,11 +668,12 @@ Status ShardedFdRmsService::AddShard() {
     return Status::FailedPrecondition("sharded service never started");
   }
   std::shared_ptr<const Topology> topo = topology();
-  if (!topo->table->slotted()) {
-    return Status::FailedPrecondition(
-        "AddShard requires the default slot-mapped hash router");
-  }
   const int num_shards = static_cast<int>(topo->shards.size());
+  if (num_shards >= kNumHashSlots) {
+    return Status::FailedPrecondition(
+        "every hash slot already has its own shard (" +
+        std::to_string(kNumHashSlots) + ")");
+  }
   std::shared_ptr<FdRmsService> fresh =
       MakeShard(num_shards, /*resume_file=*/"");
   FDRMS_RETURN_NOT_OK(fresh->Start({}));
@@ -716,7 +690,8 @@ Status ShardedFdRmsService::AddShard() {
   }
 
   // Slot-balanced plan: hand the newcomer its even share, drawn one slot
-  // at a time from whichever shard currently owns the most.
+  // at a time from whichever shard currently owns the most. Some shard
+  // owns at least 256/S > want slots, so the plan is never empty.
   std::vector<int> load = grown->SlotLoad();
   std::vector<std::vector<int>> owned(static_cast<size_t>(num_shards + 1));
   for (int s = 0; s <= num_shards; ++s) {
@@ -737,12 +712,6 @@ Status ShardedFdRmsService::AddShard() {
     slots.push_back(owned[static_cast<size_t>(donor)].back());
     owned[static_cast<size_t>(donor)].pop_back();
     --load[static_cast<size_t>(donor)];
-  }
-  if (slots.empty()) {
-    (void)CommitConstellationLocked(/*persist_shards=*/true);
-    last_topology_change_us_.store(registry_->NowMicros(),
-                                   std::memory_order_relaxed);
-    return Status::OK();  // degenerate: more shards than slots
   }
   Status migrated = MigrateLocked(MigrationPlan::Slots(slots, num_shards));
   if (!migrated.ok() && topology()->table->epoch() == grown->epoch()) {
@@ -774,22 +743,11 @@ Status ShardedFdRmsService::RemoveShard() {
     return Status::FailedPrecondition("sharded service never started");
   }
   std::shared_ptr<const Topology> topo = topology();
-  if (!topo->table->slotted()) {
-    return Status::FailedPrecondition(
-        "RemoveShard requires the default slot-mapped hash router");
-  }
   const int num_shards = static_cast<int>(topo->shards.size());
   if (num_shards < 2) {
     return Status::FailedPrecondition("cannot remove the only shard");
   }
   const int victim = num_shards - 1;
-  for (const RoutingTable::IdRangeRule& rule : topo->table->id_rules()) {
-    if (rule.target == victim) {
-      return Status::FailedPrecondition(
-          "an id-range rule targets the last shard; Migrate it to another "
-          "shard first");
-    }
-  }
 
   // Hand every slot the victim owns to the least-loaded survivor.
   std::vector<int> load = topo->table->SlotLoad();
@@ -1483,9 +1441,9 @@ std::shared_ptr<const MergedSnapshot> ShardedFdRmsService::BuildMerged(
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return ids[a] < ids[b]; });
-  // Ids are disjoint across shards by routing; drop duplicates anyway so a
-  // misbehaving custom router — or the transient double-ownership window of
-  // a live migration — degrades to a correct view.
+  // Ids are disjoint across shards by routing; drop duplicates anyway so the
+  // transient double-ownership window of a live migration degrades to a
+  // correct view.
   order.erase(std::unique(order.begin(), order.end(),
                           [&](size_t a, size_t b) { return ids[a] == ids[b]; }),
               order.end());
@@ -1561,7 +1519,7 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
                                         std::vector<size_t>* keep) const {
   const size_t budget = static_cast<size_t>(options_.merged_budget_r);
   const std::vector<size_t>& candidates = *keep;
-  const size_t num_dirs = merge_directions_.size();
+  const size_t num_dirs = recover_directions_.size();
 
   // Score matrix + the union's per-direction optimum.
   std::vector<double> scores(candidates.size() * num_dirs);
@@ -1569,14 +1527,14 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
   for (size_t c = 0; c < candidates.size(); ++c) {
     const Point& p = *points[candidates[c]];
     for (size_t j = 0; j < num_dirs; ++j) {
-      const double score = Dot(merge_directions_[j], p);
+      const double score = Dot(recover_directions_[j], p);
       scores[c * num_dirs + j] = score;
       best[j] = std::max(best[j], score);
     }
   }
 
   // A direction with no positive optimum is trivially covered; otherwise it
-  // wants a selected tuple within (1-merge_eps) of the union's best.
+  // wants a selected tuple within (1-kMergeEps) of the union's best.
   std::vector<bool> covered(num_dirs);
   size_t uncovered = 0;
   for (size_t j = 0; j < num_dirs; ++j) {
@@ -1594,7 +1552,7 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
       size_t gain = 0;
       for (size_t j = 0; j < num_dirs; ++j) {
         if (!covered[j] && scores[c * num_dirs + j] >=
-                               (1.0 - options_.merge_eps) * best[j]) {
+                               (1.0 - kMergeEps) * best[j]) {
           ++gain;
         }
       }
@@ -1608,7 +1566,7 @@ void ShardedFdRmsService::GreedyReCover(const std::vector<int>& ids,
     selection.push_back(best_c);
     for (size_t j = 0; j < num_dirs; ++j) {
       if (!covered[j] && scores[best_c * num_dirs + j] >=
-                             (1.0 - options_.merge_eps) * best[j]) {
+                             (1.0 - kMergeEps) * best[j]) {
         covered[j] = true;
         --uncovered;
       }

@@ -15,7 +15,7 @@
 ///   ShardedServiceOptions sopt;
 ///   sopt.num_shards = 4;
 ///   sopt.shard.algo.r = 20;
-///   ShardedFdRmsService service(dim, sopt);       // hash router by default
+///   ShardedFdRmsService service(dim, sopt);       // routed by hash slot
 ///   service.Start(initial_tuples);                // fan-out bulk load
 ///   service.SubmitInsert(id, p);                  // routed to the owner
 ///   auto merged = service.Query();                // composed view, S snapshots
@@ -38,19 +38,22 @@
 /// routing). Every shard keeps its own budget of r, so the union can reach
 /// S·r; when `merged_budget_r` is set, a greedy re-cover tops the union
 /// down to the global budget by picking the members that preserve
-/// (1-merge_eps) coverage of a fixed sample of utility directions.
+/// (1-ε) coverage, ε = 0.05, of a fixed sample of 512 utility directions.
 ///
-/// Live rebalancing: routing is epoch-versioned (shard/migration.h).
-/// Migrate(plan) moves an id range or a set of hash slots to new owners
-/// while the constellation keeps serving:
+/// Routing: every id hashes to one of kNumHashSlots slots and the current
+/// epoch's RoutingTable names each slot's owner (shard/shard_router.h,
+/// shard/migration.h); epoch 0 gives slot t to shard t mod S.
+///
+/// Live rebalancing: routing is epoch-versioned. Migrate(plan) moves a set
+/// of hash slots to new owners while the constellation keeps serving:
 ///
 ///   1. freeze  — a router interposer diverts new mutations of the moving
-///                range into a side buffer (reads stay wait-free; the
-///                frozen range just stops advancing),
+///                slots into a side buffer (reads stay wait-free; the
+///                frozen slots just stop advancing),
 ///   2. drain   — every shard is Flush()ed, so each source's applied state
-///                contains every pre-freeze mutation of the range,
-///   3. replay  — the range's live tuples are read out of the sources via
-///                the drain-range hook (FdRmsService::CollectRange) and
+///                contains every pre-freeze mutation of the moving slots,
+///   3. replay  — the moving slots' live tuples are read out of the
+///                sources via the drain-range hook (CollectRange) and
 ///                re-inserted into their targets through the normal Submit
 ///                path, then deleted from the sources — ordinary journaled
 ///                operations, exactly the delete-then-reinsert shape the
@@ -92,8 +95,9 @@ namespace fdrms {
 /// Knobs of the sharded layer; per-shard serving and algorithm knobs ride
 /// in `shard` and apply to every instance.
 struct ShardedServiceOptions {
-  /// Shard count at construction; AddShard/RemoveShard change the live
-  /// count (num_shards() reports the current topology).
+  /// Shard count at construction, in [1, kNumHashSlots]; AddShard/
+  /// RemoveShard change the live count (num_shards() reports the current
+  /// topology).
   int num_shards = 4;
 
   /// Options handed to every shard. The shared algo.seed means all shards
@@ -143,17 +147,8 @@ struct ShardedServiceOptions {
 
   /// Global result budget of the merged view: 0 serves the pure union
   /// (|Q| <= num_shards * algo.r); > 0 greedily re-covers the union down
-  /// to this size when it is larger.
+  /// to this size when it is larger (see the merge policy above).
   int merged_budget_r = 0;
-
-  /// Coverage slack of the greedy re-cover: a direction counts as covered
-  /// once a selected tuple scores >= (1 - merge_eps) of the union's best.
-  double merge_eps = 0.05;
-
-  /// How many utility directions the re-cover scores against (sampled once
-  /// at construction from merge_seed).
-  int merge_directions = 512;
-  uint64_t merge_seed = 4242;
 
   /// Metric registry shared by the whole constellation: every shard reports
   /// into it under a {"shard","<index>"} label (plus {"gen","<n>"} when an
@@ -184,12 +179,9 @@ class ShardedFdRmsService {
  public:
   using StopPolicy = FdRmsService::StopPolicy;
 
-  /// `router` must partition across exactly options.num_shards shards;
-  /// nullptr installs the default slot-mapped hash routing (required for
-  /// slot migrations and AddShard/RemoveShard; a custom router still
-  /// supports id-range migrations).
-  ShardedFdRmsService(int dim, const ShardedServiceOptions& options,
-                      std::unique_ptr<ShardRouter> router = nullptr);
+  /// Starts at routing epoch 0: slot t owned by shard t mod
+  /// options.num_shards.
+  ShardedFdRmsService(int dim, const ShardedServiceOptions& options);
 
   /// Stops the manifest ticker and health tracker (shard writers are
   /// joined when the topology releases the FdRmsService instances).
@@ -213,11 +205,11 @@ class ShardedFdRmsService {
   Status Stop(StopPolicy policy = StopPolicy::kDrain);
 
   /// Enqueues one mutation on the owning shard (or, mid-migration, into
-  /// the side buffer of the moving range). Same status surface as
-  /// FdRmsService::Submit, plus kInternal if the router misroutes. A
-  /// side-buffered operation reaches its new owner before the cutover
-  /// epoch publishes; the buffer is unbounded, so backpressure pauses for
-  /// the moving range during the (short) migration window.
+  /// the side buffer of the moving slots). Same status surface as
+  /// FdRmsService::Submit. A side-buffered operation reaches its new owner
+  /// before the cutover epoch publishes; the buffer is unbounded, so
+  /// backpressure pauses for the moving slots during the (short) migration
+  /// window.
   Status Submit(FdRms::BatchOp op);
   Status SubmitInsert(int id, const Point& p) {
     return Submit({FdRms::BatchOp::Kind::kInsert, id, p});
@@ -235,27 +227,27 @@ class ShardedFdRmsService {
   /// flushes them before it returns.
   Status Flush();
 
-  /// Live rebalancing: moves the plan's id range / hash slots to their
-  /// target shards with the freeze → drain → replay → cutover protocol
-  /// documented above, then publishes the next routing epoch. Synchronous:
-  /// when it returns OK, ownership matches routing_table() exactly, every
-  /// replayed and side-buffered operation is applied, and readers merge
-  /// post-cutover snapshots. Readers are never blocked; writes to the
-  /// moving range are buffered (not rejected) for the duration. Serialized
-  /// against Start/Stop/other migrations. Slot plans require the default
-  /// hash router; id-range plans work with any router.
+  /// Live rebalancing: moves the plan's hash slots to their target shards
+  /// with the freeze → drain → replay → cutover protocol documented above,
+  /// then publishes the next routing epoch. Synchronous: when it returns
+  /// OK, ownership matches routing_table() exactly, every replayed and
+  /// side-buffered operation is applied, and readers merge post-cutover
+  /// snapshots. Readers are never blocked; writes to the moving slots are
+  /// buffered (not rejected) for the duration. Serialized against
+  /// Start/Stop/other migrations.
   Status Migrate(const MigrationPlan& plan);
 
   /// Scales out online: starts an empty shard, exposes it at the next
   /// epoch, then Migrate()s a slot-balanced share (~1/(S+1) of the slot
   /// space, drawn from the currently most-loaded shards) onto it.
-  /// Requires the default hash router.
+  /// kFailedPrecondition once there are kNumHashSlots shards: a further
+  /// shard could own no slot.
   Status AddShard();
 
   /// Scales in online: Migrate()s every slot owned by the last shard to
   /// the remaining shards (least-loaded first), publishes the shrunk
-  /// epoch, drains and stops the victim, and retires it. Requires the
-  /// default hash router and at least two shards.
+  /// epoch, drains and stops the victim, and retires it. Requires at
+  /// least two shards.
   Status RemoveShard();
 
   /// Recovers shard `s` after its writer died (health() == kDead): joins
@@ -367,9 +359,9 @@ class ShardedFdRmsService {
   }
   const ShardedServiceOptions& options() const { return options_; }
 
-  /// The routing view. router() reflects the current epoch; the table
-  /// accessors expose it explicitly.
-  const ShardRouter& router() const { return *router_; }
+  /// The routing view. router() reflects the current epoch (Route() is
+  /// one atomic load); the table accessors expose it explicitly.
+  const EpochShardRouter& router() const { return *router_; }
   std::shared_ptr<const RoutingTable> routing_table() const {
     return router_->table();
   }
@@ -494,8 +486,8 @@ class ShardedFdRmsService {
       uint64_t epoch, std::vector<bool> degraded, int num_degraded) const;
 
   /// Greedily selects <= merged_budget_r entries of the union that keep
-  /// every merge direction covered at (1-merge_eps) of the union's best
-  /// score. `entries` holds indices into ids/points; reduced in place.
+  /// every merge direction covered at (1-ε) of the union's best score.
+  /// `entries` holds indices into ids/points; reduced in place.
   void GreedyReCover(const std::vector<int>& ids,
                      const std::vector<const Point*>& points,
                      std::vector<size_t>* keep) const;
@@ -504,7 +496,7 @@ class ShardedFdRmsService {
   const ShardedServiceOptions options_;
   std::shared_ptr<const RoutingTable> initial_table_;  ///< epoch 0
   std::unique_ptr<EpochShardRouter> router_;
-  std::vector<Point> merge_directions_;
+  std::vector<Point> recover_directions_;  ///< GreedyReCover's sample
   std::atomic<bool> started_{false};
   bool resumed_ = false;  ///< written under admin_mutex_ in Start
 

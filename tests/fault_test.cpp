@@ -995,6 +995,12 @@ TEST_F(FaultShardedTest, MigrationFaultSitesAbortCleanly) {
   ASSERT_TRUE(svc.Start(AsTuples(ps, 200)).ok());
   ASSERT_TRUE(svc.Flush().ok());
   const uint64_t epoch0 = svc.epoch();
+  // Two disjoint batches of shard 0's slots: the first for the pre-move
+  // sites, the second for the post-replay site.
+  const std::vector<int> owned = svc.routing_table()->SlotsOwnedBy(0);
+  ASSERT_GE(owned.size(), 48u);
+  const std::vector<int> first(owned.begin(), owned.begin() + 32);
+  const std::vector<int> second(owned.begin() + 32, owned.begin() + 48);
 
   // Pre-move sites: the injected failure rejects (freeze) or unwinds
   // (drain/replay) the migration; ownership and serving are untouched.
@@ -1004,7 +1010,7 @@ TEST_F(FaultShardedTest, MigrationFaultSitesAbortCleanly) {
     FaultSpec err;
     err.kind = FaultKind::kError;
     FaultPoints::Arm(site, err);
-    Status st = svc.Migrate(MigrationPlan::IdRange(0, 50, 1));
+    Status st = svc.Migrate(MigrationPlan::Slots(first, 1));
     EXPECT_EQ(st.code(), StatusCode::kInternal) << site;
     EXPECT_EQ(svc.epoch(), epoch0) << site;
     ASSERT_TRUE(svc.SubmitInsert(200, ps.Get(200)).ok()) << site;
@@ -1012,17 +1018,17 @@ TEST_F(FaultShardedTest, MigrationFaultSitesAbortCleanly) {
     ASSERT_TRUE(svc.Flush().ok()) << site;
   }
   // Every site disarmed itself: the same plan now completes.
-  ASSERT_TRUE(svc.Migrate(MigrationPlan::IdRange(0, 50, 1)).ok());
+  ASSERT_TRUE(svc.Migrate(MigrationPlan::Slots(first, 1)).ok());
   const uint64_t epoch1 = svc.epoch();
   EXPECT_GT(epoch1, epoch0);
 
   // Post-replay site: tuples already moved, so the failure is noted and
   // reported but the cutover still publishes the next epoch — aborting
-  // would strand the moved range.
+  // would strand the moved slots.
   FaultSpec err;
   err.kind = FaultKind::kError;
   FaultPoints::Arm("migration.cutover.pre", err);
-  Status st = svc.Migrate(MigrationPlan::IdRange(50, 80, 1));
+  Status st = svc.Migrate(MigrationPlan::Slots(second, 1));
   EXPECT_EQ(st.code(), StatusCode::kInternal);
   EXPECT_GT(svc.epoch(), epoch1);
   ASSERT_TRUE(svc.Flush().ok());

@@ -238,11 +238,164 @@ TEST(ManifestFormatTest, DecodeRejectsShardRowMismatch) {
   EXPECT_EQ(back.status().code(), StatusCode::kInternal);
 }
 
+TEST(ManifestFormatTest, DecodeRejectsShardCountOutsideSlotRange) {
+  // Rows match the count in every case, so only the [1, kNumHashSlots]
+  // bound can reject: zero shards would build an empty routing table, and
+  // more shards than slots leaves some owning nothing.
+  auto with_count = [](int count) {
+    ConstellationManifest m = SampleManifest();
+    m.shard_count = count;
+    m.shards.clear();
+    for (int i = 0; i < count; ++i) m.shards.push_back({i, 0, 0, 0, ""});
+    return DecodeManifest(EncodeManifest(m));
+  };
+  for (int count : {0, kNumHashSlots + 1}) {
+    Result<ConstellationManifest> back = with_count(count);
+    ASSERT_FALSE(back.ok()) << "shard_count " << count;
+    EXPECT_EQ(back.status().code(), StatusCode::kInternal);
+  }
+  EXPECT_TRUE(with_count(1).ok());
+  EXPECT_TRUE(with_count(kNumHashSlots).ok());
+}
+
 TEST(ManifestFormatTest, SlotAlternatesOnGeneration) {
   EXPECT_EQ(ManifestSlotPath("s", 0), "s.manifest.a");
   EXPECT_EQ(ManifestSlotPath("s", 1), "s.manifest.b");
   EXPECT_EQ(ShardSnapshotPath("s", 2, 5, 40), "s.shard2.g5.b40");
   EXPECT_EQ(RoutingSnapshotPath("s", 9), "s.routing.e9");
+}
+
+// ---------------------------------------------------------------------------
+// Corruption matrix: every truncation and every single-byte flip of a saved
+// routing file and manifest decodes to a Status or to a value resume can
+// use — never an abort, never a slot owner out of range.
+// ---------------------------------------------------------------------------
+
+/// Every truncation of `bytes`, then every byte XOR 0x01 and XOR 0xFF.
+/// `decode` returns true when the mutant decoded (and was validated by the
+/// callback itself); the counts make sure both outcomes were exercised.
+template <typename Decode>
+void ForEachMutant(const std::string& bytes, const Decode& decode,
+                   int* decoded, int* rejected) {
+  auto run = [&](const std::string& mutant) {
+    if (decode(mutant)) {
+      ++*decoded;
+    } else {
+      ++*rejected;
+    }
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    run(bytes.substr(0, len));
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned char mask : {0x01, 0xFF}) {
+      std::string mutant = bytes;
+      mutant[i] = static_cast<char>(static_cast<unsigned char>(mutant[i]) ^
+                                    mask);
+      run(mutant);
+    }
+  }
+}
+
+/// True when `text` decodes; then it must describe a constellation resume
+/// can build: 1..kNumHashSlots shards, one row per shard in index order.
+bool DecodesToUsableManifest(const std::string& text) {
+  Result<ConstellationManifest> m = DecodeManifest(text);
+  if (!m.ok()) return false;
+  const ConstellationManifest& v = m.value();
+  EXPECT_GE(v.shard_count, 1);
+  EXPECT_LE(v.shard_count, kNumHashSlots);
+  EXPECT_EQ(v.shards.size(), static_cast<std::size_t>(v.shard_count));
+  for (std::size_t i = 0; i < v.shards.size(); ++i) {
+    EXPECT_EQ(v.shards[i].index, static_cast<int>(i));
+  }
+  return true;
+}
+
+/// Recomputes the trailer over a (mutated) body, so the parser behind the
+/// checksum sees the mutation instead of the checksum rejecting it first.
+std::string Reseal(const std::string& body) {
+  return body + "checksum " + ChecksumHex(Fnv1a64(body.data(), body.size())) +
+         "\n";
+}
+
+/// A real two-shard store after one slot migration: the newest manifest
+/// and the routing file it references.
+void SavedStoreFiles(std::string* manifest, std::string* routing) {
+  const std::string base = CleanBase("manifest_matrix.store");
+  PointSet ps = GenerateIndep(40, 3, 24);
+  {
+    ShardedFdRmsService service(3, DurableOptions(base, 2));
+    ASSERT_TRUE(service.Start(AsTuples(ps, 40)).ok());
+    std::vector<int> donor = service.routing_table()->SlotsOwnedBy(0);
+    donor.resize(donor.size() / 2);
+    ASSERT_TRUE(service.Migrate(MigrationPlan::Slots(donor, 1)).ok());
+    ASSERT_TRUE(service.Stop().ok());
+  }
+  Result<LoadedManifest> loaded = LoadNewestManifest(base);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Result<std::string> m =
+      ReadFileToString(ManifestSlotPath(base, loaded.value().slot));
+  ASSERT_TRUE(m.ok());
+  ASSERT_FALSE(loaded.value().manifest.routing_file.empty());
+  Result<std::string> r =
+      ReadFileToString(JoinDirOf(base, loaded.value().manifest.routing_file));
+  ASSERT_TRUE(r.ok());
+  *manifest = m.value();
+  *routing = r.value();
+}
+
+TEST(ManifestCorruptionTest, RoutingFileMutantsLoadValidOrFail) {
+  std::string manifest, routing;
+  ASSERT_NO_FATAL_FAILURE(SavedStoreFiles(&manifest, &routing));
+  int decoded = 0, rejected = 0;
+  ForEachMutant(
+      routing,
+      [](const std::string& bytes) {
+        std::istringstream in(bytes);
+        auto table_or = RoutingTable::Load(&in);
+        if (!table_or.ok()) return false;
+        const RoutingTable& table = **table_or;
+        EXPECT_GE(table.num_shards(), 1);
+        EXPECT_LE(table.num_shards(), kNumHashSlots);
+        // Every slot has exactly one owner in [0, num_shards).
+        std::size_t owned = 0;
+        for (int s = 0; s < table.num_shards(); ++s) {
+          owned += table.SlotsOwnedBy(s).size();
+        }
+        EXPECT_EQ(owned, static_cast<std::size_t>(kNumHashSlots));
+        return true;
+      },
+      &decoded, &rejected);
+  EXPECT_GT(decoded, 0);   // e.g. one owner digit flipped to another shard
+  EXPECT_GT(rejected, 0);  // e.g. any truncation inside the owner line
+  std::istringstream intact(routing);
+  EXPECT_TRUE(RoutingTable::Load(&intact).ok());
+}
+
+TEST(ManifestCorruptionTest, ManifestMutantsDecodeValidOrFail) {
+  std::string manifest, routing;
+  ASSERT_NO_FATAL_FAILURE(SavedStoreFiles(&manifest, &routing));
+  ASSERT_TRUE(DecodesToUsableManifest(manifest));
+
+  // Raw mutants: the checksum trailer rejects nearly all of them.
+  int decoded = 0, rejected = 0;
+  ForEachMutant(manifest, DecodesToUsableManifest, &decoded, &rejected);
+  EXPECT_GT(rejected, 0);
+
+  // Resealed mutants: the body parser itself must hold the line.
+  const std::size_t trailer = manifest.rfind("\nchecksum ");
+  ASSERT_NE(trailer, std::string::npos);
+  const std::string body = manifest.substr(0, trailer + 1);
+  int body_decoded = 0, body_rejected = 0;
+  ForEachMutant(
+      body,
+      [](const std::string& mutant) {
+        return DecodesToUsableManifest(Reseal(mutant));
+      },
+      &body_decoded, &body_rejected);
+  EXPECT_GT(body_decoded, 0);   // e.g. a generation digit changed
+  EXPECT_GT(body_rejected, 0);  // e.g. the magic line cut short
 }
 
 // ---------------------------------------------------------------------------
@@ -504,6 +657,24 @@ TEST(ManifestResumeTest, ResumePathMustMatchPersistPath) {
   Status started2 = service2.Start({});
   ASSERT_FALSE(started2.ok());
   EXPECT_EQ(started2.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ManifestResumeTest, ZeroShardManifestFailsStartWithAStatus) {
+  // A checksummed manifest at epoch 0 with no routing snapshot and no
+  // shards: resume must refuse it, not build a zero-shard routing table.
+  const std::string base = CleanBase("manifest_zero.store");
+  ConstellationManifest m;
+  m.generation = 1;
+  m.epoch = 0;
+  m.shard_count = 0;
+  ASSERT_TRUE(CommitManifestSlot(base, m).ok());
+  ShardedServiceOptions ropt = DurableOptions(base, 2);
+  ropt.shard.resume_path = base;
+  ShardedFdRmsService service(3, ropt);
+  Status started = service.Start({});
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.code(), StatusCode::kInternal) << started.ToString();
+  EXPECT_FALSE(service.running());
 }
 
 TEST(ManifestResumeTest, DeferredTopologyGuardsBeforeStart) {

@@ -98,25 +98,20 @@ TEST(MigrationPlanTest, FactoriesDescribeTheMove) {
   ASSERT_EQ(slots.slot_moves.size(), 2u);
   EXPECT_EQ(slots.slot_moves[0].slot, 3);
   EXPECT_EQ(slots.slot_moves[1].target, 1);
-  EXPECT_FALSE(slots.has_range());
   EXPECT_FALSE(slots.empty());
 
-  MigrationPlan range = MigrationPlan::IdRange(10, 20, 2);
-  EXPECT_TRUE(range.has_range());
-  EXPECT_FALSE(range.empty());
-
   EXPECT_TRUE(MigrationPlan{}.empty());
+  EXPECT_TRUE(MigrationPlan::Slots({}, 1).empty());
 }
 
 TEST(MigrationTableTest, SlottedTableMatchesHashRouter) {
-  for (int num_shards : {1, 2, 3, 4, 8}) {
+  // Epoch 0 routes every id by its hash slot mod S, for every legal S.
+  for (int num_shards : {1, 2, 3, 4, 8, kNumHashSlots}) {
     auto table = RoutingTable::Slotted(num_shards);
-    HashShardRouter hash(num_shards);
     EXPECT_EQ(table->epoch(), 0u);
     EXPECT_EQ(table->num_shards(), num_shards);
-    EXPECT_TRUE(table->slotted());
     for (int id : {-5, 0, 1, 17, 4096, 123456789}) {
-      EXPECT_EQ(table->Route(id), hash.Route(id)) << "id " << id;
+      EXPECT_EQ(table->Route(id), HashSlotOf(id) % num_shards) << "id " << id;
     }
   }
 }
@@ -136,17 +131,30 @@ TEST(MigrationTableTest, ApplyMovesSlotsAndRanges) {
     const int after = moved->Route(id);
     EXPECT_EQ(after, before == 0 ? 2 : before) << "id " << id;
   }
-  // Range plan layered on top: ids [100, 150) to shard 1 regardless of slot.
-  auto ranged_or = moved->Apply(MigrationPlan::IdRange(100, 150, 1), 3);
+  // A contiguous slot range layered on top: slots [100, 150) to shard 1
+  // whoever owned them; every other slot keeps its owner.
+  std::vector<int> range;
+  for (int slot = 100; slot < 150; ++slot) range.push_back(slot);
+  auto ranged_or = moved->Apply(MigrationPlan::Slots(range, 1), 3);
   ASSERT_TRUE(ranged_or.ok());
   auto ranged = *ranged_or;
   EXPECT_EQ(ranged->epoch(), 2u);
-  for (int id = 100; id < 150; ++id) EXPECT_EQ(ranged->Route(id), 1);
-  EXPECT_EQ(ranged->Route(99), moved->Route(99));
-  // Re-targeting the exact range replaces the rule instead of stacking.
-  auto retargeted = *ranged->Apply(MigrationPlan::IdRange(100, 150, 0), 3);
-  EXPECT_EQ(retargeted->id_rules().size(), 1u);
-  EXPECT_EQ(retargeted->Route(120), 0);
+  for (int id = 0; id < 2000; ++id) {
+    const int slot = HashSlotOf(id);
+    EXPECT_EQ(ranged->Route(id),
+              slot >= 100 && slot < 150 ? 1 : moved->Route(id))
+        << "id " << id;
+  }
+  // Re-targeting the same slots overwrites their owner: the latest plan
+  // wins and the table stays one owner per slot.
+  auto retargeted = *ranged->Apply(MigrationPlan::Slots(range, 0), 3);
+  std::vector<int> load = retargeted->SlotLoad();
+  EXPECT_EQ(load[0] + load[1] + load[2], kNumHashSlots);
+  const std::vector<int> owned_by_0 = retargeted->SlotsOwnedBy(0);
+  for (int slot : range) {
+    EXPECT_TRUE(std::binary_search(owned_by_0.begin(), owned_by_0.end(), slot))
+        << "slot " << slot;
+  }
 }
 
 TEST(MigrationTableTest, ApplyRejectsInvalidPlans) {
@@ -158,19 +166,19 @@ TEST(MigrationTableTest, ApplyRejectsInvalidPlans) {
       StatusCode::kInvalidArgument);
   EXPECT_EQ(table->Apply(MigrationPlan::Slots({0}, 2), 2).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(table->Apply(MigrationPlan::IdRange(0, 10, 5), 2).status().code(),
+  EXPECT_EQ(table->Apply(MigrationPlan::Slots({0}, -1), 2).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(table->Apply(MigrationPlan::Slots({0}, 0), 1).status().code(),
             StatusCode::kInvalidArgument);  // shrinking the shard space
-  // A delegating table cannot express slot ownership.
-  auto delegating =
-      RoutingTable::Delegating(std::make_shared<HashShardRouter>(2));
-  EXPECT_EQ(delegating->Apply(MigrationPlan::Slots({0}, 1), 2).status().code(),
-            StatusCode::kFailedPrecondition);
-  // ... but id ranges layer over any router.
-  auto ranged_or = delegating->Apply(MigrationPlan::IdRange(5, 9, 1), 2);
-  ASSERT_TRUE(ranged_or.ok());
-  for (int id = 5; id < 9; ++id) EXPECT_EQ((*ranged_or)->Route(id), 1);
+  EXPECT_EQ(table->Apply(MigrationPlan::Slots({0}, 0), kNumHashSlots + 1)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // more shards than slots
+  // A rejected plan mutates nothing: a valid one still lands at epoch 1.
+  auto moved_or = table->Apply(MigrationPlan::Slots({0}, 1), 2);
+  ASSERT_TRUE(moved_or.ok());
+  EXPECT_EQ((*moved_or)->epoch(), 1u);
+  EXPECT_EQ(table->epoch(), 0u);
 }
 
 TEST(MigrationTableTest, WithoutLastShardRequiresEmptyOwnership) {
@@ -183,9 +191,12 @@ TEST(MigrationTableTest, WithoutLastShardRequiresEmptyOwnership) {
   ASSERT_TRUE(shrunk_or.ok()) << shrunk_or.status().ToString();
   EXPECT_EQ((*shrunk_or)->num_shards(), 1);
   for (int id = 0; id < 500; ++id) EXPECT_EQ((*shrunk_or)->Route(id), 0);
-  // An id-range rule pinning ids to the victim also blocks removal.
-  auto pinned = *drained->Apply(MigrationPlan::IdRange(0, 10, 1), 2);
+  // A single slot moved back onto the victim blocks removal again.
+  auto pinned = *drained->Apply(MigrationPlan::Slots({7}, 1), 2);
   EXPECT_EQ(pinned->WithoutLastShard().status().code(),
+            StatusCode::kFailedPrecondition);
+  // The only shard can never be removed.
+  EXPECT_EQ((*shrunk_or)->WithoutLastShard().status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -194,22 +205,15 @@ TEST(MigrationTableTest, WithoutLastShardRequiresEmptyOwnership) {
 // and replaying the same plan sequence from scratch reproduces the same
 // routing function at every epoch (determinism).
 TEST(MigrationRouterPropertyTest, EveryIdRoutesToExactlyOneShardAtEveryEpoch) {
-  constexpr int kPlans = 16;
+  constexpr int kNumPlans = 16;
   constexpr int kIds = 1500;
   Rng rng(20260731);
   auto random_plan = [&](int num_shards) {
     MigrationPlan plan;
-    if (rng.Uniform() < 0.7) {
-      const int count = 1 + rng.UniformInt(40);
-      for (int i = 0; i < count; ++i) {
-        plan.slot_moves.push_back(
-            {rng.UniformInt(kNumHashSlots), rng.UniformInt(num_shards)});
-      }
-    } else {
-      const int begin = rng.UniformInt(2000) - 500;  // negatives too
-      plan.id_begin = begin;
-      plan.id_end = begin + 1 + rng.UniformInt(300);
-      plan.id_target = rng.UniformInt(num_shards);
+    const int count = 1 + rng.UniformInt(40);
+    for (int i = 0; i < count; ++i) {
+      plan.slot_moves.push_back(
+          {rng.UniformInt(kNumHashSlots), rng.UniformInt(num_shards)});
     }
     return plan;
   };
@@ -243,12 +247,11 @@ TEST(MigrationRouterPropertyTest, EveryIdRoutesToExactlyOneShardAtEveryEpoch) {
   };
 
   std::vector<MigrationPlan> plans;
-  for (int p = 0; p < kPlans; ++p) plans.push_back(random_plan(5));
-  // Clamp slot/range targets of early epochs into the 4-shard space (the
-  // grow happens mid-sequence).
+  for (int p = 0; p < kNumPlans; ++p) plans.push_back(random_plan(5));
+  // Clamp slot targets of early epochs into the 4-shard space (the grow
+  // happens mid-sequence).
   for (size_t p = 0; p < plans.size() / 2; ++p) {
     for (auto& move : plans[p].slot_moves) move.target %= 4;
-    if (plans[p].has_range()) plans[p].id_target %= 4;
   }
 
   std::vector<std::vector<int>> first_run, second_run;
@@ -265,15 +268,9 @@ TEST(MigrationRouterPropertyTest, TableRoundTripsThroughSaveRestore) {
   std::shared_ptr<const RoutingTable> table = RoutingTable::Slotted(3);
   for (int p = 0; p < 6; ++p) {
     MigrationPlan plan;
-    if (p % 2 == 0) {
-      for (int i = 0; i < 10; ++i) {
-        plan.slot_moves.push_back(
-            {rng.UniformInt(kNumHashSlots), rng.UniformInt(3)});
-      }
-    } else {
-      plan.id_begin = p * 50;
-      plan.id_end = p * 50 + 25;
-      plan.id_target = rng.UniformInt(3);
+    for (int i = 0; i < 10; ++i) {
+      plan.slot_moves.push_back(
+          {rng.UniformInt(kNumHashSlots), rng.UniformInt(3)});
     }
     table = *table->Apply(plan, 3);
   }
@@ -292,21 +289,31 @@ TEST(MigrationRouterPropertyTest, TableRoundTripsThroughSaveRestore) {
   ASSERT_TRUE(loaded->Save(&again).ok());
   EXPECT_EQ(again.str(), stream.str());
   // Corruption is rejected, not mis-loaded.
-  std::stringstream junk("FDRMS-ROUTING-v1\n1 0 0\n");
+  std::stringstream junk("FDRMS-ROUTING-v2\n1 0\n");
   EXPECT_FALSE(RoutingTable::Load(&junk).ok());
+  // A v1 file (rule count on the parameter line, rule lines after the
+  // owners) is refused by its header: read as v2, its rule count would
+  // shift every slot owner by one field.
+  std::string v1 = stream.str();
+  v1.replace(v1.find("-v2"), 3, "-v1");
+  v1.insert(v1.find('\n', v1.find('\n') + 1), " 0");
+  std::stringstream old_format(v1);
+  auto v1_or = RoutingTable::Load(&old_format);
+  ASSERT_FALSE(v1_or.ok());
+  EXPECT_NE(v1_or.status().ToString().find("FDRMS-ROUTING-v1"),
+            std::string::npos);
 }
 
 TEST(MigrationRouterPropertyTest, HashRouterDeterministicAcrossSaveRestore) {
-  // The default router's routing function survives a save/restore cycle of
-  // its epoch-0 table: a resumed constellation routes exactly like the one
-  // that persisted it.
-  HashShardRouter hash(4);
+  // The epoch-0 routing function (hash slot mod S) survives a
+  // save/restore cycle: a resumed constellation routes exactly like the
+  // one that persisted it.
   auto table = RoutingTable::Slotted(4);
   std::stringstream stream;
   ASSERT_TRUE(table->Save(&stream).ok());
   auto restored = *RoutingTable::Load(&stream);
   for (int id = -50; id < 5000; ++id) {
-    ASSERT_EQ(restored->Route(id), hash.Route(id)) << "id " << id;
+    ASSERT_EQ(restored->Route(id), HashSlotOf(id) % 4) << "id " << id;
   }
 }
 
@@ -374,7 +381,7 @@ TEST(MigrationServiceTest, QuiescentSlotMigrationPreservesLiveSet) {
   }
 }
 
-TEST(MigrationServiceTest, IdRangeMigrationMovesTheRange) {
+TEST(MigrationServiceTest, SlotMigrationMovesTheSlots) {
   PointSet ps = GenerateAntiCor(200, 3, 32);
   ShardedServiceOptions sopt;
   sopt.num_shards = 3;
@@ -382,11 +389,15 @@ TEST(MigrationServiceTest, IdRangeMigrationMovesTheRange) {
   sopt.shard.algo.max_utilities = 128;
   ShardedFdRmsService service(3, sopt);
   ASSERT_TRUE(service.Start(AsTuples(ps, 200)).ok());
-  ASSERT_TRUE(service.Migrate(MigrationPlan::IdRange(0, 60, 2)).ok());
+  // Move the slots holding ids [0, 60) to shard 2 (slots it already owns
+  // move nowhere; listing them is harmless).
+  std::vector<int> slots;
+  for (int id = 0; id < 60; ++id) slots.push_back(HashSlotOf(id));
+  ASSERT_TRUE(service.Migrate(MigrationPlan::Slots(slots, 2)).ok());
   for (int id = 0; id < 60; ++id) {
     EXPECT_EQ(service.router().Route(id), 2) << "id " << id;
   }
-  // Post-cutover traffic for the range lands on the new owner.
+  // Post-cutover traffic for the moved slots lands on the new owner.
   ASSERT_TRUE(service.SubmitDelete(10).ok());
   ASSERT_TRUE(service.Flush().ok());
   auto merged = service.Query();
@@ -417,8 +428,9 @@ TEST(MigrationServiceTest, InvalidPlansAndTopologiesAreRejected) {
               StatusCode::kInvalidArgument);
     EXPECT_EQ(service.Migrate(MigrationPlan::Slots({0}, 7)).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(service.Migrate(MigrationPlan::IdRange(5, 5, 0)).code(),
-              StatusCode::kInvalidArgument);  // empty range
+    EXPECT_EQ(
+        service.Migrate(MigrationPlan::Slots({kNumHashSlots}, 0)).code(),
+        StatusCode::kInvalidArgument);
     EXPECT_EQ(service.epoch(), 0u);  // nothing moved
     ASSERT_TRUE(service.Stop().ok());
   }
@@ -433,55 +445,14 @@ TEST(MigrationServiceTest, InvalidPlansAndTopologiesAreRejected) {
   }
 }
 
-/// A stand-in for a user-supplied router: modulo routing, not slot-mapped.
-class ModuloRouter final : public ShardRouter {
- public:
-  explicit ModuloRouter(int num_shards) : num_shards_(num_shards) {}
-  int num_shards() const override { return num_shards_; }
-  int Route(int id) const override {
-    return ((id % num_shards_) + num_shards_) % num_shards_;
-  }
-  const char* name() const override { return "modulo"; }
-
- private:
-  const int num_shards_;
-};
-
-TEST(MigrationServiceTest, CustomRouterSupportsRangesButNotSlots) {
-  PointSet ps = GenerateIndep(120, 2, 33);
-  ShardedServiceOptions sopt;
-  sopt.num_shards = 2;
-  sopt.shard.algo.r = 4;
-  sopt.shard.algo.max_utilities = 64;
-  ShardedFdRmsService service(2, sopt, std::make_unique<ModuloRouter>(2));
-  ASSERT_TRUE(service.Start(AsTuples(ps, 120)).ok());
-  EXPECT_EQ(service.Migrate(MigrationPlan::Slots({0}, 1)).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.AddShard().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.RemoveShard().code(), StatusCode::kFailedPrecondition);
-  // Id ranges still migrate: evict ids [0, 40) from their modulo owners.
-  Status moved = service.Migrate(MigrationPlan::IdRange(0, 40, 1));
-  ASSERT_TRUE(moved.ok()) << moved.ToString();
-  auto merged = service.Query();
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->live_tuples, 120);
-  ASSERT_TRUE(service.Stop().ok());
-  std::vector<int> on_target = LiveIdsOf(service.shard(1));
-  for (int id = 0; id < 40; ++id) {
-    EXPECT_TRUE(std::binary_search(on_target.begin(), on_target.end(), id))
-        << "id " << id;
-  }
-  ExpectOwnershipMatchesRouting(service);
-}
-
-// The tentpole scenario: 4 readers + 3 submitters churn a mixed
-// insert/delete stream while two migrations (a slot move and an id-range
-// move) cut over mid-stream. Readers assert epoch-aware snapshot
-// consistency on every view; afterwards every shard must equal a
-// sequential replay of its own journal (migration traffic included), the
-// live tuples must be partitioned exactly as the final epoch routes, and
-// the post-cutover merged snapshot must meet the k=1 regret-ratio bound on
-// the shared sampled-utility prefix.
+// The central scenario: 4 readers + 3 submitters churn a mixed
+// insert/delete stream while two slot migrations cut over mid-stream.
+// Readers assert epoch-aware snapshot consistency on every view;
+// afterwards every shard must equal a sequential replay of its own journal
+// (migration traffic included), the live tuples must be partitioned
+// exactly as the final epoch routes, and the post-cutover merged snapshot
+// must meet the k=1 regret-ratio bound on the shared sampled-utility
+// prefix.
 TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
   constexpr int kReaders = 4;
   constexpr int kSubmitters = 3;
@@ -580,8 +551,8 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
   }
 
   // Two live cutovers while the stream runs: half of shard 0's slots to
-  // shard 1 once a third of the stream is in, then an id range to shard 2
-  // at two thirds.
+  // shard 1 once a third of the stream is in, then the slots of ids
+  // [0, 45) to shard 2 at two thirds.
   auto wait_for = [&](uint64_t threshold) {
     while (service.ops_submitted() < threshold) std::this_thread::yield();
   };
@@ -591,7 +562,9 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
   Status mig1 = service.Migrate(MigrationPlan::Slots(donor_slots, 1));
   EXPECT_TRUE(mig1.ok()) << mig1.ToString();
   wait_for(2 * ops.size() / 3);
-  Status mig2 = service.Migrate(MigrationPlan::IdRange(0, 45, 2));
+  std::vector<int> hot_slots;
+  for (int id = 0; id < 45; ++id) hot_slots.push_back(HashSlotOf(id));
+  Status mig2 = service.Migrate(MigrationPlan::Slots(hot_slots, 2));
   EXPECT_TRUE(mig2.ok()) << mig2.ToString();
 
   for (std::thread& th : submitters) th.join();
@@ -765,8 +738,8 @@ TEST(MigrationDriverTest, ShardedLoadFiresMigrationEventsOnline) {
   lopt.service.shard.algo.max_utilities = 128;
   lopt.service.shard.max_batch = 16;
   using Event = ShardedLoadOptions::MigrationEvent;
-  lopt.migrations.push_back({Event::Kind::kAddShard, 0.3, {}});
-  lopt.migrations.push_back({Event::Kind::kAddShard, 0.6, {}});
+  lopt.migrations.push_back({Event::Kind::kAddShard, 0.3});
+  lopt.migrations.push_back({Event::Kind::kAddShard, 0.6});
   ShardedLoadResult res = RunShardedLoad(wl, lopt);
   EXPECT_TRUE(res.consistent);
   EXPECT_EQ(res.null_queries, 0u);  // reads never blocked or errored
@@ -797,7 +770,7 @@ TEST(MigrationDriverTest, RemoveShardEventSkipsStalenessInsteadOfInflatingIt) {
   lopt.service.shard.algo.max_utilities = 128;
   lopt.service.shard.max_batch = 16;
   using Event = ShardedLoadOptions::MigrationEvent;
-  lopt.migrations.push_back({Event::Kind::kRemoveShard, 0.4, {}});
+  lopt.migrations.push_back({Event::Kind::kRemoveShard, 0.4});
   ShardedLoadResult res = RunShardedLoad(wl, lopt);
   EXPECT_TRUE(res.consistent);
   EXPECT_EQ(res.null_queries, 0u);

@@ -616,7 +616,7 @@ TEST(ObsShardedIntegration, MigrationLifecycleIsObservable) {
   opts.service.shard.algo.r = 10;
   opts.service.shard.queue_capacity = 1024;
   opts.migrations.push_back(
-      {ShardedLoadOptions::MigrationEvent::Kind::kAddShard, 0.5, {}});
+      {ShardedLoadOptions::MigrationEvent::Kind::kAddShard, 0.5});
   ShardedLoadResult res = RunShardedLoad(wl, opts);
   ASSERT_TRUE(res.consistent);
   ASSERT_EQ(res.migrations_failed, 0u);
