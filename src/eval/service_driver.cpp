@@ -273,6 +273,20 @@ ServiceLoadResult RunServiceLoad(const Workload& workload,
 
 namespace {
 
+/// Bound on each wait of the fault drill's hand-off between the drill
+/// thread and the submitters: long enough for a loaded sanitizer build,
+/// short enough that a kill that never lands still ends the run.
+constexpr double kDrillWaitSeconds = 10.0;
+
+/// Yields until `done()` holds or `seconds` have passed.
+template <typename Pred>
+void WaitFor(double seconds, Pred done) {
+  Stopwatch waited;
+  while (!done() && waited.ElapsedSeconds() < seconds) {
+    std::this_thread::yield();
+  }
+}
+
 /// Staleness/consistency tallies of one merged-snapshot reader thread.
 struct ShardedReaderTally {
   uint64_t queries = 0;
@@ -365,6 +379,17 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
   // the controller's event fractions track the stream, not the churn).
   std::atomic<uint64_t> workload_submitted{0};
   std::atomic<bool> submitters_done{false};
+  // Fault drill progress (see the drill thread below): the kill is armed;
+  // the stream past the kill point may go on (the death landed, or its
+  // wait ran out); a reader has seen a degraded merged view.
+  std::atomic<bool> drill_armed{false};
+  std::atomic<bool> drill_released{false};
+  std::atomic<bool> degraded_seen{false};
+  const uint64_t drill_kill_at =
+      opts.fault.enabled
+          ? static_cast<uint64_t>(opts.fault.kill_at_fraction *
+                                  static_cast<double>(ops.size()))
+          : ops.size();
 
   std::vector<ShardedReaderTally> tallies(
       static_cast<size_t>(std::max(opts.num_readers, 0)));
@@ -399,6 +424,7 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
           tally.consistent = false;
         }
         if (snap->degraded_shards > 0) {
+          degraded_seen.store(true, std::memory_order_relaxed);
           ++tally.degraded_queries;
           tally.max_degraded_shards =
               std::max(tally.max_degraded_shards, snap->degraded_shards);
@@ -466,9 +492,26 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
   for (int t = 0; t < opts.num_submitters; ++t) {
     threads.emplace_back([&, t] {
       uint64_t retries = 0;
+      bool submitted_since_arm = false;
       for (size_t i = 0; i < ops.size(); ++i) {
         if (!OwnsOp(ops[i], t, opts.num_submitters)) continue;
         if (!arrival_at.empty()) WaitUntil(wall, arrival_at[i]);
+        if (i >= drill_kill_at &&
+            !drill_released.load(std::memory_order_acquire)) {
+          // Past the kill point the stream waits for the drill: one op
+          // after the arm gives a writer a batch to die on, and the rest
+          // wait for the death, so dead-shard submits are refused however
+          // the threads are scheduled.
+          WaitFor(kDrillWaitSeconds, [&] {
+            return drill_armed.load(std::memory_order_acquire);
+          });
+          if (submitted_since_arm) {
+            WaitFor(kDrillWaitSeconds, [&] {
+              return drill_released.load(std::memory_order_acquire);
+            });
+          }
+          submitted_since_arm = true;
+        }
         auto submit = [&] {
           return ops[i].is_insert
                      ? service.SubmitInsert(ops[i].id,
@@ -547,26 +590,38 @@ ShardedLoadResult RunShardedLoad(const Workload& workload,
   }
 
   // Fault drill: arm a one-shot writer death once the stream crosses the
-  // kill fraction (the next shard writer to apply a batch dies), wait for
-  // the death to land so the outage window is real, then revive at the
-  // revive fraction. Readers keep tallying degraded merges in between.
+  // kill fraction (the next shard writer to apply a batch dies). The
+  // submitters hold the rest of the stream until the death lands (bounded
+  // waits, see above). The drill then waits until a submit to the dead
+  // shard was refused and a reader saw the degraded view, so the outage is
+  // observed whatever the pacing, and revives at the revive fraction
+  // (or, by the caller, at the end of the stream).
   std::thread drill;
   std::atomic<int> drill_revived{0};
   if (opts.fault.enabled) {
     drill = std::thread([&] {
-      const uint64_t kill_at = static_cast<uint64_t>(
-          opts.fault.kill_at_fraction * static_cast<double>(ops.size()));
-      while (workload_submitted.load(std::memory_order_relaxed) < kill_at &&
+      while (workload_submitted.load(std::memory_order_relaxed) <
+                 drill_kill_at &&
              !submitters_done.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       FaultSpec die;
       die.kind = FaultKind::kDie;
       FaultPoints::Arm("writer.apply.pre", die);
-      while (service.num_unhealthy() == 0 &&
-             !submitters_done.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
+      drill_armed.store(true, std::memory_order_release);
+      WaitFor(kDrillWaitSeconds, [&] {
+        return service.num_unhealthy() > 0 ||
+               submitters_done.load(std::memory_order_acquire);
+      });
+      drill_released.store(true, std::memory_order_release);
+      WaitFor(kDrillWaitSeconds, [&] {
+        const bool refused =
+            unavailable_submits.load(std::memory_order_relaxed) > 0 ||
+            submitters_done.load(std::memory_order_acquire);
+        const bool read = opts.num_readers <= 0 ||
+                          degraded_seen.load(std::memory_order_relaxed);
+        return service.num_unhealthy() == 0 || (refused && read);
+      });
       if (opts.fault.revive_at_fraction >= 0.0) {
         const uint64_t revive_at = static_cast<uint64_t>(
             opts.fault.revive_at_fraction * static_cast<double>(ops.size()));

@@ -173,12 +173,15 @@ struct ShardedLoadOptions {
   /// Kill-a-shard-writer drill: when the submitters have pushed
   /// `kill_at_fraction` of the op stream, the driver arms a one-shot
   /// writer-death fault ("writer.apply.pre", FaultKind::kDie) — the next
-  /// shard writer to drain a batch dies. Readers then tally degraded
-  /// merged reads (the dead shard's last snapshot keeps serving) until the
-  /// driver calls ReviveDeadShards() at `revive_at_fraction`. Any shard
-  /// still dead after the submitters finish is revived before the final
-  /// drain, and the leftover fault arms are cleared, so the run always
-  /// ends on a healthy constellation.
+  /// shard writer to drain a batch dies. Past the kill point the
+  /// submitters wait for the death (each wait bounded at 10 s), and the
+  /// shard stays dead at least until a submit to it was refused and a
+  /// reader saw the degraded view, whatever the pacing. Readers tally
+  /// degraded merged reads (the dead shard's last snapshot keeps serving)
+  /// until RunShardedLoad calls ReviveDeadShards() at `revive_at_fraction`.
+  /// Any shard still dead after the submitters finish is revived before the
+  /// final drain, and the leftover fault arms are cleared, so the run
+  /// always ends on a healthy constellation.
   struct FaultDrill {
     bool enabled = false;
     double kill_at_fraction = 0.4;

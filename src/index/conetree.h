@@ -69,6 +69,9 @@ class ConeTree {
     return tau_[static_cast<size_t>(utility_index)];
   }
 
+  /// The utilities as a row-major double slab, row i = utility i.
+  const ScoreMatrix& utility_rows() const { return rows_; }
+
   /// Indices of all utilities with <u, p> >= tau(u), ascending. `p` need
   /// not be normalized.
   std::vector<int> FindReached(const Point& p) const;

@@ -1,6 +1,7 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -552,18 +553,71 @@ std::vector<ScoredId> KdTree::TopK(const Point& u, int k) const {
   return out;
 }
 
-void KdTree::CollectRange(int node_id, const Point& u, double threshold,
-                          std::vector<ScoredId>* out) const {
-  const Node& node = nodes_[static_cast<size_t>(node_id)];
-  if (NodeUpperBound(node_id, u) < threshold) return;
-  if (node.is_leaf()) {
-    ScanLeaf(node_id, u.data(), [&](double score, int id) {
-      if (score >= threshold) out->push_back({score, id});
+template <typename Emit>
+void KdTree::WalkOne(int node, const double* u, double threshold, int g,
+                     Emit& emit) const {
+  // <u, box_max> is exact since u >= 0.
+  if (DotContiguous(u, boxmax_.row(node), dim_) < threshold) return;
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.is_leaf()) {
+    ScanLeaf(node, u, [&](double score, int id) {
+      if (score >= threshold) emit(g, score, id);
     });
     return;
   }
-  CollectRange(node.left, u, threshold, out);
-  CollectRange(node.right, u, threshold, out);
+  WalkOne(n.left, u, threshold, g, emit);
+  WalkOne(n.right, u, threshold, g, emit);
+}
+
+size_t KdTree::KeepReaching(int node, const RangeGroup& group,
+                            const int* active, size_t count,
+                            int* kept) const {
+  FDRMS_CHECK(kept + count <= group.kept_limit);
+  const double* box = boxmax_.row(node);
+  size_t n_kept = 0;
+  for (size_t first = 0; first < count; first += kScanChunk) {
+    const size_t n = std::min(kScanChunk, count - first);
+    int idx[kScanChunk];
+    double bound[kScanChunk];
+    for (size_t j = 0; j < n; ++j) idx[j] = group.rows[active[first + j]];
+    ScoreGather(group.base, group.stride, dim_, idx, n, box, bound);
+    for (size_t j = 0; j < n; ++j) {
+      const int g = active[first + j];
+      kept[n_kept] = g;
+      n_kept += bound[j] >= group.thresholds[g] ? 1 : 0;
+    }
+  }
+  return n_kept;
+}
+
+template <typename Emit>
+void KdTree::WalkGroup(int node, const RangeGroup& group, const int* active,
+                       size_t count, int* kept, Emit& emit) const {
+  if (count == 1) {
+    const int g = active[0];
+    const double* u =
+        group.base + static_cast<size_t>(group.rows[g]) * group.stride;
+    WalkOne(node, u, group.thresholds[g], g, emit);
+    return;
+  }
+  const size_t n_kept = KeepReaching(node, group, active, count, kept);
+  if (n_kept == 0) return;
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.is_leaf()) {
+    for (size_t i = 0; i < n_kept; ++i) {
+      const int g = kept[i];
+      const double threshold = group.thresholds[g];
+      ScanLeaf(node,
+               group.base + static_cast<size_t>(group.rows[g]) * group.stride,
+               [&](double score, int id) {
+                 if (score >= threshold) emit(g, score, id);
+               });
+    }
+    return;
+  }
+  // Both children read this node's list and write theirs after it.
+  WalkGroup(n.left, group, kept, n_kept, kept + n_kept, emit);
+  WalkGroup(n.right, group, kept, n_kept, kept + n_kept, emit);
 }
 
 std::vector<ScoredId> KdTree::ScoreRange(const Point& u,
@@ -577,8 +631,39 @@ void KdTree::ScoreRange(const Point& u, double threshold,
                         std::vector<ScoredId>* out) const {
   FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
   out->clear();
-  if (root_ >= 0) CollectRange(root_, u, threshold, out);
+  auto emit = [&](int, double score, int id) { out->push_back({score, id}); };
+  if (root_ >= 0) WalkOne(root_, u.data(), threshold, 0, emit);
   std::sort(out->begin(), out->end(), BetterScore);
+}
+
+void KdTree::ScoreRanges(const double* base, size_t stride, const int* rows,
+                         const double* thresholds, const double* ceilings,
+                         size_t count,
+                         std::vector<std::vector<ScoredId>>* out) const {
+  out->resize(count);
+  for (std::vector<ScoredId>& hits : *out) hits.clear();
+  if (root_ >= 0 && count > 0) {
+    // The lists on one root-to-leaf path: the group, then one kept list
+    // per node, each at most `count` long, over at most depth + 1 nodes;
+    // the depth is at most 2 * ceil(log2 leaves) (see the file comment).
+    const unsigned leaves =
+        static_cast<unsigned>(nodes_[static_cast<size_t>(root_)].leaves);
+    const size_t depth = 2 * static_cast<size_t>(std::bit_width(leaves));
+    std::vector<int> lists(count * (depth + 2));
+    std::iota(lists.begin(), lists.begin() + static_cast<ptrdiff_t>(count),
+              0);
+    const RangeGroup group{base, stride, rows, thresholds,
+                           lists.data() + lists.size()};
+    auto emit = [&](int g, double score, int id) {
+      if (score < ceilings[g]) {
+        (*out)[static_cast<size_t>(g)].push_back({score, id});
+      }
+    };
+    WalkGroup(root_, group, lists.data(), count, lists.data() + count, emit);
+  }
+  for (std::vector<ScoredId>& hits : *out) {
+    std::sort(hits.begin(), hits.end(), BetterScore);
+  }
 }
 
 Status KdTree::CheckInvariants() const {

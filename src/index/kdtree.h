@@ -35,6 +35,17 @@
 /// below a quarter of leaves * leaf_size, which reclaims leaves after mass
 /// deletion.
 ///
+/// Range queries: one walk serves many utilities. ScoreRanges answers the
+/// score-band queries of a group of utilities (the utilities one delete
+/// re-ranks, see topk/topk_maintainer.h) together. The walk carries the
+/// utilities still active down the tree: at each node one gather call
+/// scores their rows against the node's box-max row, and a utility whose
+/// bound falls below its threshold leaves the walk for that subtree; once
+/// one utility is left it descends alone. Leaves are scanned per active
+/// utility. Each node on the walk is thus read once for the group instead
+/// of once per utility. ScoreRange is the one-utility call of the same
+/// walk.
+///
 /// Hot-path layout: each leaf owns one fixed block of 2 * leaf_size rows in
 /// a ScoreMatrix slab (blocks are recycled through a free list), and its
 /// live rows are the contiguous prefix of that block. Leaves are scanned
@@ -133,12 +144,24 @@ class KdTree {
   /// Exact top-k under utility `u` (fewer if size() < k), best first.
   std::vector<ScoredId> TopK(const Point& u, int k) const;
 
-  /// All live tuples with <u, p> >= threshold, best first.
+  /// All live tuples with <u, p> >= threshold, best first: the
+  /// one-utility call of ScoreRanges.
   std::vector<ScoredId> ScoreRange(const Point& u, double threshold) const;
   /// ScoreRange into a caller-owned vector (cleared first), so a caller
   /// that queries repeatedly reuses one allocation.
   void ScoreRange(const Point& u, double threshold,
                   std::vector<ScoredId>* out) const;
+
+  /// Score-band queries of a group of utilities, answered by one walk.
+  /// Utility g < count is row rows[g] of the slab at `base` (rows `stride`
+  /// doubles apart, dim() nonnegative coordinates each); (*out)[g] gets
+  /// every live tuple with thresholds[g] <= <u_g, p> < ceilings[g], best
+  /// first. With an infinite ceiling that is exactly ScoreRange's answer.
+  /// `out` is resized to `count` and its vectors keep their capacity.
+  void ScoreRanges(const double* base, size_t stride, const int* rows,
+                   const double* thresholds, const double* ceilings,
+                   size_t count,
+                   std::vector<std::vector<ScoredId>>* out) const;
 
   /// Batch scores: out[j] = <u, point(ids[j])> via the dispatched gather
   /// kernel over the point slab (bit-identical to per-id Dot). Every id
@@ -240,8 +263,30 @@ class KdTree {
   void TightenBoxes(int leaf, const double* removed);
   /// <u, box_max(node)> — exact bound since u >= 0.
   double NodeUpperBound(int node_id, const Point& u) const;
-  void CollectRange(int node_id, const Point& u, double threshold,
-                    std::vector<ScoredId>* out) const;
+  /// The walks behind ScoreRange and ScoreRanges call `emit(g, score, id)`
+  /// for every live row with <u_g, p> >= thresholds[g], in no particular
+  /// order. WalkGroup visits `node` for the group utilities
+  /// active[0, count), whose bound reached their threshold at every
+  /// ancestor; the ones that also reach it at `node` go to `kept` (below
+  /// group.kept_limit) as the children's list. A list narrowed to one
+  /// utility continues as WalkOne, which carries that utility alone.
+  struct RangeGroup {
+    const double* base;
+    size_t stride;
+    const int* rows;
+    const double* thresholds;
+    const int* kept_limit;
+  };
+  template <typename Emit>
+  void WalkGroup(int node, const RangeGroup& group, const int* active,
+                 size_t count, int* kept, Emit& emit) const;
+  template <typename Emit>
+  void WalkOne(int node, const double* u, double threshold, int g,
+               Emit& emit) const;
+  /// WalkGroup's filter: one gather call per kScanChunk utilities scores
+  /// their rows against the box-max row of `node`. Returns the kept count.
+  size_t KeepReaching(int node, const RangeGroup& group, const int* active,
+                      size_t count, int* kept) const;
 
   /// Calls `fn(score, id)` for every row of leaf `leaf`, scoring its
   /// contiguous block prefix with the blocked kernel.

@@ -1,6 +1,7 @@
 #include "setcover/dynamic_set_cover.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <string>
 #include <tuple>
@@ -11,16 +12,18 @@ namespace fdrms {
 
 DynamicSetCover::DynamicSetCover(int element_capacity)
     : system_(element_capacity),
+      levels_(std::max(1, static_cast<int>(std::bit_width(
+                              static_cast<unsigned>(element_capacity))))),
       phi_(element_capacity, -1),
       elem_level_(element_capacity, -1),
       cov_pos_(element_capacity, -1),
       in_universe_(element_capacity, false) {}
 
-int DynamicSetCover::LevelForSize(int size) {
+int DynamicSetCover::LevelForSize(int size) const {
   FDRMS_DCHECK(size >= 1);
   int level = 0;
   while ((2LL << level) <= size) ++level;  // largest j with 2^j <= size
-  FDRMS_DCHECK(level < kMaxLevels);
+  FDRMS_DCHECK(level < levels_);
   return level;
 }
 
@@ -49,7 +52,7 @@ void DynamicSetCover::GrowSlots() {
   cov_.resize(n);
   level_.resize(n, -1);
   cover_pos_.resize(n, -1);
-  counts_.resize(n * kMaxLevels, 0);
+  counts_.resize(n * levels_, 0);
 }
 
 void DynamicSetCover::CovInsert(int slot, int element) {
@@ -306,7 +309,7 @@ void DynamicSetCover::RemoveSet(int set_id) {
     LeaveCover(slot);
   }
   system_.RemoveSet(set_id);
-  std::fill_n(CountsRow(slot), kMaxLevels, 0);
+  std::fill_n(CountsRow(slot), levels_, 0);
   for (int e : orphans) Reassign(e);
   Stabilize();
 }
@@ -426,7 +429,7 @@ Status DynamicSetCover::CheckInvariants() const {
   }
   // 2. Stability Condition 2 and count-cache correctness, by brute force.
   // A free slot (no links) must hold no cover state and a zero row.
-  std::vector<int> true_counts(kMaxLevels);
+  std::vector<int> true_counts(levels_);
   for (int slot = 0; slot < system_.slot_capacity(); ++slot) {
     const auto& links = system_.SlotLinks(slot);
     std::fill(true_counts.begin(), true_counts.end(), 0);
@@ -445,7 +448,7 @@ Status DynamicSetCover::CheckInvariants() const {
                            : "set " + std::to_string(system_.SetIdOf(slot));
     };
     const int* row = CountsRow(slot);
-    for (int j = 0; j < kMaxLevels; ++j) {
+    for (int j = 0; j < levels_; ++j) {
       if (row[j] != true_counts[static_cast<size_t>(j)]) {
         return Status::Internal("count cache mismatch for " + set_name());
       }

@@ -18,8 +18,10 @@
 /// the smallest violated (set id, level) key first.
 ///
 /// Per-set state lives in flat arrays indexed by the set's slot in the
-/// SetSystem: a row of kMaxLevels counts, the level, and cov(S) as a vector
+/// SetSystem: a row of level counts, the level, and cov(S) as a vector
 /// with each element's position in it, so cov insert and erase are O(1).
+/// |cov(S)| never exceeds the element capacity M, so a row holds
+/// floor(log2 M) + 1 levels (12 at M = 2048).
 /// Every choice the algorithm makes (the covering set Reassign picks, the
 /// order of violations, donors and orphans) is a function of the set ids
 /// and the incidence, never of slot numbers or list order, so equal inputs
@@ -88,18 +90,17 @@ class DynamicSetCover {
   Status CheckInvariants() const;
 
   static constexpr int kUnassigned = -1;
-  static constexpr int kMaxLevels = 34;
 
  private:
-  static int LevelForSize(int size);
+  int LevelForSize(int size) const;
 
   /// Sizes the per-slot arrays to the system's slot capacity.
   void GrowSlots();
   int* CountsRow(int slot) {
-    return counts_.data() + static_cast<size_t>(slot) * kMaxLevels;
+    return counts_.data() + static_cast<size_t>(slot) * levels_;
   }
   const int* CountsRow(int slot) const {
-    return counts_.data() + static_cast<size_t>(slot) * kMaxLevels;
+    return counts_.data() + static_cast<size_t>(slot) * levels_;
   }
   /// cov(slot) += element / -= element, O(1).
   void CovInsert(int slot, int element);
@@ -130,6 +131,8 @@ class DynamicSetCover {
   void Stabilize();
 
   SetSystem system_;
+  // Levels a set can reach: floor(log2 element_capacity) + 1.
+  int levels_;
   // Per element.
   std::vector<int> phi_;         // slot of φ(e), -1 if unassigned
   std::vector<int> elem_level_;  // level of φ(e), -1 if unassigned
@@ -140,7 +143,7 @@ class DynamicSetCover {
   std::vector<std::vector<int>> cov_;
   std::vector<int> level_;      // -1 if not in C
   std::vector<int> cover_pos_;  // index in cover_slots_, -1 if not in C
-  // counts_[slot * kMaxLevels + j] = |S ∩ A_j| over assigned universe
+  // counts_[slot * levels_ + j] = |S ∩ A_j| over assigned universe
   // elements. A free slot's row is all zero.
   std::vector<int> counts_;
   std::vector<int> cover_slots_;  // the slots of C

@@ -1,6 +1,8 @@
 #include "topk/topk_maintainer.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -15,6 +17,7 @@ TopKMaintainer::TopKMaintainer(int dim, int k, double eps,
       tree_(dim),
       cone_(utilities_),
       topk_(utilities_.size()),
+      affected_mark_((utilities_.size() + 63) / 64, 0),
       phi_(static_cast<int>(utilities_.size())) {
   FDRMS_CHECK(k_ >= 1);
   FDRMS_CHECK(eps_ >= 0.0 && eps_ < 1.0);
@@ -111,52 +114,79 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
   if (!tree_.Contains(id)) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not present");
   }
-  // Only utilities whose Φ set contains `id` can change (S(p) in the paper).
-  const SetSystem::KeyRange member_of = MemberOf(id);
-  affected_scratch_.assign(member_of.begin(), member_of.end());
-  std::sort(affected_scratch_.begin(), affected_scratch_.end());
+  // Only utilities whose Φ set contains `id` can change (S(p) in the
+  // paper). Read them back ascending from a bit mark, then purge `id`
+  // from Φ in one call.
+  affected_scratch_.clear();
+  int lo = num_utilities();
+  int hi = -1;
+  for (int u : MemberOf(id)) {
+    affected_mark_[static_cast<size_t>(u) / 64] |= uint64_t{1} << (u % 64);
+    lo = std::min(lo, u);
+    hi = std::max(hi, u);
+  }
+  for (int w = lo / 64; hi >= 0 && w <= hi / 64; ++w) {
+    uint64_t bits = affected_mark_[static_cast<size_t>(w)];
+    affected_mark_[static_cast<size_t>(w)] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      affected_scratch_.push_back(w * 64 + std::countr_zero(bits));
+    }
+  }
+  phi_.RemoveSet(id);
   FDRMS_RETURN_NOT_OK(tree_.Delete(id));
+
+  // Re-rank every utility whose exact top-k held `id`. The surviving
+  // members all score >= the old τ and every non-member scores below it
+  // (see the header), so with at least k survivors the k best of them are
+  // the new exact top-k: one gather over Φ replaces the kd-tree search.
+  rebuilt_.clear();
+  rebuilt_tau_.clear();
+  rebuilt_old_tau_.clear();
   for (int u : affected_scratch_) {
-    EmitRemove(u, id, deltas);
     auto& list = topk_[u];
-    auto in_topk = std::find_if(list.begin(), list.end(),
-                                [&](const ScoredId& s) { return s.id == id; });
-    if (in_topk == list.end()) continue;  // only the approx tail changes
-    RebuildUtility(u, deltas);
+    if (std::none_of(list.begin(), list.end(),
+                     [&](const ScoredId& s) { return s.id == id; })) {
+      continue;  // only the approx tail changes
+    }
+    rebuilt_old_tau_.push_back(ThresholdFor(u));
+    const Point& utility = utilities_[u];
+    const SetSystem::KeyRange members = phi_.SetsContaining(u);
+    if (static_cast<int>(members.size()) >= k_) {
+      member_scratch_.assign(members.begin(), members.end());
+      member_score_scratch_.resize(member_scratch_.size());
+      tree_.ScoreIds(utility.data(), member_scratch_,
+                     member_score_scratch_.data());
+      ranked_scratch_.resize(member_scratch_.size());
+      for (size_t i = 0; i < member_scratch_.size(); ++i) {
+        ranked_scratch_[i] = {member_score_scratch_[i], member_scratch_[i]};
+      }
+      std::partial_sort(ranked_scratch_.begin(), ranked_scratch_.begin() + k_,
+                        ranked_scratch_.end(), BetterScore);
+      list.assign(ranked_scratch_.begin(), ranked_scratch_.begin() + k_);
+    } else {
+      list = tree_.TopK(utility, k_);
+    }
+    rebuilt_.push_back(u);
+    rebuilt_tau_.push_back(ThresholdFor(u));
+  }
+  // ω_k only decreases on deletion, so the members stay eligible and the
+  // entrants are the tuples scoring in [new τ, old τ): by the invariant,
+  // exactly the non-members at or above the new τ. One kd-tree walk finds
+  // them for every re-ranked utility.
+  const ScoreMatrix& rows = cone_.utility_rows();
+  tree_.ScoreRanges(rows.row(0), rows.stride(), rebuilt_.data(),
+                    rebuilt_tau_.data(), rebuilt_old_tau_.data(),
+                    rebuilt_.size(), &ranges_scratch_);
+  // Per utility, ascending: its removal, then its entrants best first.
+  size_t g = 0;
+  for (int u : affected_scratch_) {
+    if (deltas != nullptr) deltas->push_back({u, id, /*added=*/false});
+    if (g == rebuilt_.size() || rebuilt_[g] != u) continue;
+    for (const ScoredId& s : ranges_scratch_[g]) EmitAdd(u, s.id, deltas);
+    cone_.SetThreshold(u, rebuilt_tau_[g]);
+    ++g;
   }
   return Status::OK();
-}
-
-void TopKMaintainer::RebuildUtility(int utility, std::vector<TopKDelta>* deltas) {
-  const Point& u = utilities_[utility];
-  const SetSystem::KeyRange members = phi_.SetsContaining(utility);
-  auto& list = topk_[utility];
-  if (static_cast<int>(members.size()) >= k_) {
-    // The surviving members all score >= the old τ and every non-member
-    // scores below it (see the header), so the k best survivors are the new
-    // exact top-k: one gather over Φ replaces the kd-tree search.
-    member_scratch_.assign(members.begin(), members.end());
-    member_score_scratch_.resize(member_scratch_.size());
-    tree_.ScoreIds(u.data(), member_scratch_,
-                   member_score_scratch_.data());
-    ranked_scratch_.resize(member_scratch_.size());
-    for (size_t i = 0; i < member_scratch_.size(); ++i) {
-      ranked_scratch_[i] = {member_score_scratch_[i], member_scratch_[i]};
-    }
-    std::partial_sort(ranked_scratch_.begin(), ranked_scratch_.begin() + k_,
-                      ranked_scratch_.end(), BetterScore);
-    list.assign(ranked_scratch_.begin(), ranked_scratch_.begin() + k_);
-  } else {
-    list = tree_.TopK(u, k_);
-  }
-  double tau = ThresholdFor(utility);
-  // ω_k only decreases on deletion, so existing members stay eligible; the
-  // range query finds the (possibly new) entrants at the lowered bar.
-  tree_.ScoreRange(u, tau, &ranked_scratch_);
-  for (const ScoredId& s : ranked_scratch_) {
-    if (!phi_.Contains(utility, s.id)) EmitAdd(utility, s.id, deltas);
-  }
-  cone_.SetThreshold(utility, tau);
 }
 
 Status TopKMaintainer::ValidateAgainstBruteForce() const {

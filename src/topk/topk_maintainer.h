@@ -15,10 +15,20 @@
 ///
 /// Invariant the delete repair relies on: with τ = (1 - ε) * ω_k, every
 /// member of Φ scores >= τ and every live non-member scores strictly below
-/// τ, so Φ ⊇ the exact top-k. When a delete removes a top-k tuple and at
-/// least k members survive, the k best survivors are therefore the new
-/// exact top-k; only when fewer survive does the repair search the kd-tree.
-/// Either way a score-range query at the lowered τ then finds the entrants.
+/// τ, so Φ ⊇ the exact top-k. A delete of p repairs all of S(p) as one
+/// group:
+///  1. S(p) is read back in ascending utility order from a bit mark, and
+///     p leaves every Φ set in one SetSystem::RemoveSet.
+///  2. Each utility whose exact top-k held p is re-ranked. With at least k
+///     surviving members, the k best survivors are the new exact top-k by
+///     the invariant; only when fewer survive is the kd-tree searched.
+///  3. One KdTree::ScoreRanges walk answers the range queries of all
+///     re-ranked utilities at their lowered τ.
+///  4. The entrants of a utility are its range hits scoring below its old
+///     τ: by the invariant those are exactly the hits outside Φ, so no
+///     membership lookup is needed.
+/// The deltas come out as a per-utility repair would emit them: for each u
+/// in S(p) ascending, the removal of p, then u's entrants best first.
 ///
 /// The Φ sets are kept as a flat SetSystem (elements = utilities, sets =
 /// tuple ids), so both Φ(u) and S(p) are contiguous to enumerate and a
@@ -28,6 +38,7 @@
 /// ascending id order); FD-RMS consumes them to update the set system Σ and
 /// the dynamic set-cover solution.
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -96,7 +107,6 @@ class TopKMaintainer {
 
  private:
   double ThresholdFor(int utility) const;
-  void RebuildUtility(int utility, std::vector<TopKDelta>* deltas);
   void EmitAdd(int utility, int id, std::vector<TopKDelta>* deltas);
   void EmitRemove(int utility, int id, std::vector<TopKDelta>* deltas);
 
@@ -114,12 +124,19 @@ class TopKMaintainer {
   std::vector<double> member_score_scratch_;
   std::vector<int> evicted_scratch_;
   /// Scratch for the delete repair: the utilities holding the deleted
-  /// tuple, and the ranked survivors / range-query results of one utility.
+  /// tuple (ascending), the ranked survivors of one utility, and per
+  /// re-ranked utility its old and new τ and its range-query hits.
   std::vector<int> affected_scratch_;
   std::vector<ScoredId> ranked_scratch_;
+  std::vector<int> rebuilt_;
+  std::vector<double> rebuilt_old_tau_;
+  std::vector<double> rebuilt_tau_;
+  std::vector<std::vector<ScoredId>> ranges_scratch_;
   KdTree tree_;
   ConeTree cone_;
   std::vector<std::vector<ScoredId>> topk_;  // per utility
+  /// One bit per utility, all clear between deletes: orders S(p).
+  std::vector<uint64_t> affected_mark_;
   SetSystem phi_;  // utility u ∈ S(p) ⟺ p ∈ Φ(u)
 };
 

@@ -1215,12 +1215,10 @@ TEST_F(FaultDriverTest, FaultDrillKillsDegradesAndRevives) {
   lopt.service.shard.algo.max_utilities = 128;
   lopt.service.shard.max_batch = 16;
   lopt.service.health_poll_every_ms = 5;
-  // Pace the stream so the outage window is real wall-clock time the
-  // readers observe, not a burst that ends before the kill lands. 400/s
-  // over 400 ops is a ~1s stream: the drill arms at 10% (~100ms) and the
-  // death must fire with most of the paced stream still ahead of it, even
-  // under TSan's scheduler, so dead-shard submits are actually refused.
-  lopt.arrival.push_back({1.0, 400.0});
+  // No pacing: RunShardedLoad holds the stream past the kill point until
+  // the death lands, and keeps the shard dead until a submit to it was
+  // refused and a reader saw the degraded view, so the outage is observed
+  // however the threads are scheduled.
   lopt.retry_submits = true;
   lopt.submit_retry.initial_backoff_us = 50;
   lopt.submit_retry.max_backoff_us = 500;

@@ -283,6 +283,83 @@ TEST(SimdDispatchTest, KdTreeQueriesMatchBruteForceOnEveryTier) {
   }
 }
 
+// The group walk (KdTree::ScoreRanges) against per-utility brute force on
+// every tier, under churn. Group sizes straddle the walk's 64-utility
+// gather chunk: one utility, chunk - 1, chunk, chunk + 1, and every
+// utility of the slab. Rows are drawn in random order with repeats,
+// thresholds range from "every tuple" (0) to "no tuple" (above the best),
+// and every third utility has a finite ceiling.
+TEST(SimdDispatchTest, KdTreeGroupRangeWalkMatchesBruteForceOnEveryTier) {
+  constexpr int kSlabRows = 150;
+  for (SimdTier tier : AvailableTiers()) {
+    ScopedSimdTier scoped(tier);
+    Rng rng(4321);
+    const int d = 5;
+    KdTree tree(d, /*leaf_size=*/4);
+    const std::vector<Point> utils = SampleUtilityVectors(kSlabRows, d, &rng);
+    const ScoreMatrix slab(utils);
+    std::unordered_map<int, Point> live;
+    int next_id = 0;
+    std::vector<std::vector<ScoredId>> ranges;
+    for (int op = 0; op < 700; ++op) {
+      const bool do_insert = live.empty() || rng.Uniform() < 0.6;
+      if (do_insert) {
+        Point p(static_cast<size_t>(d));
+        for (double& v : p) v = rng.Uniform();
+        ASSERT_TRUE(tree.Insert(next_id, p).ok());
+        live.emplace(next_id, p);
+        ++next_id;
+      } else {
+        auto it = live.begin();
+        std::advance(it, rng.UniformInt(static_cast<int>(live.size())));
+        ASSERT_TRUE(tree.Delete(it->first).ok());
+        live.erase(it);
+      }
+      if (op % 50 != 49 || live.empty()) continue;
+      for (int group : {1, 63, 64, 65, kSlabRows}) {
+        std::vector<int> rows(static_cast<size_t>(group));
+        std::vector<double> thresholds(static_cast<size_t>(group));
+        std::vector<double> ceilings(static_cast<size_t>(group));
+        for (int g = 0; g < group; ++g) {
+          const int row = group == kSlabRows ? g : rng.UniformInt(kSlabRows);
+          rows[static_cast<size_t>(g)] = row;
+          const Point& u = utils[static_cast<size_t>(row)];
+          const double best = BruteTopK(live, u, 1)[0].score;
+          const double scale[] = {0.0, 0.8, 0.95, 1.0, 1.5};
+          thresholds[static_cast<size_t>(g)] =
+              best * scale[(g + op / 50) % 5];
+          ceilings[static_cast<size_t>(g)] =
+              g % 3 == 0 ? best * 0.97
+                         : std::numeric_limits<double>::infinity();
+        }
+        tree.ScoreRanges(slab.row(0), slab.stride(), rows.data(),
+                         thresholds.data(), ceilings.data(), rows.size(),
+                         &ranges);
+        ASSERT_EQ(ranges.size(), rows.size());
+        for (int g = 0; g < group; ++g) {
+          const Point& u = utils[static_cast<size_t>(rows[g])];
+          const double thr = thresholds[static_cast<size_t>(g)];
+          const double ceiling = ceilings[static_cast<size_t>(g)];
+          std::vector<ScoredId> expect, expect_band;
+          for (const auto& [id, p] : live) {
+            const double s = Dot(u, p);
+            if (s >= thr) expect.push_back({s, id});
+            if (s >= thr && s < ceiling) expect_band.push_back({s, id});
+          }
+          std::sort(expect.begin(), expect.end(), BetterScore);
+          std::sort(expect_band.begin(), expect_band.end(), BetterScore);
+          ASSERT_EQ(ranges[static_cast<size_t>(g)], expect_band)
+              << SimdTierName(tier) << " op " << op << " group " << group
+              << " member " << g;
+          if (group == 1) {
+            ASSERT_EQ(tree.ScoreRange(u, thr), expect);
+          }
+        }
+      }
+    }
+  }
+}
+
 // Cone-tree FindReached against its scalar brute-force oracle per tier.
 TEST(SimdDispatchTest, ConeTreeFindReachedMatchesBruteForceOnEveryTier) {
   for (SimdTier tier : AvailableTiers()) {

@@ -227,5 +227,53 @@ TEST(SnapshotTest, EmptyDatabaseRoundTrips) {
   ASSERT_TRUE((*loaded)->Insert(1, {0.5, 0.5}).ok());
 }
 
+// Decoder corruption matrix over a small saved file: every truncation,
+// and every byte flipped by one bit and by all eight. Each mutant must
+// either load into an instance that passes Validate() or fail with a
+// Status; none may crash. The file is small, so no claimed count in it
+// can reach an allocation that matters, and the ASan build catches any
+// out-of-bounds read.
+TEST(SnapshotCorruptionTest, EveryTruncationAndByteFlipLoadsValidOrFails) {
+  PointSet ps = GenerateIndep(10, 2, 5);
+  FdRmsOptions opt;
+  opt.k = 2;
+  opt.r = 3;
+  opt.eps = 0.1;
+  opt.max_utilities = 12;
+  opt.seed = 7;
+  FdRms algo(2, opt);
+  ASSERT_TRUE(algo.Initialize(AsTuples(ps)).ok());
+  std::stringstream saved;
+  ASSERT_TRUE(SaveSnapshot(algo, &saved).ok());
+  const std::string bytes = saved.str();
+
+  int decoded = 0, rejected = 0;
+  auto run = [&](const std::string& mutant, const std::string& what) {
+    std::istringstream in(mutant);
+    Result<std::unique_ptr<FdRms>> loaded = LoadSnapshot(&in);
+    if (!loaded.ok()) {
+      EXPECT_FALSE(loaded.status().message().empty()) << what;
+      ++rejected;
+      return;
+    }
+    ++decoded;
+    const Status valid = (*loaded)->Validate();
+    EXPECT_TRUE(valid.ok()) << what << ": " << valid.ToString();
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    run(bytes.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned char mask : {0x01, 0xFF}) {
+      std::string mutant = bytes;
+      mutant[i] = static_cast<char>(static_cast<unsigned char>(mutant[i]) ^
+                                    mask);
+      run(mutant, "byte " + std::to_string(i) + " ^ " + std::to_string(mask));
+    }
+  }
+  EXPECT_GT(decoded, 0);   // e.g. a seed digit changed
+  EXPECT_GT(rejected, 0);  // e.g. the magic line cut short
+}
+
 }  // namespace
 }  // namespace fdrms

@@ -254,5 +254,100 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// The delta stream a delete of `id` must emit, from brute force over the
+/// live tuples: for each utility whose Φ held `id`, ascending, the removal
+/// of `id`; and when `id` was in that utility's exact top-k, the entrants
+/// (τ_new <= score < τ_old) best first.
+std::vector<TopKDelta> ExpectedDeleteStream(
+    const std::unordered_map<int, Point>& live, const std::vector<Point>& utils,
+    int k, double eps, int id) {
+  std::vector<TopKDelta> stream;
+  for (int u = 0; u < static_cast<int>(utils.size()); ++u) {
+    std::vector<ScoredId> all;
+    for (const auto& [tid, p] : live) all.push_back({Dot(utils[u], p), tid});
+    std::sort(all.begin(), all.end(), BetterScore);
+    auto tau_of = [&](const std::vector<ScoredId>& ranked) {
+      return static_cast<int>(ranked.size()) < k
+                 ? 0.0
+                 : (1.0 - eps) * ranked[static_cast<size_t>(k) - 1].score;
+    };
+    const double old_tau = tau_of(all);
+    const auto self = std::find_if(all.begin(), all.end(),
+                                   [&](const ScoredId& s) { return s.id == id; });
+    if (self->score < old_tau) continue;  // `id` is not in Φ(u)
+    stream.push_back({u, id, /*added=*/false});
+    const bool in_topk = self - all.begin() < k;
+    all.erase(self);
+    if (!in_topk) continue;
+    const double new_tau = tau_of(all);
+    for (const ScoredId& s : all) {
+      if (s.score >= new_tau && s.score < old_tau) {
+        stream.push_back({u, s.id, /*added=*/true});
+      }
+    }
+  }
+  return stream;
+}
+
+class TopKGroupRepairTest : public ::testing::TestWithParam<int> {};
+
+// A hub tuple that dominates every other tuple is top-1 for every utility,
+// so deleting it repairs all M utilities as one group: the stream must
+// still be, utility by utility in ascending order, the removal and then
+// the entrants best first.
+TEST_P(TopKGroupRepairTest, HubDeleteEmitsPerUtilityStreamInOrder) {
+  const int k = GetParam();
+  const double eps = 0.1;
+  const int d = 3;
+  const int num_utils = 96;
+  Rng rng(31 + static_cast<uint32_t>(k));
+  const std::vector<Point> utils = SampleUtilityVectors(num_utils, d, &rng);
+  TopKMaintainer m(d, k, eps, utils);
+  std::unordered_map<int, Point> live;
+  for (int id = 0; id < 300; ++id) {
+    Point p(d);
+    for (double& v : p) v = rng.Uniform();
+    ASSERT_TRUE(m.Insert(id, p, nullptr).ok());
+    live.emplace(id, p);
+  }
+  const int hub = 1000;
+  ASSERT_TRUE(m.Insert(hub, {2.0, 2.0, 2.0}, nullptr).ok());
+  live.emplace(hub, Point{2.0, 2.0, 2.0});
+  ASSERT_EQ(m.MemberOf(hub).size(), static_cast<size_t>(num_utils));
+  for (int u = 0; u < num_utils; ++u) {
+    ASSERT_EQ(m.ExactTopK(u).front().id, hub);
+  }
+
+  const std::vector<TopKDelta> expected =
+      ExpectedDeleteStream(live, utils, k, eps, hub);
+  std::vector<TopKDelta> deltas;
+  ASSERT_TRUE(m.Delete(hub, &deltas).ok());
+  live.erase(hub);
+  EXPECT_EQ(deltas, expected);
+  EXPECT_GT(std::count_if(deltas.begin(), deltas.end(),
+                          [](const TopKDelta& d) { return d.added; }),
+            0);
+  ASSERT_TRUE(m.ValidateAgainstBruteForce().ok());
+
+  // Further deletes of top-ranked and tail members keep the exact stream.
+  for (int round = 0; round < 40; ++round) {
+    const int u = rng.UniformInt(num_utils);
+    const auto phi = m.ApproxTopK(u);
+    std::vector<int> members(phi.begin(), phi.end());
+    std::sort(members.begin(), members.end());
+    const int id = members[static_cast<size_t>(
+        rng.UniformInt(static_cast<int>(members.size())))];
+    const std::vector<TopKDelta> want =
+        ExpectedDeleteStream(live, utils, k, eps, id);
+    deltas.clear();
+    ASSERT_TRUE(m.Delete(id, &deltas).ok());
+    live.erase(id);
+    ASSERT_EQ(deltas, want) << "round " << round << " id " << id;
+  }
+  ASSERT_TRUE(m.ValidateAgainstBruteForce().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(K, TopKGroupRepairTest, ::testing::Values(1, 3));
+
 }  // namespace
 }  // namespace fdrms
