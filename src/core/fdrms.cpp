@@ -45,7 +45,7 @@ Status FdRms::Initialize(const std::vector<std::pair<int, Point>>& tuples) {
   const int M = topk_.num_utilities();
   for (int i = 0; i < M; ++i) {
     for (int id : topk_.ApproxTopK(i)) {
-      cover_.AddMembership(i, id);
+      cover_.AddNewMembership(i, id);
     }
   }
   // Binary search m ∈ [r, M] for greedy cover size r (Algorithm 2 Lines
@@ -91,12 +91,16 @@ Status FdRms::Initialize(const std::vector<std::pair<int, Point>>& tuples) {
   return Status::OK();
 }
 
-void FdRms::ApplyDeltas(const std::vector<TopKDelta>& deltas) {
-  // Additions first: a reassignment triggered by a removal can then land on
-  // a set that just gained the element.
+void FdRms::ApplyAdditions(const std::vector<TopKDelta>& deltas) {
+  // The maintainer reports each membership change once, so every addition
+  // is new to the cover's copy of the incidence (Validate checks the copies
+  // agree).
   for (const TopKDelta& delta : deltas) {
-    if (delta.added) cover_.AddMembership(delta.utility, delta.tuple_id);
+    if (delta.added) cover_.AddNewMembership(delta.utility, delta.tuple_id);
   }
+}
+
+void FdRms::ApplyRemovals(const std::vector<TopKDelta>& deltas) {
   for (const TopKDelta& delta : deltas) {
     if (!delta.added) cover_.RemoveMembership(delta.utility, delta.tuple_id);
   }
@@ -106,7 +110,10 @@ Status FdRms::Insert(int id, const Point& p) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
   delta_scratch_.clear();
   FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, &delta_scratch_));
-  ApplyDeltas(delta_scratch_);
+  // Additions first: a reassignment triggered by a removal can then land on
+  // a set that just gained the element.
+  ApplyAdditions(delta_scratch_);
+  ApplyRemovals(delta_scratch_);
   if (cover_.CoverSize() != options_.r) UpdateM();
   return Status::OK();
 }
@@ -115,8 +122,17 @@ Status FdRms::Delete(int id) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
   delta_scratch_.clear();
   FDRMS_RETURN_NOT_OK(topk_.Delete(id, &delta_scratch_));
-  ApplyDeltas(delta_scratch_);
-  // Purge the (now empty) set of the deleted tuple (Algorithm 3 Line 10).
+  // The entrants first, as for an insert. The removals are exactly S(id),
+  // the whole set of the deleted tuple (Algorithm 3 Line 10).
+  ApplyAdditions(delta_scratch_);
+  if (cover_.LevelOf(id) >= 0) {
+    // id is in C: each removal may reassign and stabilize, one σ at a time.
+    ApplyRemovals(delta_scratch_);
+  }
+  // Outside C, dropping the set in one call is exactly the σ-by-σ
+  // removals: no element is assigned to it, so none is reassigned; a
+  // removal only decrements its counts, which queues no violation; and
+  // the additions' Stabilize left the queue empty.
   cover_.RemoveSet(id);
   if (cover_.CoverSize() != options_.r) UpdateM();
   return Status::OK();

@@ -16,6 +16,16 @@
 /// The maintained Q_t corresponds to a *stable* set-cover solution over the
 /// ε-approximate top-k sets of m <= M sampled utility vectors; m is adapted
 /// online (UPDATEM) so |Q_t| tracks the budget r.
+///
+/// Each operation feeds the top-k maintainer's Φ deltas to the cover,
+/// additions before removals. The deltas are exact (each reports a real
+/// membership change), so additions go through the cover's unchecked
+/// AddNewMembership. A delete of a tuple p outside the cover C skips the
+/// |S(p)| σ = (u, S_p, -) removals and drops S_p with one RemoveSet: no
+/// element is assigned to S_p, so none would be reassigned, and a removal
+/// only lowers S_p's level counts, which queues no stability violation.
+/// The two paths leave identical states. A delete of a member of C keeps
+/// the σ-by-σ removals (each may reassign and stabilize) before RemoveSet.
 
 #include <utility>
 #include <vector>
@@ -106,9 +116,12 @@ class FdRms {
   Status Validate() const;
 
  private:
-  /// Feeds one batch of Φ membership deltas into the set-cover state
-  /// (additions before removals so reassignments see new targets).
-  void ApplyDeltas(const std::vector<TopKDelta>& deltas);
+  /// Feed one op's Φ membership deltas into the set-cover state: the
+  /// additions (each new to the cover, so no incidence search) and the
+  /// removals, σ by σ. Callers apply additions before removals so
+  /// reassignments see the new targets.
+  void ApplyAdditions(const std::vector<TopKDelta>& deltas);
+  void ApplyRemovals(const std::vector<TopKDelta>& deltas);
 
   /// Algorithm 4: grows/shrinks the universe prefix until |C| = r (or the
   /// m-range is exhausted).

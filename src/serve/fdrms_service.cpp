@@ -81,6 +81,14 @@ void FdRmsService::RegisterMetrics() {
       "fdrms_live_tuples", "Live tuple count after the latest batch", l);
   metrics_.sample_size_m = r.GetGauge(
       "fdrms_sample_size_m", "FD-RMS utility sample size m in force", l);
+  metrics_.cover_size = r.GetGauge(
+      "fdrms_cover_size", "Sets in the stable cover, |Q_t|, after the latest "
+      "batch", l);
+  metrics_.incidence_entries = r.GetGauge(
+      "fdrms_incidence_entries",
+      "Memberships of the set system, the sum of |Phi(u)| over all M "
+      "utilities, after the latest batch",
+      l);
   metrics_.queue_depth = r.GetGauge(
       "fdrms_queue_depth", "Queue depth observed at the last writer wakeup",
       l);
@@ -629,6 +637,9 @@ void FdRmsService::PublishSnapshot() {
   // never disagree about what this service has done.
   metrics_.version->Set(static_cast<double>(version_));
   metrics_.sample_size_m->Set(static_cast<double>(algo_.current_m()));
+  metrics_.cover_size->Set(static_cast<double>(algo_.cover().CoverSize()));
+  metrics_.incidence_entries->Set(
+      static_cast<double>(algo_.cover().system().num_links()));
   metrics_.live_tuples->Set(static_cast<double>(algo_.size()));
   auto snap = std::make_shared<ResultSnapshot>();
   snap->version = version_;

@@ -462,6 +462,8 @@ class FdRmsService {
     obs::Gauge* version;
     obs::Gauge* live_tuples;
     obs::Gauge* sample_size_m;
+    obs::Gauge* cover_size;         ///< |Q_t|
+    obs::Gauge* incidence_entries;  ///< Σ|Φ(u)|, a running link count
     obs::Gauge* queue_depth;
     obs::Gauge* batch_bound;
     obs::Gauge* writer_busy_seconds;

@@ -240,8 +240,12 @@ void DynamicSetCover::InitializeGreedy(
 }
 
 void DynamicSetCover::AddMembership(int element, int set_id) {
-  int slot = -1;
-  if (!system_.AddMembership(element, set_id, &slot)) return;  // present
+  if (system_.Contains(element, set_id)) return;
+  AddNewMembership(element, set_id);
+}
+
+void DynamicSetCover::AddNewMembership(int element, int set_id) {
+  const int slot = system_.AppendMembership(element, set_id);
   GrowSlots();
   if (in_universe_[element]) {
     if (phi_[element] < 0) {

@@ -28,8 +28,16 @@
 /// give equal solutions however the incidence was built.
 ///
 /// All set-system mutations flow through this class so the counts stay
-/// consistent: AddMembership / RemoveMembership (σ = (u, S, ±)),
-/// AddToUniverse / RemoveFromUniverse (σ = (u, U, ±)), RemoveSet.
+/// consistent: AddMembership / AddNewMembership / RemoveMembership
+/// (σ = (u, S, ±)), AddToUniverse / RemoveFromUniverse (σ = (u, U, ±)),
+/// RemoveSet.
+///
+/// σ = (u, S, +) has two entry points. AddNewMembership is for exact
+/// deltas, where the caller knows u ∉ S (FD-RMS feeds it the top-k
+/// maintainer's deltas, which report each membership change once): it
+/// appends the membership without searching the incidence. AddMembership
+/// is the idempotent form: it checks the incidence first and ignores a
+/// membership that already exists, then defers to AddNewMembership.
 
 #include <utility>
 #include <vector>
@@ -53,8 +61,11 @@ class DynamicSetCover {
 
   // ---- σ operations (each restores stability before returning) ----
 
-  /// σ = (u, S, +).
+  /// σ = (u, S, +); a no-op if `element` is already in the set.
   void AddMembership(int element, int set_id);
+  /// σ = (u, S, +) for a membership that must not exist yet (checked in
+  /// debug builds only); skips AddMembership's incidence search.
+  void AddNewMembership(int element, int set_id);
   /// σ = (u, S, -).
   void RemoveMembership(int element, int set_id);
   /// σ = (u, U, +): element joins the universe and gets assigned.

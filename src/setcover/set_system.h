@@ -11,9 +11,16 @@
 /// arrays. Each slot and each element owns one vector of links, one per
 /// membership; a link records the other endpoint and the index of its
 /// mirror link in that endpoint's vector. Both S(p) and "sets containing
-/// u" are therefore contiguous to enumerate, and a membership is removed by
-/// one scan of the shorter of its two vectors plus two O(1) swap-removes.
-/// List order is unspecified: it depends on the mutation history.
+/// u" are therefore contiguous to enumerate.
+///
+/// Which operations search: AddMembership, RemoveMembership and Contains
+/// look the membership up by one scan of the shorter of its two vectors.
+/// AppendMembership (a membership the caller knows is new),
+/// RemoveElementLinkAt (a membership the caller found by walking an
+/// element's links) and RemoveSet search nothing: each is O(1) per link,
+/// plus the swap-removes. List order is unspecified: it depends on the
+/// mutation history. num_links() is Σ|S| over all sets, kept as a running
+/// count.
 
 #include <cstddef>
 #include <iterator>
@@ -87,25 +94,21 @@ class SetSystem {
 
   int element_capacity() const { return static_cast<int>(by_element_.size()); }
 
-  /// True if the membership was new. When `slot` is given it receives the
-  /// slot of `set_id` either way.
-  bool AddMembership(int element, int set_id, int* slot = nullptr) {
+  /// True if the membership was new.
+  bool AddMembership(int element, int set_id) {
     FDRMS_DCHECK(element >= 0 && element < element_capacity());
-    int s = slots_.Find(set_id);
-    if (s >= 0 && FindLink(element, s) >= 0) {
-      if (slot != nullptr) *slot = s;
-      return false;
-    }
-    if (s < 0) {
-      s = slots_.Acquire(set_id);
-      if (s == static_cast<int>(by_slot_.size())) by_slot_.emplace_back();
-    }
-    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
-    std::vector<Link>& elem_links = by_element_[static_cast<size_t>(element)];
-    set_links.push_back({element, static_cast<int>(elem_links.size())});
-    elem_links.push_back({s, static_cast<int>(set_links.size()) - 1});
-    if (slot != nullptr) *slot = s;
+    const int s = slots_.Find(set_id);
+    if (s >= 0 && FindLink(element, s) >= 0) return false;
+    Append(element, set_id, s);
     return true;
+  }
+
+  /// Adds a membership that must not exist yet, without searching for it;
+  /// returns the slot of `set_id`.
+  int AppendMembership(int element, int set_id) {
+    FDRMS_DCHECK(element >= 0 && element < element_capacity());
+    FDRMS_DCHECK(!Contains(element, set_id));
+    return Append(element, set_id, slots_.Find(set_id));
   }
 
   /// True if the membership existed. A set that empties gives up its slot.
@@ -114,12 +117,21 @@ class SetSystem {
     if (s < 0) return false;
     const int at = FindLink(element, s);
     if (at < 0) return false;
-    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
-    const int mirror = set_links[static_cast<size_t>(at)].mirror;
-    SwapRemove(&set_links, at, &by_element_);
-    SwapRemove(&by_element_[static_cast<size_t>(element)], mirror, &by_slot_);
-    if (set_links.empty()) slots_.Release(set_id);
+    const std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
+    RemoveLink(element, set_links[static_cast<size_t>(at)].mirror);
     return true;
+  }
+
+  /// Removes the membership at index `at` of ElementLinks(element) (the
+  /// same order as SetsContaining) without searching. The element's last
+  /// link moves into `at`, so to remove several links of one element go
+  /// from the highest index down. A set that empties gives up its slot.
+  void RemoveElementLinkAt(int element, int at) {
+    FDRMS_DCHECK(element >= 0 && element < element_capacity());
+    FDRMS_DCHECK(at >= 0 &&
+                 at < static_cast<int>(
+                          by_element_[static_cast<size_t>(element)].size()));
+    RemoveLink(element, at);
   }
 
   /// Drops every membership of `set_id` and its slot.
@@ -131,6 +143,7 @@ class SetSystem {
       SwapRemove(&by_element_[static_cast<size_t>(link.other)], link.mirror,
                  &by_slot_);
     }
+    num_links_ -= set_links.size();
     set_links.clear();
     slots_.Release(set_id);
   }
@@ -164,6 +177,8 @@ class SetSystem {
   }
 
   size_t num_sets() const { return static_cast<size_t>(slots_.size()); }
+  /// Memberships in the system, Σ|S| over all sets.
+  size_t num_links() const { return num_links_; }
 
   // ---- slot-level access, for per-set state kept in flat arrays ----
 
@@ -201,6 +216,33 @@ class SetSystem {
     return -1;
   }
 
+  /// Links `element` into `set_id`, whose slot is `s` (-1 if the set is
+  /// empty); returns the slot.
+  int Append(int element, int set_id, int s) {
+    if (s < 0) {
+      s = slots_.Acquire(set_id);
+      if (s == static_cast<int>(by_slot_.size())) by_slot_.emplace_back();
+    }
+    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(s)];
+    std::vector<Link>& elem_links = by_element_[static_cast<size_t>(element)];
+    set_links.push_back({element, static_cast<int>(elem_links.size())});
+    elem_links.push_back({s, static_cast<int>(set_links.size()) - 1});
+    ++num_links_;
+    return s;
+  }
+
+  /// Removes the membership held by ElementLinks(element)[at], releasing
+  /// the set's slot if it empties.
+  void RemoveLink(int element, int at) {
+    std::vector<Link>& elem_links = by_element_[static_cast<size_t>(element)];
+    const Link link = elem_links[static_cast<size_t>(at)];
+    std::vector<Link>& set_links = by_slot_[static_cast<size_t>(link.other)];
+    SwapRemove(&set_links, link.mirror, &by_element_);
+    SwapRemove(&elem_links, at, &by_slot_);
+    --num_links_;
+    if (set_links.empty()) slots_.Release(slots_.IdOf(link.other));
+  }
+
   /// Removes links[at] by moving the last link into its place and pointing
   /// that link's mirror (in `far`) at the new index.
   static void SwapRemove(std::vector<Link>* links, int at,
@@ -216,6 +258,7 @@ class SetSystem {
   IdSlots slots_;
   std::vector<std::vector<Link>> by_slot_;     // slot -> element links
   std::vector<std::vector<Link>> by_element_;  // element -> slot links
+  size_t num_links_ = 0;
 };
 
 }  // namespace fdrms

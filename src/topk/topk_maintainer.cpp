@@ -38,18 +38,10 @@ double TopKMaintainer::ThresholdFor(int utility) const {
 
 void TopKMaintainer::EmitAdd(int utility, int id,
                              std::vector<TopKDelta>* deltas) {
-  const bool added = phi_.AddMembership(utility, id);
-  FDRMS_DCHECK(added);
-  (void)added;
+  // Every caller adds a known non-member (a new tuple, or a delete's
+  // entrant), so the membership is appended without a lookup.
+  phi_.AppendMembership(utility, id);
   if (deltas != nullptr) deltas->push_back({utility, id, /*added=*/true});
-}
-
-void TopKMaintainer::EmitRemove(int utility, int id,
-                                std::vector<TopKDelta>* deltas) {
-  const bool removed = phi_.RemoveMembership(utility, id);
-  FDRMS_DCHECK(removed);
-  (void)removed;
-  if (deltas != nullptr) deltas->push_back({utility, id, /*added=*/false});
 }
 
 Status TopKMaintainer::Insert(int id, const Point& p,
@@ -87,23 +79,39 @@ Status TopKMaintainer::Insert(int id, const Point& p,
       // The admission bar rose; evict members that fell below it. One
       // gather-kernel call scores the whole membership against the tree's
       // point slab — no Point copy or per-member pointer chase.
+      // Each member's link index rides along, so the evictions are
+      // removed by position instead of by lookup.
       member_scratch_.clear();
-      for (int member : phi_.SetsContaining(u)) {
-        if (member != id) member_scratch_.push_back(member);
+      member_at_scratch_.clear();
+      const std::vector<SetSystem::Link>& links = phi_.ElementLinks(u);
+      for (size_t at = 0; at < links.size(); ++at) {
+        const int member = phi_.SetIdOf(links[at].other);
+        if (member == id) continue;
+        member_scratch_.push_back(member);
+        member_at_scratch_.push_back(static_cast<int>(at));
       }
       member_score_scratch_.resize(member_scratch_.size());
       tree_.ScoreIds(utilities_[u].data(), member_scratch_,
                      member_score_scratch_.data());
-      // Evict in ascending id order, so the delta stream is a function of
-      // the Φ sets' contents, not of how they are stored.
       evicted_scratch_.clear();
+      size_t kept = 0;
       for (size_t mi = 0; mi < member_scratch_.size(); ++mi) {
         if (member_score_scratch_[mi] < new_tau) {
           evicted_scratch_.push_back(member_scratch_[mi]);
+          member_at_scratch_[kept++] = member_at_scratch_[mi];
         }
       }
-      std::sort(evicted_scratch_.begin(), evicted_scratch_.end());
-      for (int member : evicted_scratch_) EmitRemove(u, member, deltas);
+      // Highest position first: a swap-remove only moves the last link,
+      // which is never a lower eviction still to come.
+      while (kept > 0) phi_.RemoveElementLinkAt(u, member_at_scratch_[--kept]);
+      // Report in ascending id order, so the delta stream is a function of
+      // the Φ sets' contents, not of how they are stored.
+      if (deltas != nullptr) {
+        std::sort(evicted_scratch_.begin(), evicted_scratch_.end());
+        for (int member : evicted_scratch_) {
+          deltas->push_back({u, member, /*added=*/false});
+        }
+      }
       cone_.SetThreshold(u, new_tau);
     }
   }

@@ -31,8 +31,12 @@
 /// in S(p) ascending, the removal of p, then u's entrants best first.
 ///
 /// The Φ sets are kept as a flat SetSystem (elements = utilities, sets =
-/// tuple ids), so both Φ(u) and S(p) are contiguous to enumerate and a
-/// membership change costs a short scan and two swap-removes. Every
+/// tuple ids), so both Φ(u) and S(p) are contiguous to enumerate. No write
+/// searches it: an insert's new tuple is in no Φ yet and a delete's
+/// entrants are non-members by the invariant, so both are appended
+/// unchecked; the eviction sweep of an insert walks Φ(u)'s links anyway,
+/// records each member's link position, and removes the evicted members
+/// by position, highest first; a delete drops S(p) in one RemoveSet. Every
 /// mutation reports the exact membership changes as a list of TopKDelta
 /// records, whose order depends only on the Φ sets' contents (evictions in
 /// ascending id order); FD-RMS consumes them to update the set system Σ and
@@ -107,8 +111,8 @@ class TopKMaintainer {
 
  private:
   double ThresholdFor(int utility) const;
+  /// Adds `id` to Φ(utility), which must not hold it, and reports it.
   void EmitAdd(int utility, int id, std::vector<TopKDelta>* deltas);
-  void EmitRemove(int utility, int id, std::vector<TopKDelta>* deltas);
 
   int dim_;
   int k_;
@@ -119,9 +123,11 @@ class TopKMaintainer {
   std::vector<int> reached_scratch_;
   std::vector<double> reached_score_scratch_;
   /// Scratch for the eviction sweep and the delete repair: current members
-  /// of one Φ set and their batch-gathered scores.
+  /// of one Φ set, their batch-gathered scores and (eviction sweep only)
+  /// their link positions in the utility's incidence.
   std::vector<int> member_scratch_;
   std::vector<double> member_score_scratch_;
+  std::vector<int> member_at_scratch_;
   std::vector<int> evicted_scratch_;
   /// Scratch for the delete repair: the utilities holding the deleted
   /// tuple (ascending), the ranked survivors of one utility, and per

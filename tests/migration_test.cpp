@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -484,6 +485,9 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
     std::string failure;  // first violation seen, empty if none
   };
   std::vector<ReaderLog> logs(kReaders);
+  // Per reader: its query count, published so the main thread can wait
+  // for a first query without reading the log before the join.
+  std::vector<std::atomic<uint64_t>> queries_started(kReaders);
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
@@ -494,6 +498,7 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
       while (!stop_readers.load(std::memory_order_acquire)) {
         auto snap = service.Query();
         ++log.queries;
+        queries_started[t].store(log.queries, std::memory_order_release);
         auto fail = [&](const std::string& what) {
           if (log.failure.empty()) log.failure = what;
         };
@@ -572,6 +577,16 @@ TEST(MigrationServiceTest, MigrateUnderChurnMatchesJournalReplay) {
   auto merged = service.Query();
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->epoch, 2u);
+  // The stream can end before a loaded host schedules every reader; give
+  // each (bounded) time for its first query before stopping them.
+  const auto reader_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int t = 0; t < kReaders; ++t) {
+    while (queries_started[t].load(std::memory_order_acquire) == 0 &&
+           std::chrono::steady_clock::now() < reader_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
   stop_readers.store(true, std::memory_order_release);
   for (std::thread& th : readers) th.join();
   ASSERT_TRUE(service.Stop().ok());

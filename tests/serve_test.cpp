@@ -394,7 +394,14 @@ TEST(ServeRingStressTest, KickStormWhilePushingNeverLosesElements) {
     }
   });
   std::thread kicker([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    // Kick for as long as the pushes run, then on (bounded) until one kick
+    // has woken an empty pop: a loaded host may never schedule the
+    // consumer on an empty queue while the pushes are running.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done.load(std::memory_order_acquire) ||
+           (empty_wakes.load(std::memory_order_relaxed) == 0 &&
+            std::chrono::steady_clock::now() < deadline)) {
       q.Kick();
       std::this_thread::yield();
     }
@@ -1004,6 +1011,37 @@ TEST(ServeBatchingTest, BatchesStayInBoundAndHistogramsAccount) {
   EXPECT_EQ(sizes->count, service.Query()->batches);
   EXPECT_EQ(sizes->buckets[0], 0u);  // batch size 0 is never applied
   EXPECT_GT(depths->count, 0u);
+  ASSERT_TRUE(service.Stop().ok());
+}
+
+TEST(ServeServiceTest, HealthGaugesTrackTheCoverAndTheIncidence) {
+  PointSet ps = GenerateIndep(260, 3, 23);
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 6;
+  sopt.algo.max_utilities = 128;
+  FdRmsService service(3, sopt);
+  FdRms direct(3, sopt.algo);
+  ASSERT_TRUE(service.Start(AsTuples(ps, 200)).ok());
+  ASSERT_TRUE(direct.Initialize(AsTuples(ps, 200)).ok());
+  for (int i = 200; i < 260; ++i) {
+    ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
+    ASSERT_TRUE(direct.Insert(i, ps.Get(i)).ok());
+    ASSERT_TRUE(service.SubmitDelete(i - 200).ok());
+    ASSERT_TRUE(direct.Delete(i - 200).ok());
+  }
+  ASSERT_TRUE(service.Flush().ok());
+  size_t entries = 0;
+  for (int u = 0; u < direct.topk().num_utilities(); ++u) {
+    entries += direct.topk().ApproxTopK(u).size();
+  }
+  const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+  const obs::MetricSnapshot* cover = scrape.Find("fdrms_cover_size");
+  const obs::MetricSnapshot* incidence =
+      scrape.Find("fdrms_incidence_entries");
+  ASSERT_NE(cover, nullptr);
+  ASSERT_NE(incidence, nullptr);
+  EXPECT_EQ(cover->gauge_value, static_cast<double>(direct.Result().size()));
+  EXPECT_EQ(incidence->gauge_value, static_cast<double>(entries));
   ASSERT_TRUE(service.Stop().ok());
 }
 

@@ -57,6 +57,7 @@ void ExpectIncidenceEquals(const SetSystem& sys,
   std::set<int> set_ids;
   for (const auto& [e, id] : ref) set_ids.insert(id);
   ASSERT_EQ(sys.num_sets(), set_ids.size());
+  ASSERT_EQ(sys.num_links(), ref.size());
   EXPECT_EQ(Sorted(sys.NonEmptySetIds()),
             std::vector<int>(set_ids.begin(), set_ids.end()));
   for (int id : kScatteredIds) {
@@ -88,6 +89,16 @@ void ExpectIncidenceEquals(const SetSystem& sys,
       ASSERT_EQ(back.mirror, static_cast<int>(i));
     }
   }
+  // And from the set side; a free slot holds no links.
+  for (int slot = 0; slot < sys.slot_capacity(); ++slot) {
+    for (size_t i = 0; i < sys.SlotLinks(slot).size(); ++i) {
+      const SetSystem::Link& link = sys.SlotLinks(slot)[i];
+      const SetSystem::Link& back =
+          sys.ElementLinks(link.other)[static_cast<size_t>(link.mirror)];
+      ASSERT_EQ(back.other, slot);
+      ASSERT_EQ(back.mirror, static_cast<int>(i));
+    }
+  }
 }
 
 TEST(SetSystemTest, ScatteredIdsMatchReferenceAndReuseSlots) {
@@ -116,6 +127,104 @@ TEST(SetSystemTest, ScatteredIdsMatchReferenceAndReuseSlots) {
     // distinct ids.
     ASSERT_LE(sys.slot_capacity(), static_cast<int>(kScatteredIds.size()));
   }
+}
+
+TEST(SetSystemTest, AppendAndRemoveAtPositionMatchTheCheckedPath) {
+  // One system mutated only through the unchecked routines (append a
+  // known-new membership, remove by link position, highest first) beside
+  // one mutated through the checked ones: the contents stay equal, every
+  // link's mirror points back, and a set that empties frees its slot.
+  const int kElements = 9;
+  for (uint64_t seed : {5u, 17u, 23u}) {
+    Rng rng(seed);
+    SetSystem fast(kElements);
+    SetSystem checked(kElements);
+    std::set<std::pair<int, int>> ref;
+    std::vector<int> positions;
+    for (int op = 0; op < 3000; ++op) {
+      const int e = rng.UniformInt(kElements);
+      const int id =
+          kScatteredIds[static_cast<size_t>(rng.UniformInt(
+              static_cast<int>(kScatteredIds.size())))];
+      const int kind = rng.UniformInt(10);
+      if (kind < 6) {
+        const bool is_new = ref.insert({e, id}).second;
+        ASSERT_EQ(checked.AddMembership(e, id), is_new);
+        if (is_new) {
+          const int slot = fast.AppendMembership(e, id);
+          ASSERT_EQ(slot, fast.SlotOf(id));
+        }
+      } else if (kind < 9) {
+        // Remove a random subset of e's links by position.
+        positions.clear();
+        for (size_t at = 0; at < fast.ElementLinks(e).size(); ++at) {
+          if (rng.UniformInt(2) == 0) positions.push_back(static_cast<int>(at));
+        }
+        for (size_t i = positions.size(); i-- > 0;) {
+          const int at = positions[i];
+          const int victim = fast.SetIdOf(
+              fast.ElementLinks(e)[static_cast<size_t>(at)].other);
+          fast.RemoveElementLinkAt(e, at);
+          ASSERT_TRUE(checked.RemoveMembership(e, victim));
+          ASSERT_EQ(ref.erase({e, victim}), 1u);
+          ASSERT_EQ(fast.SlotOf(victim) >= 0, checked.SlotOf(victim) >= 0);
+        }
+      } else {
+        fast.RemoveSet(id);
+        checked.RemoveSet(id);
+        for (int x = 0; x < kElements; ++x) ref.erase({x, id});
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectIncidenceEquals(fast, ref, kElements))
+          << "seed " << seed << " op " << op;
+      ASSERT_NO_FATAL_FAILURE(ExpectIncidenceEquals(checked, ref, kElements))
+          << "seed " << seed << " op " << op;
+      ASSERT_LE(fast.slot_capacity(),
+                static_cast<int>(kScatteredIds.size()));
+    }
+  }
+}
+
+TEST(DynamicSetCoverTest, AddNewMembershipMatchesTheIdempotentAdd) {
+  // The same σ stream through both σ = (u, S, +) entry points: the checked
+  // one also sees every duplicate (a no-op), the unchecked one only the new
+  // memberships. The solutions must be identical after every op.
+  const int kElements = 24;
+  Rng rng(71);
+  DynamicSetCover checked(kElements);
+  DynamicSetCover fast(kElements);
+  std::vector<int> universe;
+  for (int e = 0; e < kElements; e += 2) universe.push_back(e);
+  checked.InitializeGreedy(universe);
+  fast.InitializeGreedy(universe);
+  for (int op = 0; op < 2000; ++op) {
+    const int e = rng.UniformInt(kElements);
+    const int id = rng.UniformInt(12);
+    const int kind = rng.UniformInt(10);
+    if (kind < 6) {
+      const bool is_new = !checked.system().Contains(e, id);
+      checked.AddMembership(e, id);
+      if (is_new) fast.AddNewMembership(e, id);
+    } else if (kind < 9) {
+      checked.RemoveMembership(e, id);
+      fast.RemoveMembership(e, id);
+    } else if (kind == 9 && rng.UniformInt(2) == 0) {
+      checked.RemoveSet(id);
+      fast.RemoveSet(id);
+    } else {
+      checked.AddToUniverse(e);
+      fast.AddToUniverse(e);
+    }
+    ASSERT_EQ(fast.CoverSetIds(), checked.CoverSetIds()) << "op " << op;
+    for (int x = 0; x < kElements; ++x) {
+      ASSERT_EQ(fast.AssignmentOf(x), checked.AssignmentOf(x)) << "op " << op;
+    }
+    for (int set_id : checked.CoverSetIds()) {
+      ASSERT_EQ(fast.LevelOf(set_id), checked.LevelOf(set_id));
+    }
+    ASSERT_EQ(fast.system().num_links(), checked.system().num_links());
+  }
+  ASSERT_TRUE(fast.CheckInvariants().ok());
+  ASSERT_TRUE(checked.CheckInvariants().ok());
 }
 
 struct ScatteredCoverParam {
