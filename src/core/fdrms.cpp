@@ -22,8 +22,7 @@ std::vector<Point> MakeUtilities(int dim, const FdRmsOptions& options) {
 FdRms::FdRms(int dim, const FdRmsOptions& options)
     : dim_(dim),
       options_(options),
-      topk_(dim, options.k, options.eps, MakeUtilities(dim, options)),
-      cover_(topk_.num_utilities()) {
+      topk_(dim, options.k, options.eps, MakeUtilities(dim, options)) {
   FDRMS_CHECK(options_.r >= 1);
   FDRMS_CHECK(options_.k >= 1);
   // M may have been raised to fit r and the basis prefix.
@@ -34,20 +33,15 @@ Status FdRms::Initialize(const std::vector<std::pair<int, Point>>& tuples) {
   if (initialized_) {
     return Status::FailedPrecondition("Initialize called twice");
   }
-  // Bulk-load the indexes; deltas are not needed yet (the set system is
-  // built from the finished Φ sets below).
+  // Bulk-load the indexes. The universe is still empty, so the cover only
+  // records the incidence S(p) = { u_i : p ∈ Φ_{k,ε}(u_i, P_0) } for all M
+  // utilities; those with i >= m sit outside the universe until UPDATEM
+  // needs them.
   for (const auto& [id, p] : tuples) {
     FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, /*deltas=*/nullptr));
   }
-  // Incidence for all M utilities: S(p) = { u_i : p ∈ Φ_{k,ε}(u_i, P_0) }.
-  // DynamicSetCover owns the system; memberships for i >= m simply sit
-  // outside the universe until UPDATEM needs them.
+  DynamicSetCover& cover = topk_.mutable_cover();
   const int M = topk_.num_utilities();
-  for (int i = 0; i < M; ++i) {
-    for (int id : topk_.ApproxTopK(i)) {
-      cover_.AddNewMembership(i, id);
-    }
-  }
   // Binary search m ∈ [r, M] for greedy cover size r (Algorithm 2 Lines
   // 3-14). Cover size is (approximately) monotone in m; we keep the best
   // m whose cover fits the budget.
@@ -61,8 +55,8 @@ Status FdRms::Initialize(const std::vector<std::pair<int, Point>>& tuples) {
   auto greedy_at = [&](int m) {
     std::vector<int> universe(m);
     for (int i = 0; i < m; ++i) universe[i] = i;
-    cover_.InitializeGreedy(universe);
-    return cover_.CoverSize();
+    cover.InitializeGreedy(universe);
+    return cover.CoverSize();
   };
   int size_at_best = greedy_at(lo);
   if (size_at_best <= r) {
@@ -87,54 +81,21 @@ Status FdRms::Initialize(const std::vector<std::pair<int, Point>>& tuples) {
   initialized_ = true;
   // The greedy probe can land under r; grow the universe like Algorithm 4
   // to use the full budget when possible.
-  if (cover_.CoverSize() != r) UpdateM();
+  if (cover.CoverSize() != r) UpdateM();
   return Status::OK();
-}
-
-void FdRms::ApplyAdditions(const std::vector<TopKDelta>& deltas) {
-  // The maintainer reports each membership change once, so every addition
-  // is new to the cover's copy of the incidence (Validate checks the copies
-  // agree).
-  for (const TopKDelta& delta : deltas) {
-    if (delta.added) cover_.AddNewMembership(delta.utility, delta.tuple_id);
-  }
-}
-
-void FdRms::ApplyRemovals(const std::vector<TopKDelta>& deltas) {
-  for (const TopKDelta& delta : deltas) {
-    if (!delta.added) cover_.RemoveMembership(delta.utility, delta.tuple_id);
-  }
 }
 
 Status FdRms::Insert(int id, const Point& p) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
-  delta_scratch_.clear();
-  FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, &delta_scratch_));
-  // Additions first: a reassignment triggered by a removal can then land on
-  // a set that just gained the element.
-  ApplyAdditions(delta_scratch_);
-  ApplyRemovals(delta_scratch_);
-  if (cover_.CoverSize() != options_.r) UpdateM();
+  FDRMS_RETURN_NOT_OK(topk_.Insert(id, p, /*deltas=*/nullptr));
+  if (cover().CoverSize() != options_.r) UpdateM();
   return Status::OK();
 }
 
 Status FdRms::Delete(int id) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
-  delta_scratch_.clear();
-  FDRMS_RETURN_NOT_OK(topk_.Delete(id, &delta_scratch_));
-  // The entrants first, as for an insert. The removals are exactly S(id),
-  // the whole set of the deleted tuple (Algorithm 3 Line 10).
-  ApplyAdditions(delta_scratch_);
-  if (cover_.LevelOf(id) >= 0) {
-    // id is in C: each removal may reassign and stabilize, one σ at a time.
-    ApplyRemovals(delta_scratch_);
-  }
-  // Outside C, dropping the set in one call is exactly the σ-by-σ
-  // removals: no element is assigned to it, so none is reassigned; a
-  // removal only decrements its counts, which queues no violation; and
-  // the additions' Stabilize left the queue empty.
-  cover_.RemoveSet(id);
-  if (cover_.CoverSize() != options_.r) UpdateM();
+  FDRMS_RETURN_NOT_OK(topk_.Delete(id, /*deltas=*/nullptr));
+  if (cover().CoverSize() != options_.r) UpdateM();
   return Status::OK();
 }
 
@@ -193,7 +154,7 @@ Status FdRms::ApplyBatch(const std::vector<BatchOp>& ops, size_t begin,
 }
 
 std::vector<FdRms::ResultEntry> FdRms::ResolvedResult() const {
-  std::vector<int> ids = cover_.CoverSetIds();
+  std::vector<int> ids = cover().CoverSetIds();
   std::vector<ResultEntry> out;
   out.reserve(ids.size());
   for (int id : ids) out.push_back({id, topk_.tree().GetPoint(id)});
@@ -201,48 +162,26 @@ std::vector<FdRms::ResultEntry> FdRms::ResolvedResult() const {
 }
 
 void FdRms::UpdateM() {
+  DynamicSetCover& cover = topk_.mutable_cover();
   const int r = options_.r;
   const int M = topk_.num_utilities();
   const int m_floor = std::max(1, std::min(r, M));
-  if (cover_.CoverSize() < r) {
-    while (m_ < M && cover_.CoverSize() < r) {
-      cover_.AddToUniverse(m_);
+  if (cover.CoverSize() < r) {
+    while (m_ < M && cover.CoverSize() < r) {
+      cover.AddToUniverse(m_);
       ++m_;
     }
-  } else if (cover_.CoverSize() > r) {
-    while (cover_.CoverSize() > r && m_ > m_floor) {
+  } else if (cover.CoverSize() > r) {
+    while (cover.CoverSize() > r && m_ > m_floor) {
       --m_;
-      cover_.RemoveFromUniverse(m_);
+      cover.RemoveFromUniverse(m_);
     }
   }
 }
 
 Status FdRms::Validate() const {
   FDRMS_RETURN_NOT_OK(topk_.ValidateAgainstBruteForce());
-  FDRMS_RETURN_NOT_OK(cover_.CheckInvariants());
-  // Cross-check: the set system's membership must mirror the Φ sets for
-  // every utility (universe or not), and every universe utility with a
-  // nonempty Φ set must be covered by Q_t.
-  const int M = topk_.num_utilities();
-  for (int i = 0; i < M; ++i) {
-    const SetSystem::KeyRange phi_set = topk_.ApproxTopK(i);
-    if (phi_set.size() != cover_.system().SetsContaining(i).size()) {
-      return Status::Internal("set system incidence out of sync at utility " +
-                              std::to_string(i));
-    }
-    for (int id : phi_set) {
-      if (!cover_.system().Contains(i, id)) {
-        return Status::Internal("membership missing for utility " +
-                                std::to_string(i));
-      }
-    }
-    if (i < m_ && !phi_set.empty() &&
-        cover_.AssignmentOf(i) == DynamicSetCover::kUnassigned) {
-      return Status::Internal("universe utility uncovered: " +
-                              std::to_string(i));
-    }
-  }
-  return Status::OK();
+  return cover().CheckInvariants();
 }
 
 }  // namespace fdrms

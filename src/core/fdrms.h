@@ -17,15 +17,11 @@
 /// ε-approximate top-k sets of m <= M sampled utility vectors; m is adapted
 /// online (UPDATEM) so |Q_t| tracks the budget r.
 ///
-/// Each operation feeds the top-k maintainer's Φ deltas to the cover,
-/// additions before removals. The deltas are exact (each reports a real
-/// membership change), so additions go through the cover's unchecked
-/// AddNewMembership. A delete of a tuple p outside the cover C skips the
-/// |S(p)| σ = (u, S_p, -) removals and drops S_p with one RemoveSet: no
-/// element is assigned to S_p, so none would be reassigned, and a removal
-/// only lowers S_p's level counts, which queues no stability violation.
-/// The two paths leave identical states. A delete of a member of C keeps
-/// the σ-by-σ removals (each may reassign and stabilize) before RemoveSet.
+/// Φ and the cover share one incidence: the top-k maintainer keeps Φ in
+/// a DynamicSetCover and writes every membership change as a σ call (see
+/// topk_maintainer.h for the order), so each op reaches the cover without
+/// a delta list. FdRms sets the cover's universe: the utility prefix
+/// [0, m), through InitializeGreedy and UPDATEM.
 
 #include <utility>
 #include <vector>
@@ -92,7 +88,7 @@ class FdRms {
                     size_t* num_applied);
 
   /// Current result Q_t (tuple ids, ascending); |Q_t| <= r.
-  std::vector<int> Result() const { return cover_.CoverSetIds(); }
+  std::vector<int> Result() const { return cover().CoverSetIds(); }
 
   /// One member of a published result: a Q_t id with its attribute vector.
   struct ResultEntry {
@@ -110,19 +106,12 @@ class FdRms {
   const FdRmsOptions& options() const { return options_; }
   int size() const { return topk_.size(); }
   const TopKMaintainer& topk() const { return topk_; }
-  const DynamicSetCover& cover() const { return cover_; }
+  const DynamicSetCover& cover() const { return topk_.cover(); }
 
   /// Test hook: full invariant sweep over the top-k state and the cover.
   Status Validate() const;
 
  private:
-  /// Feed one op's Φ membership deltas into the set-cover state: the
-  /// additions (each new to the cover, so no incidence search) and the
-  /// removals, σ by σ. Callers apply additions before removals so
-  /// reassignments see the new targets.
-  void ApplyAdditions(const std::vector<TopKDelta>& deltas);
-  void ApplyRemovals(const std::vector<TopKDelta>& deltas);
-
   /// Algorithm 4: grows/shrinks the universe prefix until |C| = r (or the
   /// m-range is exhausted).
   void UpdateM();
@@ -131,10 +120,7 @@ class FdRms {
   FdRmsOptions options_;
   bool initialized_ = false;
   int m_ = 0;
-  TopKMaintainer topk_;
-  DynamicSetCover cover_;
-  /// The current op's Φ membership changes; cleared per op, capacity reused.
-  std::vector<TopKDelta> delta_scratch_;
+  TopKMaintainer topk_;  // owns Φ and the cover over it
 };
 
 }  // namespace fdrms

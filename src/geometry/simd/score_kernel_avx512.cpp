@@ -20,6 +20,11 @@ namespace fdrms {
 namespace simd {
 namespace {
 
+/// All lanes. GCC 12 warns (-Wmaybe-uninitialized) on unmasked shuffles,
+/// whose pass-through is _mm512_undefined_pd(); their zero-masked forms
+/// with this mask compile to the same unmasked instructions.
+constexpr __mmask8 kAllLanes = 0xFF;
+
 inline double Dot1(const double* r, const double* q, int d) {
   double s = 0.0;
   for (int k = 0; k < d; ++k) s += r[k] * q[k];
@@ -81,33 +86,35 @@ inline __m512d Dot8(const double* const r[8], const double* q, int d) {
     const __m512d z5 = _mm512_loadu_pd(r[5] + k);
     const __m512d z6 = _mm512_loadu_pd(r[6] + k);
     const __m512d z7 = _mm512_loadu_pd(r[7] + k);
-    // Level 1: interleave row pairs within 128-bit lanes.
-    const __m512d t0 = _mm512_unpacklo_pd(z0, z1);  // cols 0,2,4,6 of r0,r1
-    const __m512d t1 = _mm512_unpackhi_pd(z0, z1);  // cols 1,3,5,7
-    const __m512d t2 = _mm512_unpacklo_pd(z2, z3);
-    const __m512d t3 = _mm512_unpackhi_pd(z2, z3);
-    const __m512d t4 = _mm512_unpacklo_pd(z4, z5);
-    const __m512d t5 = _mm512_unpackhi_pd(z4, z5);
-    const __m512d t6 = _mm512_unpacklo_pd(z6, z7);
-    const __m512d t7 = _mm512_unpackhi_pd(z6, z7);
-    // Level 2: gather 128-bit blocks across row quads.
-    const __m512d u0 = _mm512_shuffle_f64x2(t0, t2, 0x88);  // cols 0,4 r0-3
-    const __m512d u1 = _mm512_shuffle_f64x2(t0, t2, 0xDD);  // cols 2,6 r0-3
-    const __m512d u2 = _mm512_shuffle_f64x2(t1, t3, 0x88);  // cols 1,5 r0-3
-    const __m512d u3 = _mm512_shuffle_f64x2(t1, t3, 0xDD);  // cols 3,7 r0-3
-    const __m512d u4 = _mm512_shuffle_f64x2(t4, t6, 0x88);  // cols 0,4 r4-7
-    const __m512d u5 = _mm512_shuffle_f64x2(t4, t6, 0xDD);
-    const __m512d u6 = _mm512_shuffle_f64x2(t5, t7, 0x88);
-    const __m512d u7 = _mm512_shuffle_f64x2(t5, t7, 0xDD);
+    // Level 1: interleave row pairs within 128-bit lanes (t0: cols
+    // 0,2,4,6 of r0,r1; t1: cols 1,3,5,7).
+    const __m512d t0 = _mm512_maskz_unpacklo_pd(kAllLanes, z0, z1);
+    const __m512d t1 = _mm512_maskz_unpackhi_pd(kAllLanes, z0, z1);
+    const __m512d t2 = _mm512_maskz_unpacklo_pd(kAllLanes, z2, z3);
+    const __m512d t3 = _mm512_maskz_unpackhi_pd(kAllLanes, z2, z3);
+    const __m512d t4 = _mm512_maskz_unpacklo_pd(kAllLanes, z4, z5);
+    const __m512d t5 = _mm512_maskz_unpackhi_pd(kAllLanes, z4, z5);
+    const __m512d t6 = _mm512_maskz_unpacklo_pd(kAllLanes, z6, z7);
+    const __m512d t7 = _mm512_maskz_unpackhi_pd(kAllLanes, z6, z7);
+    // Level 2: gather 128-bit blocks across row quads (u0..u3: cols 0,4 /
+    // 2,6 / 1,5 / 3,7 of r0-3; u4..u7 the same of r4-7).
+    const __m512d u0 = _mm512_maskz_shuffle_f64x2(kAllLanes, t0, t2, 0x88);
+    const __m512d u1 = _mm512_maskz_shuffle_f64x2(kAllLanes, t0, t2, 0xDD);
+    const __m512d u2 = _mm512_maskz_shuffle_f64x2(kAllLanes, t1, t3, 0x88);
+    const __m512d u3 = _mm512_maskz_shuffle_f64x2(kAllLanes, t1, t3, 0xDD);
+    const __m512d u4 = _mm512_maskz_shuffle_f64x2(kAllLanes, t4, t6, 0x88);
+    const __m512d u5 = _mm512_maskz_shuffle_f64x2(kAllLanes, t4, t6, 0xDD);
+    const __m512d u6 = _mm512_maskz_shuffle_f64x2(kAllLanes, t5, t7, 0x88);
+    const __m512d u7 = _mm512_maskz_shuffle_f64x2(kAllLanes, t5, t7, 0xDD);
     // Level 3: full columns {r0[c], ..., r7[c]}.
-    const __m512d c0 = _mm512_shuffle_f64x2(u0, u4, 0x88);
-    const __m512d c1 = _mm512_shuffle_f64x2(u2, u6, 0x88);
-    const __m512d c2 = _mm512_shuffle_f64x2(u1, u5, 0x88);
-    const __m512d c3 = _mm512_shuffle_f64x2(u3, u7, 0x88);
-    const __m512d c4 = _mm512_shuffle_f64x2(u0, u4, 0xDD);
-    const __m512d c5 = _mm512_shuffle_f64x2(u2, u6, 0xDD);
-    const __m512d c6 = _mm512_shuffle_f64x2(u1, u5, 0xDD);
-    const __m512d c7 = _mm512_shuffle_f64x2(u3, u7, 0xDD);
+    const __m512d c0 = _mm512_maskz_shuffle_f64x2(kAllLanes, u0, u4, 0x88);
+    const __m512d c1 = _mm512_maskz_shuffle_f64x2(kAllLanes, u2, u6, 0x88);
+    const __m512d c2 = _mm512_maskz_shuffle_f64x2(kAllLanes, u1, u5, 0x88);
+    const __m512d c3 = _mm512_maskz_shuffle_f64x2(kAllLanes, u3, u7, 0x88);
+    const __m512d c4 = _mm512_maskz_shuffle_f64x2(kAllLanes, u0, u4, 0xDD);
+    const __m512d c5 = _mm512_maskz_shuffle_f64x2(kAllLanes, u2, u6, 0xDD);
+    const __m512d c6 = _mm512_maskz_shuffle_f64x2(kAllLanes, u1, u5, 0xDD);
+    const __m512d c7 = _mm512_maskz_shuffle_f64x2(kAllLanes, u3, u7, 0xDD);
     // Accumulate in ascending column order (the scalar order).
     acc = _mm512_add_pd(acc, _mm512_mul_pd(c0, _mm512_set1_pd(q[k + 0])));
     acc = _mm512_add_pd(acc, _mm512_mul_pd(c1, _mm512_set1_pd(q[k + 1])));
@@ -123,8 +130,8 @@ inline __m512d Dot8(const double* const r[8], const double* q, int d) {
     Transpose4(r[0], r[1], r[2], r[3], k, lo);
     Transpose4(r[4], r[5], r[6], r[7], k, hi);
     for (int c = 0; c < 4; ++c) {
-      const __m512d col =
-          _mm512_insertf64x4(_mm512_castpd256_pd512(lo[c]), hi[c], 1);
+      const __m512d col = _mm512_maskz_insertf64x4(
+          kAllLanes, _mm512_castpd256_pd512(lo[c]), hi[c], 1);
       acc = _mm512_add_pd(acc, _mm512_mul_pd(col, _mm512_set1_pd(q[k + c])));
     }
   }
@@ -161,10 +168,10 @@ void ScoreBlock4x4(const double* rows, size_t count, const double* q,
     const __m512d b01 = _mm512_permutex2var_pd(z2, idx01, z3);
     const __m512d a23 = _mm512_permutex2var_pd(z0, idx23, z1);
     const __m512d b23 = _mm512_permutex2var_pd(z2, idx23, z3);
-    const __m512d c0 = _mm512_shuffle_f64x2(a01, b01, 0x44);
-    const __m512d c1 = _mm512_shuffle_f64x2(a01, b01, 0xEE);
-    const __m512d c2 = _mm512_shuffle_f64x2(a23, b23, 0x44);
-    const __m512d c3 = _mm512_shuffle_f64x2(a23, b23, 0xEE);
+    const __m512d c0 = _mm512_maskz_shuffle_f64x2(kAllLanes, a01, b01, 0x44);
+    const __m512d c1 = _mm512_maskz_shuffle_f64x2(kAllLanes, a01, b01, 0xEE);
+    const __m512d c2 = _mm512_maskz_shuffle_f64x2(kAllLanes, a23, b23, 0x44);
+    const __m512d c3 = _mm512_maskz_shuffle_f64x2(kAllLanes, a23, b23, 0xEE);
     // Start from +0.0 like the scalar loop: 0.0 + (-0.0) must stay +0.0.
     __m512d acc = _mm512_add_pd(_mm512_setzero_pd(), _mm512_mul_pd(c0, bq0));
     acc = _mm512_add_pd(acc, _mm512_mul_pd(c1, bq1));

@@ -263,6 +263,17 @@ void DynamicSetCover::RemoveMembership(int element, int set_id) {
   // empties and gives it up: nothing acquires a slot before we return.
   const int slot = system_.SlotOf(set_id);
   if (slot < 0 || !system_.RemoveMembership(element, set_id)) return;
+  AfterRemoval(element, slot);
+}
+
+void DynamicSetCover::RemoveMembershipAt(int element, int at) {
+  const int slot =
+      system_.ElementLinks(element)[static_cast<size_t>(at)].other;
+  system_.RemoveElementLinkAt(element, at);
+  AfterRemoval(element, slot);
+}
+
+void DynamicSetCover::AfterRemoval(int element, int slot) {
   if (in_universe_[element]) {
     // The departing element no longer counts toward |S ∩ A_j| for this set;
     // the system no longer lists the membership, so Unassign below will not
@@ -299,23 +310,23 @@ void DynamicSetCover::RemoveFromUniverse(int element) {
 void DynamicSetCover::RemoveSet(int set_id) {
   const int slot = system_.SlotOf(set_id);
   if (slot < 0) return;  // no memberships, so not in C either
-  // Detach cover duties first (Algorithm 3, Lines 10-12), then drop all
-  // memberships. Reassigning in ascending element order keeps the outcome
-  // independent of cov's storage order.
-  std::vector<int> orphans = cov_[static_cast<size_t>(slot)];
-  std::sort(orphans.begin(), orphans.end());
-  for (int e : orphans) {
-    phi_[static_cast<size_t>(e)] = -1;
-    UpdateCounts(e, elem_level_[static_cast<size_t>(e)], -1);
+  if (level_[static_cast<size_t>(slot)] < 0) {
+    // Outside C the σ-by-σ removals reduce to dropping the set (see the
+    // header): none reassigns, and none queues a violation.
+    system_.RemoveSet(set_id);
+    std::fill_n(CountsRow(slot), levels_, 0);
+    return;
   }
-  if (level_[static_cast<size_t>(slot)] >= 0) {
-    cov_[static_cast<size_t>(slot)].clear();
-    LeaveCover(slot);
+  // In C: σ = (u, S, -) for each member u, ascending. A removal moves only
+  // u's own links and S's, so every other member keeps its link position.
+  remove_scratch_.clear();
+  for (const SetSystem::Link& link : system_.SlotLinks(slot)) {
+    remove_scratch_.emplace_back(link.other, link.mirror);
   }
-  system_.RemoveSet(set_id);
-  std::fill_n(CountsRow(slot), levels_, 0);
-  for (int e : orphans) Reassign(e);
-  Stabilize();
+  std::sort(remove_scratch_.begin(), remove_scratch_.end());
+  for (const auto& [element, at] : remove_scratch_) {
+    RemoveMembershipAt(element, at);
+  }
 }
 
 void DynamicSetCover::Stabilize() {

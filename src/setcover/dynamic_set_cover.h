@@ -28,16 +28,25 @@
 /// give equal solutions however the incidence was built.
 ///
 /// All set-system mutations flow through this class so the counts stay
-/// consistent: AddMembership / AddNewMembership / RemoveMembership
-/// (σ = (u, S, ±)), AddToUniverse / RemoveFromUniverse (σ = (u, U, ±)),
-/// RemoveSet.
+/// consistent: AddMembership / AddNewMembership / RemoveMembership /
+/// RemoveMembershipAt (σ = (u, S, ±)), AddToUniverse / RemoveFromUniverse
+/// (σ = (u, U, ±)), RemoveSet. FD-RMS keeps its one Φ incidence here: the
+/// top-k maintainer writes every Φ change through these σ calls, and with
+/// an empty universe (a standalone maintainer) the cover is inert, so it
+/// assigns nothing and queues nothing.
 ///
 /// σ = (u, S, +) has two entry points. AddNewMembership is for exact
-/// deltas, where the caller knows u ∉ S (FD-RMS feeds it the top-k
-/// maintainer's deltas, which report each membership change once): it
-/// appends the membership without searching the incidence. AddMembership
-/// is the idempotent form: it checks the incidence first and ignores a
-/// membership that already exists, then defers to AddNewMembership.
+/// deltas, where the caller knows u ∉ S: it appends the membership without
+/// searching the incidence. AddMembership is the idempotent form: it checks
+/// the incidence first and ignores a membership that already exists, then
+/// defers to AddNewMembership. σ = (u, S, -) likewise comes searched
+/// (RemoveMembership) or by link position (RemoveMembershipAt).
+///
+/// RemoveSet(S) is exactly the σ = (u, S, -) removals for u ∈ S in
+/// ascending element order. For S outside C it drops S in one pass instead,
+/// which leaves the same state: no element is assigned to S, so no removal
+/// reassigns, and a removal only lowers S's level counts, which queues no
+/// violation (a public call returns with the queue drained).
 
 #include <utility>
 #include <vector>
@@ -66,14 +75,17 @@ class DynamicSetCover {
   /// σ = (u, S, +) for a membership that must not exist yet (checked in
   /// debug builds only); skips AddMembership's incidence search.
   void AddNewMembership(int element, int set_id);
-  /// σ = (u, S, -).
+  /// σ = (u, S, -); a no-op if `element` is not in the set.
   void RemoveMembership(int element, int set_id);
+  /// σ = (u, S, -) for the membership at index `at` of ElementLinks(u),
+  /// without searching. u's last link moves into `at`.
+  void RemoveMembershipAt(int element, int at);
   /// σ = (u, U, +): element joins the universe and gets assigned.
   void AddToUniverse(int element);
   /// σ = (u, U, -).
   void RemoveFromUniverse(int element);
-  /// Removes a set entirely (a deleted tuple): drops all its memberships
-  /// and reassigns its cover set.
+  /// Removes a set entirely (a deleted tuple): σ = (u, S, -) for each of
+  /// its members, ascending (one pass when S is outside C).
   void RemoveSet(int set_id);
 
   // ---- solution inspection ----
@@ -138,6 +150,10 @@ class DynamicSetCover {
   /// new_level may be -1 meaning "not counted").
   void UpdateCounts(int element, int old_level, int new_level);
   void BumpCount(int slot, int level, int delta);
+  /// The rest of σ = (u, S, -) once the membership is unlinked: counts,
+  /// reassignment of u if S covered it (Lines 2-5), and Stabilize. `slot`
+  /// is S's former slot.
+  void AfterRemoval(int element, int slot);
   /// Drains the violation queue (STABILIZE, Lines 28-32).
   void Stabilize();
 
@@ -163,6 +179,8 @@ class DynamicSetCover {
   // Stabilize's scratch.
   std::vector<int> steal_scratch_;
   std::vector<std::pair<int, int>> donor_scratch_;  // (set id, slot)
+  // RemoveSet's scratch: (element, link position) of each member.
+  std::vector<std::pair<int, int>> remove_scratch_;
 };
 
 }  // namespace fdrms

@@ -18,7 +18,7 @@ TopKMaintainer::TopKMaintainer(int dim, int k, double eps,
       cone_(utilities_),
       topk_(utilities_.size()),
       affected_mark_((utilities_.size() + 63) / 64, 0),
-      phi_(static_cast<int>(utilities_.size())) {
+      cover_(static_cast<int>(utilities_.size())) {
   FDRMS_CHECK(k_ >= 1);
   FDRMS_CHECK(eps_ >= 0.0 && eps_ < 1.0);
   for (const Point& u : utilities_) {
@@ -40,7 +40,7 @@ void TopKMaintainer::EmitAdd(int utility, int id,
                              std::vector<TopKDelta>* deltas) {
   // Every caller adds a known non-member (a new tuple, or a delete's
   // entrant), so the membership is appended without a lookup.
-  phi_.AppendMembership(utility, id);
+  cover_.AddNewMembership(utility, id);
   if (deltas != nullptr) deltas->push_back({utility, id, /*added=*/true});
 }
 
@@ -56,6 +56,8 @@ Status TopKMaintainer::Insert(int id, const Point& p,
   // confined to those.
   cone_.FindReached(p, &reached_scratch_, &reached_score_scratch_);
   FDRMS_RETURN_NOT_OK(tree_.Insert(id, p));
+  // Pass 1: update each reached utility's exact top-k and admit `id`.
+  raised_.clear();
   for (size_t ai = 0; ai < reached_scratch_.size(); ++ai) {
     const int u = reached_scratch_[ai];
     const double score = reached_score_scratch_[ai];
@@ -63,7 +65,6 @@ Status TopKMaintainer::Insert(int id, const Point& p,
     // The index compared against the last τ pushed to it; the current bar
     // decides.
     if (score < old_tau) continue;
-    // Update the exact top-k list.
     auto& list = topk_[u];
     auto pos = std::lower_bound(list.begin(), list.end(), ScoredId{score, id},
                                 BetterScore);
@@ -75,47 +76,53 @@ Status TopKMaintainer::Insert(int id, const Point& p,
     }
     double new_tau = ThresholdFor(u);
     if (score >= new_tau) EmitAdd(u, id, deltas);
-    if (new_tau > old_tau) {
-      // The admission bar rose; evict members that fell below it. One
-      // gather-kernel call scores the whole membership against the tree's
-      // point slab — no Point copy or per-member pointer chase.
-      // Each member's link index rides along, so the evictions are
-      // removed by position instead of by lookup.
-      member_scratch_.clear();
-      member_at_scratch_.clear();
-      const std::vector<SetSystem::Link>& links = phi_.ElementLinks(u);
-      for (size_t at = 0; at < links.size(); ++at) {
-        const int member = phi_.SetIdOf(links[at].other);
-        if (member == id) continue;
-        member_scratch_.push_back(member);
-        member_at_scratch_.push_back(static_cast<int>(at));
-      }
-      member_score_scratch_.resize(member_scratch_.size());
-      tree_.ScoreIds(utilities_[u].data(), member_scratch_,
-                     member_score_scratch_.data());
-      evicted_scratch_.clear();
-      size_t kept = 0;
-      for (size_t mi = 0; mi < member_scratch_.size(); ++mi) {
-        if (member_score_scratch_[mi] < new_tau) {
-          evicted_scratch_.push_back(member_scratch_[mi]);
-          member_at_scratch_[kept++] = member_at_scratch_[mi];
-        }
-      }
-      // Highest position first: a swap-remove only moves the last link,
-      // which is never a lower eviction still to come.
-      while (kept > 0) phi_.RemoveElementLinkAt(u, member_at_scratch_[--kept]);
-      // Report in ascending id order, so the delta stream is a function of
-      // the Φ sets' contents, not of how they are stored.
-      if (deltas != nullptr) {
-        std::sort(evicted_scratch_.begin(), evicted_scratch_.end());
-        for (int member : evicted_scratch_) {
-          deltas->push_back({u, member, /*added=*/false});
-        }
-      }
-      cone_.SetThreshold(u, new_tau);
-    }
+    if (new_tau > old_tau) raised_.push_back(u);
+  }
+  // Pass 2: where the admission bar rose, evict the members below it.
+  for (int u : raised_) {
+    const double tau = ThresholdFor(u);
+    EvictBelow(u, tau, id, deltas);
+    cone_.SetThreshold(u, tau);
   }
   return Status::OK();
+}
+
+void TopKMaintainer::EvictBelow(int u, double tau, int id,
+                                std::vector<TopKDelta>* deltas) {
+  // One gather-kernel call scores Φ(u) against the tree's point slab. The
+  // members are gathered in link order, so a member's index is its link
+  // position and the evictions are removed by position, not by lookup.
+  const SetSystem::KeyRange members = ApproxTopK(u);
+  member_scratch_.assign(members.begin(), members.end());
+  member_score_scratch_.resize(member_scratch_.size());
+  tree_.ScoreIds(utilities_[u].data(), member_scratch_,
+                 member_score_scratch_.data());
+  evicted_scratch_.clear();
+  for (size_t at = 0; at < member_scratch_.size(); ++at) {
+    if (member_scratch_[at] != id && member_score_scratch_[at] < tau) {
+      evicted_scratch_.emplace_back(member_scratch_[at], static_cast<int>(at));
+    }
+  }
+  if (evicted_scratch_.empty()) return;
+  // σ by σ in ascending id order, so the cover sees a sequence that depends
+  // only on the Φ sets' contents. Each removal moves u's last link into the
+  // freed position; pending_at_ maps a position to the pending eviction it
+  // holds, so a moved eviction is followed to its new position.
+  std::sort(evicted_scratch_.begin(), evicted_scratch_.end());
+  pending_at_.assign(member_scratch_.size(), -1);
+  for (size_t i = 0; i < evicted_scratch_.size(); ++i) {
+    pending_at_[static_cast<size_t>(evicted_scratch_[i].second)] =
+        static_cast<int>(i);
+  }
+  for (const auto& [member, at] : evicted_scratch_) {
+    const int last = static_cast<int>(ApproxTopK(u).size()) - 1;
+    cover_.RemoveMembershipAt(u, at);
+    if (deltas != nullptr) deltas->push_back({u, member, /*added=*/false});
+    if (at == last) continue;
+    const int moved = pending_at_[static_cast<size_t>(last)];
+    pending_at_[static_cast<size_t>(at)] = moved;
+    if (moved >= 0) evicted_scratch_[static_cast<size_t>(moved)].second = at;
+  }
 }
 
 Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
@@ -123,8 +130,7 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
     return Status::NotFound("tuple id " + std::to_string(id) + " not present");
   }
   // Only utilities whose Φ set contains `id` can change (S(p) in the
-  // paper). Read them back ascending from a bit mark, then purge `id`
-  // from Φ in one call.
+  // paper). Read them back ascending from a bit mark.
   affected_scratch_.clear();
   int lo = num_utilities();
   int hi = -1;
@@ -140,7 +146,6 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
       affected_scratch_.push_back(w * 64 + std::countr_zero(bits));
     }
   }
-  phi_.RemoveSet(id);
   FDRMS_RETURN_NOT_OK(tree_.Delete(id));
 
   // Re-rank every utility whose exact top-k held `id`. The surviving
@@ -158,9 +163,11 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
     }
     rebuilt_old_tau_.push_back(ThresholdFor(u));
     const Point& utility = utilities_[u];
-    const SetSystem::KeyRange members = phi_.SetsContaining(u);
-    if (static_cast<int>(members.size()) >= k_) {
-      member_scratch_.assign(members.begin(), members.end());
+    member_scratch_.clear();
+    for (int member : ApproxTopK(u)) {
+      if (member != id) member_scratch_.push_back(member);
+    }
+    if (static_cast<int>(member_scratch_.size()) >= k_) {
       member_score_scratch_.resize(member_scratch_.size());
       tree_.ScoreIds(utility.data(), member_scratch_,
                      member_score_scratch_.data());
@@ -194,6 +201,8 @@ Status TopKMaintainer::Delete(int id, std::vector<TopKDelta>* deltas) {
     cone_.SetThreshold(u, rebuilt_tau_[g]);
     ++g;
   }
+  // Last, `id` leaves Φ: S(p) is removed from the cover.
+  cover_.RemoveSet(id);
   return Status::OK();
 }
 

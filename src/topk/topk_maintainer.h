@@ -15,41 +15,44 @@
 ///
 /// Invariant the delete repair relies on: with τ = (1 - ε) * ω_k, every
 /// member of Φ scores >= τ and every live non-member scores strictly below
-/// τ, so Φ ⊇ the exact top-k. A delete of p repairs all of S(p) as one
-/// group:
-///  1. S(p) is read back in ascending utility order from a bit mark, and
-///     p leaves every Φ set in one SetSystem::RemoveSet.
-///  2. Each utility whose exact top-k held p is re-ranked. With at least k
-///     surviving members, the k best survivors are the new exact top-k by
-///     the invariant; only when fewer survive is the kd-tree searched.
-///  3. One KdTree::ScoreRanges walk answers the range queries of all
-///     re-ranked utilities at their lowered τ.
-///  4. The entrants of a utility are its range hits scoring below its old
-///     τ: by the invariant those are exactly the hits outside Φ, so no
-///     membership lookup is needed.
-/// The deltas come out as a per-utility repair would emit them: for each u
-/// in S(p) ascending, the removal of p, then u's entrants best first.
+/// τ, so Φ ⊇ the exact top-k.
 ///
-/// The Φ sets are kept as a flat SetSystem (elements = utilities, sets =
-/// tuple ids), so both Φ(u) and S(p) are contiguous to enumerate. No write
-/// searches it: an insert's new tuple is in no Φ yet and a delete's
-/// entrants are non-members by the invariant, so both are appended
-/// unchecked; the eviction sweep of an insert walks Φ(u)'s links anyway,
-/// records each member's link position, and removes the evicted members
-/// by position, highest first; a delete drops S(p) in one RemoveSet. Every
-/// mutation reports the exact membership changes as a list of TopKDelta
-/// records, whose order depends only on the Φ sets' contents (evictions in
-/// ascending id order); FD-RMS consumes them to update the set system Σ and
-/// the dynamic set-cover solution.
+/// Φ lives in a DynamicSetCover (elements = utilities, sets = tuple ids):
+/// the set system Σ of Section III is Φ itself, so FD-RMS runs its cover
+/// over this one incidence, and the maintainer writes every Φ change as a
+/// σ call, in this order:
+///  - Insert of p, in two passes. Pass 1: each reached utility u updates
+///    its exact top-k and, if p clears u's new τ, gains p
+///    (AddNewMembership: p is in no Φ yet). Pass 2: each u whose τ rose
+///    scores Φ(u) in one gather and evicts the members below τ, σ by σ in
+///    ascending id order, each by its link position (RemoveMembershipAt).
+///  - Delete of p repairs all of S(p) as one group. S(p) is read back in
+///    ascending utility order from a bit mark. Each utility whose exact
+///    top-k held p is re-ranked: with at least k surviving members the k
+///    best survivors are the new exact top-k by the invariant; only when
+///    fewer survive is the kd-tree searched. One KdTree::ScoreRanges walk
+///    answers the range queries of all re-ranked utilities at their
+///    lowered τ; a utility's entrants are its hits scoring below its old τ,
+///    which by the invariant are exactly the hits outside Φ, so they are
+///    appended unchecked. Last, RemoveSet(p) drops S(p).
+/// A standalone maintainer's cover has an empty universe and stays inert;
+/// FD-RMS sets the universe through mutable_cover().
+///
+/// Every mutation also reports the exact membership changes as TopKDelta
+/// records, whose order depends only on the Φ sets' contents. An insert
+/// reports its additions, then per utility its evictions in ascending id
+/// order; a delete reports, for each u in S(p) ascending, the removal of p
+/// and then u's entrants best first.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "geometry/point.h"
 #include "index/conetree.h"
 #include "index/kdtree.h"
-#include "setcover/set_system.h"
+#include "setcover/dynamic_set_cover.h"
 
 namespace fdrms {
 
@@ -87,7 +90,7 @@ class TopKMaintainer {
   /// Current Φ_{k,ε}(u_i, P_t): its tuple ids, in unspecified order. The
   /// range is a view, valid until the next Insert or Delete.
   SetSystem::KeyRange ApproxTopK(int utility) const {
-    return phi_.SetsContaining(utility);
+    return cover_.system().SetsContaining(utility);
   }
 
   /// Current exact top-k list (best first) of utility i.
@@ -101,7 +104,15 @@ class TopKMaintainer {
   /// Utilities whose Φ set currently contains tuple `id` — this is the set
   /// S(p) of the paper's set system — in unspecified order; a view, like
   /// ApproxTopK.
-  SetSystem::KeyRange MemberOf(int id) const { return phi_.ElementsOf(id); }
+  SetSystem::KeyRange MemberOf(int id) const {
+    return cover_.system().ElementsOf(id);
+  }
+
+  /// The set cover over Φ. Its memberships are the maintainer's; a caller
+  /// of mutable_cover() changes only the universe and the solution
+  /// (InitializeGreedy, AddToUniverse, RemoveFromUniverse).
+  const DynamicSetCover& cover() const { return cover_; }
+  DynamicSetCover& mutable_cover() { return cover_; }
 
   /// Checks the kd-tree's structure (KdTree::CheckInvariants), then
   /// recomputes every Φ set and exact top-k list (ids and scores) from
@@ -113,6 +124,9 @@ class TopKMaintainer {
   double ThresholdFor(int utility) const;
   /// Adds `id` to Φ(utility), which must not hold it, and reports it.
   void EmitAdd(int utility, int id, std::vector<TopKDelta>* deltas);
+  /// Evicts from Φ(u) every member other than `id` scoring below `tau`,
+  /// σ by σ in ascending id order, and reports them.
+  void EvictBelow(int u, double tau, int id, std::vector<TopKDelta>* deltas);
 
   int dim_;
   int k_;
@@ -122,13 +136,16 @@ class TopKMaintainer {
   /// their scores (capacity reused, so an insert allocates nothing here).
   std::vector<int> reached_scratch_;
   std::vector<double> reached_score_scratch_;
+  /// The reached utilities whose τ rose in an insert.
+  std::vector<int> raised_;
   /// Scratch for the eviction sweep and the delete repair: current members
-  /// of one Φ set, their batch-gathered scores and (eviction sweep only)
-  /// their link positions in the utility's incidence.
+  /// of one Φ set and their batch-gathered scores; for the sweep, the
+  /// (id, link position) of each pending eviction and position -> pending
+  /// eviction index.
   std::vector<int> member_scratch_;
   std::vector<double> member_score_scratch_;
-  std::vector<int> member_at_scratch_;
-  std::vector<int> evicted_scratch_;
+  std::vector<std::pair<int, int>> evicted_scratch_;
+  std::vector<int> pending_at_;
   /// Scratch for the delete repair: the utilities holding the deleted
   /// tuple (ascending), the ranked survivors of one utility, and per
   /// re-ranked utility its old and new τ and its range-query hits.
@@ -143,7 +160,7 @@ class TopKMaintainer {
   std::vector<std::vector<ScoredId>> topk_;  // per utility
   /// One bit per utility, all clear between deletes: orders S(p).
   std::vector<uint64_t> affected_mark_;
-  SetSystem phi_;  // utility u ∈ S(p) ⟺ p ∈ Φ(u)
+  DynamicSetCover cover_;  // utility u ∈ S(p) ⟺ p ∈ Φ(u)
 };
 
 }  // namespace fdrms

@@ -1,11 +1,12 @@
 // Differential test: FdRms against the σ-by-σ composition of its two
-// layers. The reference drives a TopKMaintainer and a DynamicSetCover
-// through their public calls only, in the order the paper states
-// Algorithms 2-4: every Φ delta becomes one σ = (u, S, ±) through the
-// idempotent AddMembership and RemoveMembership, and a delete then drops
-// the emptied set with RemoveSet. FdRms takes shortcuts the composition
-// does not (unchecked appends, dropping a non-cover tuple's set in one
-// call); both must reach the same state after every operation.
+// layers. The reference drives a TopKMaintainer and a second
+// DynamicSetCover through their public calls only, in the order the paper
+// states Algorithms 2-4: every Φ delta becomes one σ = (u, S, ±) through
+// the idempotent AddMembership and RemoveMembership, and a delete then
+// drops the emptied set with RemoveSet. FdRms keeps one incidence, written
+// by its maintainer through the cover (unchecked appends, evictions by
+// link position, a non-cover tuple's set dropped in one call); both must
+// reach the same state after every operation.
 
 #include <gtest/gtest.h>
 
@@ -124,9 +125,13 @@ struct DiffParam {
 };
 
 std::string ParamName(const ::testing::TestParamInfo<DiffParam>& info) {
-  return "d" + std::to_string(info.param.dim) + "_k" +
-         std::to_string(info.param.k) + "_eps" +
-         std::to_string(static_cast<int>(info.param.eps * 100));
+  std::string name = "d";
+  name += std::to_string(info.param.dim);
+  name += "_k";
+  name += std::to_string(info.param.k);
+  name += "_eps";
+  name += std::to_string(static_cast<int>(info.param.eps * 100));
+  return name;
 }
 
 class FdRmsDifferentialTest : public ::testing::TestWithParam<DiffParam> {};
@@ -187,8 +192,10 @@ TEST_P(FdRmsDifferentialTest, MatchesTheSigmaBySigmaComposition) {
   int cover_deletes = 0;
   int wide_deletes = 0;
   int dominating_inserts = 0;
+  int m_moves = 0;
   const int kOps = 1500;
   for (int op = 0; op < kOps; ++op) {
+    const int m_before = algo.current_m();
     const int kind = rng.UniformInt(20);
     if (live.size() < 100 || kind < 9) {
       Point p = RandomPoint(param.dim, &rng);
@@ -229,6 +236,7 @@ TEST_P(FdRmsDifferentialTest, MatchesTheSigmaBySigmaComposition) {
       ASSERT_NO_FATAL_FAILURE(remove_live(id));
     }
     ASSERT_NO_FATAL_FAILURE(ExpectSameState(algo, ref, op));
+    if (algo.current_m() != m_before) ++m_moves;
     if (op % 200 == 199) {
       const Status st = algo.Validate();
       ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
@@ -238,6 +246,8 @@ TEST_P(FdRmsDifferentialTest, MatchesTheSigmaBySigmaComposition) {
   EXPECT_GT(cover_deletes, 50);
   EXPECT_GT(wide_deletes, 10);
   EXPECT_GT(dominating_inserts, 20);
+  // UPDATEM (Algorithm 4) changed the universe over the shared incidence.
+  EXPECT_GT(m_moves, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -338,7 +338,9 @@ TEST_P(FdRmsOrderTest, StateDoesNotDependOnInitialTupleOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, FdRmsOrderTest, ::testing::Values(4, 6),
                          [](const auto& info) {
-                           return "d" + std::to_string(info.param);
+                           std::string name = "d";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -227,6 +228,123 @@ TEST(DynamicSetCoverTest, AddNewMembershipMatchesTheIdempotentAdd) {
   ASSERT_TRUE(checked.CheckInvariants().ok());
 }
 
+/// Compares everything a caller can observe of two covers' solutions, and
+/// checks both covers' invariants.
+void ExpectSameSolution(const DynamicSetCover& a, const DynamicSetCover& b,
+                        int num_elements) {
+  ASSERT_EQ(a.CoverSetIds(), b.CoverSetIds());
+  for (int x = 0; x < num_elements; ++x) {
+    ASSERT_EQ(a.AssignmentOf(x), b.AssignmentOf(x)) << "element " << x;
+  }
+  for (int set_id : a.CoverSetIds()) {
+    ASSERT_EQ(a.LevelOf(set_id), b.LevelOf(set_id)) << "set " << set_id;
+  }
+  ASSERT_EQ(a.system().num_links(), b.system().num_links());
+  const Status sa = a.CheckInvariants();
+  ASSERT_TRUE(sa.ok()) << sa.ToString();
+  const Status sb = b.CheckInvariants();
+  ASSERT_TRUE(sb.ok()) << sb.ToString();
+}
+
+/// Two covers over one random incidence, universe = the even elements.
+void BuildTwin(Rng* rng, int num_elements, int num_sets, DynamicSetCover* a,
+               DynamicSetCover* b) {
+  for (int i = 0; i < 4 * num_elements; ++i) {
+    const int e = rng->UniformInt(num_elements);
+    const int id = rng->UniformInt(num_sets);
+    a->AddMembership(e, id);
+    b->AddMembership(e, id);
+  }
+  std::vector<int> universe;
+  for (int e = 0; e < num_elements; e += 2) universe.push_back(e);
+  a->InitializeGreedy(universe);
+  b->InitializeGreedy(universe);
+}
+
+TEST(DynamicSetCoverTest, RemoveSetIsTheAscendingSigmaBySigmaRemovals) {
+  // RemoveSet on one cover, RemoveMembership of each member in ascending
+  // element order on its twin, for sets in C and outside it; a random σ
+  // stream between them keeps the incidence and the solution moving.
+  const int kElements = 40;
+  const int kSets = 16;
+  int in_cover = 0;
+  int outside = 0;
+  for (uint64_t seed : {81u, 82u, 83u, 84u}) {
+    Rng rng(seed);
+    DynamicSetCover whole(kElements);
+    DynamicSetCover by_sigma(kElements);
+    BuildTwin(&rng, kElements, kSets, &whole, &by_sigma);
+    for (int op = 0; op < 1500; ++op) {
+      const int e = rng.UniformInt(kElements);
+      const int kind = rng.UniformInt(10);
+      if (kind < 4) {
+        const int id = rng.UniformInt(kSets);
+        whole.AddMembership(e, id);
+        by_sigma.AddMembership(e, id);
+      } else if (kind < 5) {
+        whole.AddToUniverse(e);
+        by_sigma.AddToUniverse(e);
+      } else if (kind < 6) {
+        whole.RemoveFromUniverse(e);
+        by_sigma.RemoveFromUniverse(e);
+      } else {
+        // Half the time a member of C, else any set (mostly outside C).
+        int id = rng.UniformInt(kSets);
+        const std::vector<int> c = whole.CoverSetIds();
+        if (kind < 8 && !c.empty()) {
+          id = c[static_cast<size_t>(rng.UniformInt(static_cast<int>(c.size())))];
+        }
+        if (whole.LevelOf(id) >= 0) {
+          ++in_cover;
+        } else if (whole.system().SlotOf(id) >= 0) {
+          ++outside;
+        }
+        const std::vector<int> members = Sorted(whole.system().ElementsOf(id));
+        whole.RemoveSet(id);
+        for (int x : members) by_sigma.RemoveMembership(x, id);
+        ASSERT_EQ(whole.system().SlotOf(id), -1);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameSolution(whole, by_sigma, kElements))
+          << "seed " << seed << " op " << op << " kind " << kind;
+    }
+  }
+  EXPECT_GT(in_cover, 100);
+  EXPECT_GT(outside, 100);
+}
+
+TEST(DynamicSetCoverTest, RemoveMembershipAtMatchesRemoveMembership) {
+  const int kElements = 30;
+  const int kSets = 12;
+  for (uint64_t seed : {91u, 92u, 93u}) {
+    Rng rng(seed);
+    DynamicSetCover at_pos(kElements);
+    DynamicSetCover searched(kElements);
+    BuildTwin(&rng, kElements, kSets, &at_pos, &searched);
+    for (int op = 0; op < 1500; ++op) {
+      const int e = rng.UniformInt(kElements);
+      const int kind = rng.UniformInt(10);
+      const auto& links = at_pos.system().ElementLinks(e);
+      if (kind < 5 && !links.empty()) {
+        const int at = rng.UniformInt(static_cast<int>(links.size()));
+        const int id =
+            at_pos.system().SetIdOf(links[static_cast<size_t>(at)].other);
+        at_pos.RemoveMembershipAt(e, at);
+        searched.RemoveMembership(e, id);
+        ASSERT_FALSE(at_pos.system().Contains(e, id));
+      } else if (kind < 9) {
+        const int id = rng.UniformInt(kSets);
+        at_pos.AddMembership(e, id);
+        searched.AddMembership(e, id);
+      } else {
+        at_pos.AddToUniverse(e);
+        searched.AddToUniverse(e);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameSolution(at_pos, searched, kElements))
+          << "seed " << seed << " op " << op;
+    }
+  }
+}
+
 struct ScatteredCoverParam {
   int num_elements;
   double add_share;  // chance that a membership op adds
@@ -299,8 +417,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ScatteredCoverParam{40, 0.6, 52},
                       ScatteredCoverParam{40, 0.35, 53}),
     [](const auto& info) {
-      return "e" + std::to_string(info.param.num_elements) + "seed" +
-             std::to_string(info.param.seed);
+      std::string name = "e";
+      name += std::to_string(info.param.num_elements);
+      name += "seed";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 /// Builds a cover over `m` elements where set i covers a contiguous block.

@@ -4,6 +4,8 @@
 #include <climits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geometry/sampling.h"
@@ -75,6 +77,35 @@ TEST(TopKMaintainerTest, DeltasDescribeExactMembershipChanges) {
   // MemberOf mirrors the sets.
   EXPECT_EQ(Sorted(m.MemberOf(0)), (std::vector<int>{1}));
   EXPECT_EQ(Sorted(m.MemberOf(1)), (std::vector<int>{0}));
+}
+
+TEST(TopKMaintainerTest, InsertEvictsSeveralMembersByLinkPosition) {
+  // Φ(u) links are in insertion order, so before tuple 6 arrives both
+  // utilities' last link is tuple 4, which 6 evicts together with others.
+  // Removing an earlier eviction moves 4's link in front of the kept
+  // tuple 5; the sweep must follow it there.
+  std::vector<Point> utils{{1.0, 0.0}, {0.0, 1.0}};
+  TopKMaintainer m(2, /*k=*/1, /*eps=*/0.5, utils);
+  const std::vector<std::pair<int, Point>> tuples = {
+      {1, {0.6, 0.36}}, {2, {0.35, 0.5}},  {3, {0.4, 0.4}},
+      {5, {0.5, 0.6}},  {4, {0.38, 0.33}}};
+  for (const auto& [id, p] : tuples) {
+    ASSERT_TRUE(m.Insert(id, p, nullptr).ok());
+  }
+  ASSERT_EQ(Sorted(m.ApproxTopK(0)), (std::vector<int>{1, 2, 3, 4, 5}));
+  ASSERT_EQ(Sorted(m.ApproxTopK(1)), (std::vector<int>{1, 2, 3, 4, 5}));
+  std::vector<TopKDelta> deltas;
+  ASSERT_TRUE(m.Insert(6, {0.9, 0.9}, &deltas).ok());
+  // The additions first, then per utility its evictions in ascending id.
+  const std::vector<TopKDelta> expected = {
+      {0, 6, true},  {1, 6, true},  {0, 2, false}, {0, 3, false},
+      {0, 4, false}, {1, 1, false}, {1, 3, false}, {1, 4, false}};
+  EXPECT_EQ(deltas, expected);
+  EXPECT_EQ(Sorted(m.ApproxTopK(0)), (std::vector<int>{1, 5, 6}));
+  EXPECT_EQ(Sorted(m.ApproxTopK(1)), (std::vector<int>{2, 5, 6}));
+  EXPECT_EQ(m.cover().system().num_links(), 6u);
+  EXPECT_TRUE(m.ValidateAgainstBruteForce().ok());
+  EXPECT_TRUE(m.cover().CheckInvariants().ok());
 }
 
 TEST(TopKMaintainerTest, DeleteOfNonMemberTouchesNothing) {
