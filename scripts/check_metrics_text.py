@@ -16,8 +16,8 @@ Checks, in order:
     cumulatively non-decreasing counts per label set, a final `le="+Inf"`
     bucket equal to `_count`, and a `_sum` sample;
   * the writer / queue / batch / publish-latency / merge-cache series the
-    controller reads, and the cover-size / incidence gauges, are all
-    present, `fdrms_publish_latency_us_count` is
+    controller reads, the cover-size / incidence gauges and the
+    scan-skip counter, are all present, `fdrms_publish_latency_us_count` is
     at least --min-publish-count, and `fdrms_ops_applied_total` is nonzero;
   * with --require-migration, all four migration-phase histograms
     (freeze / drain / replay / cutover) carry at least one observation and
@@ -64,10 +64,11 @@ REQUIRED_SERIES = [
     # fault *counters* — deaths, restarts, degraded reads — are zero in a
     # healthy run and so are only asserted by check_fault_smoke.py.)
     "fdrms_shard_healthy",
-    # Algorithm-health gauges set per batch: |Q_t| and the set system's
-    # membership count.
+    # Algorithm-health series set per batch: |Q_t|, the set system's
+    # membership count, and the inserts that skipped the utility scan.
     "fdrms_cover_size",
     "fdrms_incidence_entries",
+    "fdrms_insert_scan_skips_total",
     # Process-level series every registry snapshot synthesizes.
     "process_uptime_seconds",
     "obs_registry_series",

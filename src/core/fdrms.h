@@ -22,6 +22,13 @@
 /// topk_maintainer.h for the order), so each op reaches the cover without
 /// a delta list. FdRms sets the cover's universe: the utility prefix
 /// [0, m), through InitializeGreedy and UPDATEM.
+///
+/// Because the cover's solution is Q_t, the maintainer also uses it on
+/// Algorithm 3's Line 3: an inserted tuple that k members of Q_t
+/// ε-dominate reaches no utility, so its utility scan is skipped and it is
+/// only indexed (topk_maintainer.h gives the test and its proof). Results
+/// are the same as with the scan; Initialize, run before Q_t exists,
+/// scans every tuple.
 
 #include <utility>
 #include <vector>

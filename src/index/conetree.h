@@ -28,10 +28,13 @@
 /// every utility goes through stage 2.
 ///
 /// An insert reaches under one (d=6) to about four (d=4) of M = 2048
-/// utilities under FD-RMS's thresholds, so nearly all of the scan only
-/// confirms a "no"; in float with 16 lanes it does that at well under half
-/// the cost of a double scan (bench_micro_substrates'
-/// BM_ConeTreeScanPaperThresholds). A cone tree pruned better than the
+/// utilities under FD-RMS's thresholds. Most of those "no" answers are now
+/// given before the scan: TopKMaintainer skips it for a tuple that k
+/// members of the result ε-dominate (about three in four Indep inserts at
+/// d=4 and d=6; see topk_maintainer.h). For the inserts left, nearly all
+/// of the scan still only confirms a "no"; in float with 16 lanes it does
+/// that at well under half the cost of a double scan
+/// (bench_micro_substrates' BM_ConeTreeScanPaperThresholds). A cone tree pruned better than the
 /// double scan at d=2, and at d=4 with M=8192; one code path is kept
 /// regardless (the repository benchmark runs d=4 and d=6 at M=2048).
 ///

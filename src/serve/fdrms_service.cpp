@@ -89,6 +89,11 @@ void FdRmsService::RegisterMetrics() {
       "Memberships of the set system, the sum of |Phi(u)| over all M "
       "utilities, after the latest batch",
       l);
+  metrics_.insert_scan_skips = r.GetCounter(
+      "fdrms_insert_scan_skips_total",
+      "Inserts whose utility scan was skipped because k members of Q_t "
+      "dominate the tuple, added per batch",
+      l);
   metrics_.queue_depth = r.GetGauge(
       "fdrms_queue_depth", "Queue depth observed at the last writer wakeup",
       l);
@@ -497,6 +502,7 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
     obs::PhaseSpan apply_span(registry_.get(), metrics_.apply_us,
                               "writer.apply");
     apply_span.set_args(batch.size(), version_ + 1);
+    const uint64_t skips_before = algo_.topk().insert_scan_skips();
     size_t pos = 0;
     while (pos < batch.size()) {
       size_t applied = 0;
@@ -510,6 +516,8 @@ void FdRmsService::ApplyAndPublish(const std::vector<FdRms::BatchOp>& batch) {
         ++pos;  // skip the offender
       }
     }
+    metrics_.insert_scan_skips->Increment(algo_.topk().insert_scan_skips() -
+                                          skips_before);
   }
   busy_seconds_ += ThreadCpuSeconds() - cpu_start;
   metrics_.writer_busy_seconds->Set(busy_seconds_);

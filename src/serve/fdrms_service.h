@@ -464,6 +464,7 @@ class FdRmsService {
     obs::Gauge* sample_size_m;
     obs::Gauge* cover_size;         ///< |Q_t|
     obs::Gauge* incidence_entries;  ///< Σ|Φ(u)|, a running link count
+    obs::Counter* insert_scan_skips;  ///< inserts that skipped the scan
     obs::Gauge* queue_depth;
     obs::Gauge* batch_bound;
     obs::Gauge* writer_busy_seconds;

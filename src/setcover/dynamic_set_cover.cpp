@@ -72,11 +72,13 @@ void DynamicSetCover::CovErase(int slot, int element) {
 }
 
 void DynamicSetCover::JoinCover(int slot) {
+  ++cover_version_;
   cover_pos_[static_cast<size_t>(slot)] = static_cast<int>(cover_slots_.size());
   cover_slots_.push_back(slot);
 }
 
 void DynamicSetCover::LeaveCover(int slot) {
+  ++cover_version_;
   const int at = cover_pos_[static_cast<size_t>(slot)];
   const int last = cover_slots_.back();
   cover_slots_[static_cast<size_t>(at)] = last;
@@ -171,6 +173,7 @@ void DynamicSetCover::Reassign(int element) {
 void DynamicSetCover::InitializeGreedy(
     const std::vector<int>& universe_elements) {
   // Reset all solution state (incidence is kept).
+  ++cover_version_;
   phi_.assign(phi_.size(), -1);
   elem_level_.assign(elem_level_.size(), -1);
   in_universe_.assign(in_universe_.size(), false);

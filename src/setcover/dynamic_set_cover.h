@@ -48,6 +48,7 @@
 /// reassigns, and a removal only lowers S's level counts, which queues no
 /// violation (a public call returns with the queue drained).
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -94,6 +95,10 @@ class DynamicSetCover {
   int CoverSize() const { return static_cast<int>(cover_slots_.size()); }
   /// Set ids (tuple ids) forming C, ascending.
   std::vector<int> CoverSetIds() const;
+  /// Moves whenever a set joins or leaves C or InitializeGreedy resets the
+  /// solution, so a cache derived from C's members is current while the
+  /// value it was built at is.
+  uint64_t cover_version() const { return cover_version_; }
   bool InUniverse(int element) const { return in_universe_[element]; }
   int UniverseSize() const { return universe_size_; }
   /// Assigned set of `element` (kUnassigned if uncovered / not in universe).
@@ -174,6 +179,7 @@ class DynamicSetCover {
   // elements. A free slot's row is all zero.
   std::vector<int> counts_;
   std::vector<int> cover_slots_;  // the slots of C
+  uint64_t cover_version_ = 0;
   // (set id, level) keys to re-check, a min-heap.
   std::vector<std::pair<int, int>> violations_;
   // Stabilize's scratch.

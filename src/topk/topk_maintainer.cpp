@@ -21,8 +21,17 @@ TopKMaintainer::TopKMaintainer(int dim, int k, double eps,
       cover_(static_cast<int>(utilities_.size())) {
   FDRMS_CHECK(k_ >= 1);
   FDRMS_CHECK(eps_ >= 0.0 && eps_ < 1.0);
+  // The dominance test's proof (see the header) needs finite, nonnegative
+  // utilities, each with its largest coordinate in [2^-64, 2^64].
+  dominance_ok_ = dim_ <= kFilterMaxDim;
   for (const Point& u : utilities_) {
     FDRMS_CHECK(static_cast<int>(u.size()) == dim_);
+    double largest = 0.0;
+    for (double x : u) {
+      if (!(x >= 0.0 && x <= 0x1p64)) dominance_ok_ = false;
+      largest = std::max(largest, x);
+    }
+    if (largest < 0x1p-64) dominance_ok_ = false;
   }
 }
 
@@ -44,12 +53,57 @@ void TopKMaintainer::EmitAdd(int utility, int id,
   if (deltas != nullptr) deltas->push_back({utility, id, /*added=*/true});
 }
 
+bool TopKMaintainer::CoverDominates(const Point& p) {
+  if (!dominance_ok_) return false;
+  const size_t d = static_cast<size_t>(dim_);
+  if (dominators_version_ != cover_.cover_version()) {
+    dominators_version_ = cover_.cover_version();
+    dominators_.clear();
+    const double c = (1.0 - eps_) * (1.0 - 0x1p-40);
+    for (int member : cover_.CoverSetIds()) {
+      const double* g = tree_.GetPointRef(member).data();
+      if (std::all_of(g, g + d, [](double x) {
+            return x >= 0x1p-256 && x <= 0x1p256;
+          })) {
+        for (size_t j = 0; j < d; ++j) dominators_.push_back(c * g[j]);
+      }
+    }
+  }
+  if (dominators_.size() < static_cast<size_t>(k_) * d) return false;
+  // Fails on negative and NaN coordinates.
+  for (double x : p) {
+    if (!(x >= 0.0)) return false;
+  }
+  int found = 0;
+  for (size_t row = 0; row < dominators_.size(); row += d) {
+    const double* s = dominators_.data() + row;
+    size_t j = 0;
+    while (j < d && p[j] < s[j]) ++j;
+    if (j == d && ++found == k_) return true;
+  }
+  return false;
+}
+
 Status TopKMaintainer::Insert(int id, const Point& p,
                               std::vector<TopKDelta>* deltas) {
   // Validate before the index scan: FindReached dots `p` against dim_-sized
   // utilities, so a short point would read out of bounds.
   if (static_cast<int>(p.size()) != dim_) {
     return Status::Invalid("point dimension mismatch");
+  }
+  // k members of C dominate `p`, so it reaches no utility and the scan
+  // would change nothing: only the kd-tree learns of it.
+  if (CoverDominates(p)) {
+#ifndef NDEBUG
+    for (int u = 0; u < num_utilities(); ++u) {
+      FDRMS_CHECK(Dot(utilities_[static_cast<size_t>(u)], p) <
+                  ThresholdFor(u))
+          << "dominated tuple " << id << " reaches utility " << u;
+    }
+#endif
+    FDRMS_RETURN_NOT_OK(tree_.Insert(id, p));
+    ++insert_scan_skips_;
+    return Status::OK();
   }
   // One scan of the utility index finds the utilities whose admission
   // threshold `p` reaches, with their scores; all Φ and top-k changes are

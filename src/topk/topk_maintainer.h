@@ -8,7 +8,9 @@
 /// indexes of the paper's dual-tree (Section III-C): a dynamic kd-tree over
 /// tuples, and over utilities a flat score-and-compare scan in place of the
 /// paper's cone tree (index/conetree.h). An insert takes both the reached
-/// utilities and their scores from that one scan.
+/// utilities and their scores from that one scan, unless the cover's
+/// solution C (FD-RMS's result Q_t) shows that it would find none; see
+/// "Skipping the scan" below.
 ///
 /// Φ_{k,ε}(u, P) = { p in P : <u, p> >= (1 - ε) * ω_k(u, P) }. When P has
 /// fewer than k tuples we define ω_k = 0 so Φ contains all of P.
@@ -37,6 +39,48 @@
 ///    appended unchecked. Last, RemoveSet(p) drops S(p).
 /// A standalone maintainer's cover has an empty universe and stays inert;
 /// FD-RMS sets the universe through mutable_cover().
+///
+/// Skipping the scan. If a tuple p lies strictly below (1 - ε) g in every
+/// coordinate for k distinct live tuples g, it scores below (1 - ε) ω_k(u)
+/// for every nonnegative utility u and reaches none. Insert tests that
+/// against C's members before the scan: it keeps a row-major copy of
+/// their points, each coordinate stored as s_j = fl(c g_j) with
+/// c = fl(fl(1 - ε)(1 - 2^-40)), rebuilt when cover_version() moves. The
+/// scan is skipped, and p only indexed in the kd-tree, when every p_j is
+/// >= 0 and at least k rows have p_j < s_j in every coordinate. Φ, the
+/// top-k lists and the thresholds are then left alone, which is what the
+/// scan would have done, so results are bit-identical. While C is empty
+/// (a standalone maintainer, or FD-RMS's Initialize) every insert scans.
+///
+/// Why a skipped p reaches no utility, in the style of the prefilter slack
+/// in geometry/score_kernel.h. The test runs only when d <= kFilterMaxDim
+/// and every utility coordinate is finite and >= 0 with each utility's
+/// largest coordinate A(u) in [2^-64, 2^64]; a row is cached only for a
+/// member whose coordinates all lie in [2^-256, 2^256]. Let δ = 2^-53,
+/// e = fl(1 - ε) (>= 2^-53 as ε < 1), S(u, x) = Σ u_j x_j exactly and
+/// D(u, x) = Dot(u, x), the sequential unfused double sum that every score
+/// in this class equals. Fix u and a dominating row g.
+///  * Rounding to nearest is monotone and all terms are >= 0, so
+///    0 <= p_j < s_j gives D(u, p) <= D(u, s). This needs nothing of p
+///    beyond the test: subnormal p_j are covered; NaN, inf, negative and
+///    tied (p_j = s_j) coordinates fail it and fall back to the scan.
+///  * With nonnegative terms, D errs from S by a relative <= dδ/(1 - dδ)
+///    plus at most d * 2^-1075 from products that land subnormal (a sum of
+///    nonnegative values that lands subnormal is exact). Both scores are
+///    far from overflow: S <= 2^8 * 2^64 * 2^256.
+///  * s_j <= c g_j (1 + δ) and c <= e (1 - 2^-40)(1 + δ), all normal, so
+///    S(u, s) <= e (1 - 2^-40)(1 + δ)^2 S(u, g); ThresholdFor's product
+///    fl(e ω) adds one more δ.
+/// Up to the absolute subnormal terms, D(u, p) <= D(u, s) <=
+/// e (1 - 2^-40)(1 + δ)^(d+2) S(u, g) and fl(e D(u, g)) >=
+/// e (1 - δ)^(d+1) S(u, g). The ratio (1 + δ)^(d+2) / (1 - δ)^(d+1) is
+/// below 1 + (2d + 3)δ(1 + 2^-40) <= 1 + 2^-43 for d <= 256, so the gap
+/// is at least e 2^-41 S(u, g) >= 2^-53 * 2^-41 * A(u) min_j g_j >=
+/// 2^-414, which dwarfs the 2d * 2^-1075 of subnormal products: D(u, p) <
+/// fl(e D(u, g)). Taking g the dominating row with the lowest score, the k
+/// rows are k distinct live tuples scoring >= D(u, g), so ω_k(u) >=
+/// D(u, g) and, by monotonicity again, D(u, p) < fl(e ω_k(u)) =
+/// ThresholdFor(u). Debug builds re-check that for every u on each skip.
 ///
 /// Every mutation also reports the exact membership changes as TopKDelta
 /// records, whose order depends only on the Φ sets' contents. An insert
@@ -86,6 +130,9 @@ class TopKMaintainer {
   int num_utilities() const { return static_cast<int>(utilities_.size()); }
   const std::vector<Point>& utilities() const { return utilities_; }
   const KdTree& tree() const { return tree_; }
+  /// Inserts that skipped the utility scan because k members of C
+  /// dominated the tuple (see the file comment); a running count.
+  uint64_t insert_scan_skips() const { return insert_scan_skips_; }
 
   /// Current Φ_{k,ε}(u_i, P_t): its tuple ids, in unspecified order. The
   /// range is a view, valid until the next Insert or Delete.
@@ -122,6 +169,9 @@ class TopKMaintainer {
 
  private:
   double ThresholdFor(int utility) const;
+  /// True when at least k cached rows dominate `p` (see the file comment),
+  /// so `p` reaches no utility; refreshes the rows first if C moved.
+  bool CoverDominates(const Point& p);
   /// Adds `id` to Φ(utility), which must not hold it, and reports it.
   void EmitAdd(int utility, int id, std::vector<TopKDelta>* deltas);
   /// Evicts from Φ(u) every member other than `id` scoring below `tau`,
@@ -161,6 +211,13 @@ class TopKMaintainer {
   /// One bit per utility, all clear between deletes: orders S(p).
   std::vector<uint64_t> affected_mark_;
   DynamicSetCover cover_;  // utility u ∈ S(p) ⟺ p ∈ Φ(u)
+  /// Whether the utilities admit the dominance test (file comment).
+  bool dominance_ok_ = false;
+  /// The rows of the dominance test, dim_ doubles each, and the
+  /// cover_version() they were built at.
+  std::vector<double> dominators_;
+  uint64_t dominators_version_ = 0;
+  uint64_t insert_scan_skips_ = 0;
 };
 
 }  // namespace fdrms

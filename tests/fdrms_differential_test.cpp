@@ -6,11 +6,15 @@
 // drops the emptied set with RemoveSet. FdRms keeps one incidence, written
 // by its maintainer through the cover (unchecked appends, evictions by
 // link position, a non-cover tuple's set dropped in one call); both must
-// reach the same state after every operation.
+// reach the same state after every operation. The reference's maintainer
+// has an inert cover, so it scans the utilities on every insert, while
+// FdRms's skips the scan for tuples its result ε-dominates: the test is
+// also a skip-versus-scan oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -192,6 +196,7 @@ TEST_P(FdRmsDifferentialTest, MatchesTheSigmaBySigmaComposition) {
   int cover_deletes = 0;
   int wide_deletes = 0;
   int dominating_inserts = 0;
+  int scan_skips = 0;
   int m_moves = 0;
   const int kOps = 1500;
   for (int op = 0; op < kOps; ++op) {
@@ -205,7 +210,9 @@ TEST_P(FdRmsDifferentialTest, MatchesTheSigmaBySigmaComposition) {
         ++dominating_inserts;
       }
       const int id = next_id++;
+      const uint64_t skips_before = algo.topk().insert_scan_skips();
       ASSERT_TRUE(algo.Insert(id, p).ok());
+      if (algo.topk().insert_scan_skips() != skips_before) ++scan_skips;
       ASSERT_NO_FATAL_FAILURE(ref.Insert(id, p));
       live.push_back(id);
     } else {
@@ -246,6 +253,7 @@ TEST_P(FdRmsDifferentialTest, MatchesTheSigmaBySigmaComposition) {
   EXPECT_GT(cover_deletes, 50);
   EXPECT_GT(wide_deletes, 10);
   EXPECT_GT(dominating_inserts, 20);
+  EXPECT_GT(scan_skips, 0);
   // UPDATEM (Algorithm 4) changed the universe over the shared incidence.
   EXPECT_GT(m_moves, 0);
 }

@@ -1045,6 +1045,36 @@ TEST(ServeServiceTest, HealthGaugesTrackTheCoverAndTheIncidence) {
   ASSERT_TRUE(service.Stop().ok());
 }
 
+TEST(ServeServiceTest, InsertScanSkipsRiseOnAnIndepStream) {
+  // Q_t ε-dominates most of an Indep stream's tuples, so their inserts
+  // skip the utility scan; the counter adds each batch's skips and ends at
+  // the count of a directly driven FdRms (Initialize never skips).
+  PointSet ps = GenerateIndep(600, 3, 24);
+  FdRmsServiceOptions sopt;
+  sopt.algo.r = 6;
+  sopt.algo.max_utilities = 128;
+  FdRmsService service(3, sopt);
+  FdRms direct(3, sopt.algo);
+  ASSERT_TRUE(service.Start(AsTuples(ps, 300)).ok());
+  ASSERT_TRUE(direct.Initialize(AsTuples(ps, 300)).ok());
+  auto skips = [&service] {
+    const obs::RegistrySnapshot scrape = service.registry()->Snapshot();
+    const obs::MetricSnapshot* counter =
+        scrape.Find("fdrms_insert_scan_skips_total");
+    EXPECT_NE(counter, nullptr);
+    return counter == nullptr ? uint64_t{0} : counter->counter_value;
+  };
+  EXPECT_EQ(skips(), 0u);
+  for (int i = 300; i < 600; ++i) {
+    ASSERT_TRUE(service.SubmitInsert(i, ps.Get(i)).ok());
+    ASSERT_TRUE(direct.Insert(i, ps.Get(i)).ok());
+  }
+  ASSERT_TRUE(service.Flush().ok());
+  EXPECT_GT(skips(), 100u);
+  EXPECT_EQ(skips(), direct.topk().insert_scan_skips());
+  ASSERT_TRUE(service.Stop().ok());
+}
+
 TEST(ServeBatchingTest, ConfiguredBoundIsInForceAndCapsBatches) {
   PointSet ps = GenerateIndep(200, 2, 22);
   FdRmsServiceOptions sopt;

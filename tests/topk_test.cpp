@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -379,6 +382,245 @@ TEST_P(TopKGroupRepairTest, HubDeleteEmitsPerUtilityStreamInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(K, TopKGroupRepairTest, ::testing::Values(1, 3));
+
+/// The scan skip: one maintainer whose cover has a universe, so its C can
+/// ε-dominate new tuples, and a standalone one whose inert cover makes it
+/// scan every insert. Both take the same ops and must emit the same
+/// deltas; the skipping one is also checked against brute force.
+class ScanSkipTest : public ::testing::Test {
+ protected:
+  void Make(int k, double eps, const std::vector<Point>& utils) {
+    dim_ = static_cast<int>(utils[0].size());
+    eps_ = eps;
+    live_.emplace(dim_, k, eps, utils);
+    ref_.emplace(dim_, k, eps, utils);
+  }
+
+  /// Sets the cover's universe to every utility, so C covers them all.
+  void CoverAll() {
+    std::vector<int> all(static_cast<size_t>(live_->num_utilities()));
+    for (int u = 0; u < live_->num_utilities(); ++u) {
+      all[static_cast<size_t>(u)] = u;
+    }
+    live_->mutable_cover().InitializeGreedy(all);
+  }
+
+  void Insert(int id, const Point& p, bool validate = true) {
+    const uint64_t before = live_->insert_scan_skips();
+    std::vector<TopKDelta> got;
+    std::vector<TopKDelta> want;
+    ASSERT_TRUE(live_->Insert(id, p, &got).ok());
+    ASSERT_TRUE(ref_->Insert(id, p, &want).ok());
+    skipped_ = live_->insert_scan_skips() != before;
+    EXPECT_EQ(ref_->insert_scan_skips(), 0u);
+    ASSERT_EQ(got, want) << "insert " << id;
+    if (validate) {
+      ASSERT_NO_FATAL_FAILURE(Validate());
+    }
+  }
+
+  void Delete(int id) {
+    std::vector<TopKDelta> got;
+    std::vector<TopKDelta> want;
+    ASSERT_TRUE(live_->Delete(id, &got).ok());
+    ASSERT_TRUE(ref_->Delete(id, &want).ok());
+    ASSERT_EQ(got, want) << "delete " << id;
+    ASSERT_NO_FATAL_FAILURE(Validate());
+  }
+
+  void Validate() {
+    const Status st = live_->ValidateAgainstBruteForce();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_TRUE(live_->cover().CheckInvariants().ok());
+  }
+
+  /// Members of C whose scaled point is above `p` in every coordinate, by
+  /// the maintainer's rule (C's points must be in the scaled range).
+  int Dominators(const Point& p) const {
+    int n = 0;
+    for (int id : live_->cover().CoverSetIds()) {
+      const Point g = live_->tree().GetPoint(id);
+      bool all = true;
+      for (int j = 0; j < dim_; ++j) all = all && p[j] < Scaled(g[j]);
+      n += all ? 1 : 0;
+    }
+    return n;
+  }
+
+  double Scaled(double g) const { return (1.0 - eps_) * (1.0 - 0x1p-40) * g; }
+
+  int dim_ = 0;
+  double eps_ = 0.0;
+  std::optional<TopKMaintainer> live_;
+  std::optional<TopKMaintainer> ref_;
+  bool skipped_ = false;
+};
+
+/// Two axes and the diagonal.
+std::vector<Point> AxesAndDiagonal() {
+  return {{1.0, 0.0}, {0.0, 1.0}, {std::sqrt(0.5), std::sqrt(0.5)}};
+}
+
+TEST_F(ScanSkipTest, DeletingTheOnlyDominatorMakesTheNextInsertScan) {
+  Make(/*k=*/1, /*eps=*/0.01, AxesAndDiagonal());
+  ASSERT_NO_FATAL_FAILURE(Insert(0, {0.9, 0.9}));
+  ASSERT_NO_FATAL_FAILURE(Insert(1, {0.95, 0.05}));
+  ASSERT_NO_FATAL_FAILURE(Insert(2, {0.05, 0.95}));
+  CoverAll();
+  ASSERT_EQ(live_->cover().CoverSetIds(), (std::vector<int>{0, 1, 2}));
+  const Point p{0.6, 0.6};
+  ASSERT_EQ(Dominators(p), 1);
+  ASSERT_NO_FATAL_FAILURE(Insert(3, {0.5, 0.4}));
+  EXPECT_TRUE(skipped_);
+  EXPECT_TRUE(live_->MemberOf(3).empty());
+  // With its dominator gone, p tops the diagonal utility.
+  ASSERT_NO_FATAL_FAILURE(Delete(0));
+  ASSERT_EQ(Dominators(p), 0);
+  ASSERT_NO_FATAL_FAILURE(Insert(4, p));
+  EXPECT_FALSE(skipped_);
+  EXPECT_EQ(Sorted(live_->MemberOf(4)), (std::vector<int>{2}));
+  EXPECT_EQ(live_->insert_scan_skips(), 1u);
+}
+
+TEST_F(ScanSkipTest, FollowsCoverChangesByGreedyAndUniverseGrowth) {
+  Make(/*k=*/1, /*eps=*/0.01, AxesAndDiagonal());
+  ASSERT_NO_FATAL_FAILURE(Insert(0, {0.9, 0.9}));
+  // Empty universe, empty C: every insert scans.
+  ASSERT_NO_FATAL_FAILURE(Insert(1, {0.5, 0.5}));
+  EXPECT_FALSE(skipped_);
+  CoverAll();
+  ASSERT_NO_FATAL_FAILURE(Insert(2, {0.5, 0.4}));
+  EXPECT_TRUE(skipped_);
+  // InitializeGreedy over no elements empties C again.
+  live_->mutable_cover().InitializeGreedy({});
+  ASSERT_EQ(live_->cover().CoverSize(), 0);
+  ASSERT_NO_FATAL_FAILURE(Insert(3, {0.4, 0.5}));
+  EXPECT_FALSE(skipped_);
+  // One element joining the universe brings its covering set into C.
+  live_->mutable_cover().AddToUniverse(2);
+  ASSERT_EQ(live_->cover().CoverSetIds(), (std::vector<int>{0}));
+  ASSERT_NO_FATAL_FAILURE(Insert(4, {0.4, 0.4}));
+  EXPECT_TRUE(skipped_);
+  // A new top of an axis joins C when its element enters the universe; a
+  // tuple it dominates but (0.9, 0.9) does not is then skipped too.
+  ASSERT_NO_FATAL_FAILURE(Insert(5, {0.99, 0.5}));
+  EXPECT_FALSE(skipped_);
+  live_->mutable_cover().AddToUniverse(0);
+  ASSERT_EQ(live_->cover().CoverSetIds(), (std::vector<int>{0, 5}));
+  ASSERT_NO_FATAL_FAILURE(Insert(6, {0.95, 0.3}));
+  EXPECT_TRUE(skipped_);
+  EXPECT_EQ(live_->insert_scan_skips(), 3u);
+}
+
+TEST_F(ScanSkipTest, EdgeCoordinatesScanUnlessTheProofCoversThem) {
+  // Positive utilities, so an infinite coordinate scores +inf, never NaN.
+  Make(/*k=*/1, /*eps=*/0.1,
+       {{0.8, 0.6}, {0.6, 0.8}, {std::sqrt(0.5), std::sqrt(0.5)}});
+  ASSERT_NO_FATAL_FAILURE(Insert(0, {0.9, 0.9}));
+  CoverAll();
+  ASSERT_EQ(live_->cover().CoverSetIds(), (std::vector<int>{0}));
+  const double s = Scaled(0.9);
+  int id = 1;
+  // A negative coordinate scans; the tuple is still out of every Φ.
+  ASSERT_NO_FATAL_FAILURE(Insert(id++, {-0.1, 0.5}));
+  EXPECT_FALSE(skipped_);
+  // An exact tie with the scaled member coordinate scans; one ulp below
+  // it skips.
+  ASSERT_NO_FATAL_FAILURE(Insert(id++, {s, 0.5}));
+  EXPECT_FALSE(skipped_);
+  ASSERT_NO_FATAL_FAILURE(Insert(id++, {std::nextafter(s, 0.0), 0.5}));
+  EXPECT_TRUE(skipped_);
+  // Subnormal and zero coordinates are covered by the proof.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  ASSERT_NO_FATAL_FAILURE(Insert(id++, {tiny, 0.0}));
+  EXPECT_TRUE(skipped_);
+  ASSERT_NO_FATAL_FAILURE(Insert(id++, {0.0, 0.0}));
+  EXPECT_TRUE(skipped_);
+  // +inf scans and tops every utility; its deletion restores the rest.
+  const double inf = std::numeric_limits<double>::infinity();
+  ASSERT_NO_FATAL_FAILURE(Insert(id, {inf, inf}));
+  EXPECT_FALSE(skipped_);
+  EXPECT_EQ(live_->MemberOf(id).size(), 3u);
+  ASSERT_NO_FATAL_FAILURE(Delete(id++));
+  // NaN scans and reaches nothing. A NaN score has no place in the brute
+  // force ranking, so the state is validated once it is deleted again.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_NO_FATAL_FAILURE(Insert(id, {nan, 0.5}, /*validate=*/false));
+  EXPECT_FALSE(skipped_);
+  EXPECT_TRUE(live_->MemberOf(id).empty());
+  ASSERT_NO_FATAL_FAILURE(Delete(id++));
+  EXPECT_EQ(live_->insert_scan_skips(), 3u);
+}
+
+TEST_F(ScanSkipTest, MembersOutsideTheScaledRangeDominateNothing) {
+  // A member with a subnormal coordinate is left out of the test rows: p
+  // below it in every coordinate still scans.
+  Make(/*k=*/1, /*eps=*/0.1, {{0.0, 1.0}, {0.1, 0.9}});
+  ASSERT_NO_FATAL_FAILURE(Insert(0, {1e-310, 0.9}));
+  CoverAll();
+  ASSERT_EQ(live_->cover().CoverSetIds(), (std::vector<int>{0}));
+  const Point p{0.0, 0.5};
+  ASSERT_EQ(Dominators(p), 1);
+  ASSERT_NO_FATAL_FAILURE(Insert(1, p));
+  EXPECT_FALSE(skipped_);
+  EXPECT_EQ(live_->insert_scan_skips(), 0u);
+}
+
+TEST_F(ScanSkipTest, KDominatorsAreNeeded) {
+  // k = 2: each axis keeps its two best in Φ, and no tuple is in both, so
+  // C holds one tuple per axis.
+  Make(/*k=*/2, /*eps=*/0.01, {{1.0, 0.0}, {0.0, 1.0}});
+  ASSERT_NO_FATAL_FAILURE(Insert(0, {0.9, 0.5}));
+  ASSERT_NO_FATAL_FAILURE(Insert(1, {0.89, 0.5}));
+  ASSERT_NO_FATAL_FAILURE(Insert(2, {0.5, 0.9}));
+  ASSERT_NO_FATAL_FAILURE(Insert(3, {0.5, 0.89}));
+  CoverAll();
+  ASSERT_EQ(live_->cover().CoverSize(), 2);
+  const Point one{0.6, 0.3};
+  const Point both{0.3, 0.3};
+  ASSERT_EQ(Dominators(one), 1);
+  ASSERT_EQ(Dominators(both), 2);
+  ASSERT_NO_FATAL_FAILURE(Insert(4, one));
+  EXPECT_FALSE(skipped_);
+  ASSERT_NO_FATAL_FAILURE(Insert(5, both));
+  EXPECT_TRUE(skipped_);
+}
+
+class ScanSkipChurnTest : public ScanSkipTest,
+                          public ::testing::WithParamInterface<int> {};
+
+TEST_P(ScanSkipChurnTest, MatchesTheScanningMaintainerUnderChurn) {
+  // Random churn with the cover kept over all utilities, deleting C's
+  // members often so the test rows go stale often.
+  Rng rng(40 + static_cast<uint64_t>(GetParam()));
+  Make(/*k=*/GetParam(), /*eps=*/0.05, SampleUtilityVectors(48, 4, &rng));
+  CoverAll();
+  std::vector<int> live;
+  int next_id = 0;
+  int skips = 0;
+  for (int op = 0; op < 800; ++op) {
+    if (live.size() < 40 || rng.UniformInt(3) != 0) {
+      Point p(4);
+      for (double& x : p) x = rng.Uniform();
+      ASSERT_NO_FATAL_FAILURE(Insert(next_id, p, /*validate=*/op % 10 == 0));
+      skips += skipped_ ? 1 : 0;
+      live.push_back(next_id++);
+      continue;
+    }
+    const std::vector<int> q = live_->cover().CoverSetIds();
+    const int id = rng.UniformInt(2) == 0 && !q.empty()
+                       ? q[static_cast<size_t>(
+                             rng.UniformInt(static_cast<int>(q.size())))]
+                       : live[static_cast<size_t>(
+                             rng.UniformInt(static_cast<int>(live.size())))];
+    ASSERT_NO_FATAL_FAILURE(Delete(id));
+    live.erase(std::find(live.begin(), live.end(), id));
+  }
+  EXPECT_GT(skips, 10);
+  EXPECT_EQ(static_cast<uint64_t>(skips), live_->insert_scan_skips());
+}
+
+INSTANTIATE_TEST_SUITE_P(K, ScanSkipChurnTest, ::testing::Values(1, 3));
 
 }  // namespace
 }  // namespace fdrms
